@@ -39,7 +39,7 @@ CLUSTER_SHARD1_ADDR = 127.0.0.1:$(shell expr $(CLUSTER_PORT) + 2)
 SNAPSHOT_PORT ?= 8482
 SNAPSHOT_ADDR = 127.0.0.1:$(SNAPSHOT_PORT)
 
-.PHONY: build test cover bench bench-json bench-service bench-faults bench-pow bench-cluster bench-snapshot lint doclint api apicheck smoke-examples serve-smoke chaos-smoke cluster-smoke snapshot-smoke fuzz-short ci
+.PHONY: build test cover bench bench-smoke bench-json bench-service bench-faults bench-pow bench-cluster bench-snapshot lint doclint api apicheck smoke-examples serve-smoke chaos-smoke cluster-smoke snapshot-smoke fuzz-short ci
 
 build:
 	$(GO) build ./...
@@ -65,6 +65,13 @@ fuzz-short:
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# bench-smoke builds, vets, tests and smoke-runs the nested bench/ module —
+# the program BENCHMARK.json names. It has its own go.mod, so `./...`
+# skips it, yet it imports internal/serve and decodes the daemon's
+# /metrics: this is the gate that catches a change here breaking it.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test . && $(GO) run . -smoke
 
 # bench-json reruns the hot-path and epoch-pipeline benchmarks with
 # allocation reporting and records them as BENCH_hotpaths.json /
@@ -240,4 +247,4 @@ bench-pow:
 	$(GO) run ./cmd/benchpow -out BENCH_pow.json
 	@echo "wrote BENCH_pow.json"
 
-ci: build lint doclint apicheck test fuzz-short smoke-examples serve-smoke chaos-smoke cluster-smoke snapshot-smoke bench bench-faults bench-pow bench-cluster bench-snapshot
+ci: build lint doclint apicheck test fuzz-short smoke-examples serve-smoke chaos-smoke cluster-smoke snapshot-smoke bench bench-smoke bench-faults bench-pow bench-cluster bench-snapshot

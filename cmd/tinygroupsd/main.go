@@ -6,7 +6,6 @@
 //
 //	tinygroupsd [-addr HOST:PORT] [-n N] [-beta B] [-overlay NAME]
 //	            [-seed S] [-workers W] [-epoch-interval D]
-//	            [-max-batch K] [-queue Q] [-write-timeout D]
 //	            [-mint-work W] [-mint-target D]
 //	            [-data-dir PATH] [-snapshot-keep K]
 //	            [-shard-index I -shard-count K] [-version]
@@ -37,10 +36,11 @@
 //	POST /v1/verify         {"claims":[{"id","sigma"}]} batch-verify claims
 //	POST /v1/epoch/advance                       one §III population turnover
 //	GET  /healthz                                liveness + current epoch
-//	GET  /metrics                                request/batch/epoch/mint counters
+//	GET  /metrics                                request/epoch/mint counters
 //
-// Concurrent lookups and puts are coalesced through a bounded batching
-// queue into pool-amortized LookupBatch/PutBatch calls (see
+// Every endpoint calls the System from its handler goroutine: reads are
+// lock-free, writes serialise on the System's writer lock and give up
+// (504 canceled, nothing applied) when their client does (see
 // internal/serve). SIGINT/SIGTERM trigger a graceful shutdown: the
 // listener stops accepting, in-flight requests drain, a mid-construction
 // epoch aborts cooperatively, and the system closes. A clean drain exits 0.
@@ -87,9 +87,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	seed := fs.Int64("seed", 1, "root seed; the served system is fully deterministic per seed")
 	workers := fs.Int("workers", 0, "construction/batch worker pool size (0 = GOMAXPROCS)")
 	epochEvery := fs.Duration("epoch-interval", 0, "advance the epoch on this period in the background (0 = only via /v1/epoch/advance)")
-	maxBatch := fs.Int("max-batch", 256, "max queued lookups (or puts) coalesced into one batch call")
-	queueCap := fs.Int("queue", 1024, "bounded request queue capacity; a full queue answers 429")
-	writeTimeout := fs.Duration("write-timeout", 10*time.Second, "bound on how long an accepted write may wait on the dispatcher before answering 504 (0 = unbounded)")
 	mintWork := fs.Float64("mint-work", 1<<14, "PoW difficulty of /v1/mint in expected hash attempts per ID")
 	mintTarget := fs.Duration("mint-target", 0, "retarget mint difficulty toward this mean solve time at each epoch advance (0 = fixed difficulty)")
 	dataDir := fs.String("data-dir", "", "durable state directory: snapshot each epoch boundary, op-log puts, restore on restart (empty = in-memory only)")
@@ -140,14 +137,11 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 
 	logf := lg.Printf
 	srv := serve.New(sys, serve.Config{
-		MaxBatch:     *maxBatch,
-		QueueCap:     *queueCap,
-		EpochEvery:   *epochEvery,
-		WriteTimeout: *writeTimeout,
-		ShardIndex:   *shardIndex,
-		ShardCount:   *shardCount,
-		Version:      buildinfo.String(),
-		Logf:         logf,
+		EpochEvery: *epochEvery,
+		ShardIndex: *shardIndex,
+		ShardCount: *shardCount,
+		Version:    buildinfo.String(),
+		Logf:       logf,
 	})
 	logf("tinygroupsd %s: n=%d beta=%v overlay=%s seed=%d workers=%d epoch-interval=%s mint-work=%v mint-target=%s shard=%d/%d data-dir=%q",
 		buildinfo.String(), *n, *beta, *overlay, *seed, *workers, *epochEvery, *mintWork, *mintTarget, *shardIndex, *shardCount, *dataDir)

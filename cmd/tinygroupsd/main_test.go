@@ -14,6 +14,10 @@ func TestRunFlagErrors(t *testing.T) {
 		args []string
 	}{
 		{"unknown flag", []string{"-definitely-not-a-flag"}},
+		// The write dispatcher's knobs went with the dispatcher.
+		{"removed -max-batch", []string{"-max-batch", "256"}},
+		{"removed -queue", []string{"-queue", "1024"}},
+		{"removed -write-timeout", []string{"-write-timeout", "10s"}},
 		{"positional args", []string{"extra"}},
 		{"population too small", []string{"-n", "4"}},
 		{"unknown overlay", []string{"-overlay", "torus"}},

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/wire"
 	"repro/tinygroups"
 )
 
@@ -17,42 +18,9 @@ import (
 // batch across K shards sends at most this many per shard.
 const maxBatchItems = 4096
 
-// batchLookupRequest is the body of /v1/lookup/batch.
-type batchLookupRequest struct {
-	Keys []string `json:"keys"`
-}
-
-// batchKV is one pair of a /v1/put/batch body.
-type batchKV struct {
-	Key   string `json:"key"`
-	Value []byte `json:"value,omitempty"` // base64 in JSON
-}
-
-// batchPutRequest is the body of /v1/put/batch.
-type batchPutRequest struct {
-	Pairs []batchKV `json:"pairs"`
-}
-
-// batchItem is one key's outcome in a batch response, in request order.
-// Code follows the statusOf taxonomy ("ok", "unreachable", "wrong_shard",
-// ...); Owner/Hops/Messages carry the routing result when Code is "ok".
-type batchItem struct {
-	Key      string `json:"key"`
-	Code     string `json:"code"`
-	Owner    string `json:"owner,omitempty"`
-	Hops     int    `json:"hops,omitempty"`
-	Messages int64  `json:"messages,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
-
-// batchResponse carries per-key outcomes in request order.
-type batchResponse struct {
-	Results []batchItem `json:"results"`
-}
-
 // batchItemOf maps one BatchResult onto the wire shape.
-func batchItemOf(key string, br tinygroups.BatchResult) batchItem {
-	it := batchItem{Key: key}
+func batchItemOf(key string, br tinygroups.BatchResult) wire.BatchItem {
+	it := wire.BatchItem{Key: key}
 	if br.Err != nil {
 		_, it.Code = statusOf(br.Err)
 		it.Error = br.Err.Error()
@@ -68,7 +36,7 @@ func batchItemOf(key string, br tinygroups.BatchResult) batchItem {
 // splitOwned partitions keys into the owned subset (returned with its
 // original indexes) and pre-fills out with wrong_shard items for the rest.
 // On a standalone server every key is owned and out is untouched.
-func (s *Server) splitOwned(keys []string, out []batchItem) (owned []string, idx []int) {
+func (s *Server) splitOwned(keys []string, out []wire.BatchItem) (owned []string, idx []int) {
 	if s.cfg.ShardCount <= 1 {
 		return keys, nil
 	}
@@ -81,7 +49,7 @@ func (s *Server) splitOwned(keys []string, out []batchItem) (owned []string, idx
 			continue
 		}
 		s.m.wrongShard.Add(1)
-		out[i] = batchItem{Key: k, Code: "wrong_shard", Error: errWrongShard.Error()}
+		out[i] = wire.BatchItem{Key: k, Code: "wrong_shard", Error: errWrongShard.Error()}
 	}
 	return owned, idx
 }
@@ -91,7 +59,7 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.lookupBatches.Add(1)
-	var req batchLookupRequest
+	var req wire.LookupBatchRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		s.badRequest(w, "bad JSON body: "+err.Error())
 		return
@@ -105,10 +73,10 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.lookupBatchedOps.Add(int64(len(req.Keys)))
-	out := make([]batchItem, len(req.Keys))
+	out := make([]wire.BatchItem, len(req.Keys))
 	owned, idx := s.splitOwned(req.Keys, out)
 	// Like single lookups, the batch resolves lock-free on the handler
-	// goroutine against one pinned snapshot — no queue slot, no 429.
+	// goroutine against one pinned snapshot.
 	results, err := s.sys.LookupBatch(r.Context(), owned)
 	if err != nil {
 		s.writeError(w, err)
@@ -121,7 +89,7 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		out[i] = batchItemOf(owned[j], br)
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: out})
+	writeJSON(w, http.StatusOK, wire.BatchResponse{Results: out})
 }
 
 func (s *Server) handlePutBatch(w http.ResponseWriter, r *http.Request) {
@@ -129,7 +97,7 @@ func (s *Server) handlePutBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.putBatchCalls.Add(1)
-	var req batchPutRequest
+	var req wire.PutBatchRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		s.badRequest(w, "bad JSON body: "+err.Error())
 		return
@@ -146,7 +114,7 @@ func (s *Server) handlePutBatch(w http.ResponseWriter, r *http.Request) {
 	for i, kv := range req.Pairs {
 		keys[i] = kv.Key
 	}
-	out := make([]batchItem, len(req.Pairs))
+	out := make([]wire.BatchItem, len(req.Pairs))
 	owned, idx := s.splitOwned(keys, out)
 	pairs := make([]tinygroups.KV, len(owned))
 	for j := range owned {
@@ -156,24 +124,7 @@ func (s *Server) handlePutBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		pairs[j] = tinygroups.KV{Key: req.Pairs[i].Key, Value: req.Pairs[i].Value}
 	}
-	// The whole batch runs as one dispatcher turn: a single PutBatch call
-	// under the writer mutex, serialized against every other write exactly
-	// like coalesced single puts.
-	var (
-		results []tinygroups.BatchResult
-		err     error
-	)
-	ctx := r.Context()
-	if eerr := s.doExec(func() {
-		results, err = s.sys.PutBatch(ctx, pairs)
-		if err == nil {
-			s.m.putBatches.Add(1)
-			s.m.putBatchedOps.Add(int64(len(pairs)))
-		}
-	}); eerr != nil {
-		s.writeError(w, eerr)
-		return
-	}
+	results, err := s.sys.PutBatch(r.Context(), pairs)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -185,7 +136,7 @@ func (s *Server) handlePutBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		out[i] = batchItemOf(owned[j], br)
 	}
-	writeJSON(w, http.StatusOK, batchResponse{Results: out})
+	writeJSON(w, http.StatusOK, wire.BatchResponse{Results: out})
 }
 
 // abortResponse is the /v1/epoch/abort body.
@@ -201,20 +152,7 @@ func (s *Server) handleEpochBuild(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.epochBuilds.Add(1)
-	var (
-		st  tinygroups.Stats
-		err error
-	)
-	ctx := r.Context()
-	if eerr := s.doExec(func() {
-		st, err = s.sys.BuildEpoch(ctx)
-		if err == nil {
-			s.pending.Store(true)
-		}
-	}); eerr != nil {
-		s.writeError(w, eerr)
-		return
-	}
+	st, err := s.sys.BuildEpoch(r.Context())
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -229,25 +167,12 @@ func (s *Server) handleEpochFlip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.epochFlips.Add(1)
-	var (
-		st  tinygroups.Stats
-		err error
-	)
-	if eerr := s.doExec(func() {
-		st, err = s.sys.CommitEpoch()
-		if err == nil {
-			s.pending.Store(false)
-			s.epoch.Store(int64(st.Epoch))
-			s.m.epochsAdvanced.Add(1)
-		}
-	}); eerr != nil {
-		s.writeError(w, eerr)
-		return
-	}
+	st, err := s.sys.CommitEpoch()
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
+	s.m.epochsAdvanced.Add(1)
 	writeJSON(w, http.StatusOK, st)
 }
 
@@ -261,19 +186,7 @@ func (s *Server) handleEpochAbort(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.epochAborts.Add(1)
-	var (
-		aborted bool
-		err     error
-	)
-	if eerr := s.doExec(func() {
-		aborted, err = s.sys.AbortEpoch()
-		if err == nil {
-			s.pending.Store(false)
-		}
-	}); eerr != nil {
-		s.writeError(w, eerr)
-		return
-	}
+	aborted, err := s.sys.AbortEpoch()
 	if err != nil {
 		s.writeError(w, err)
 		return

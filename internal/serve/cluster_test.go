@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/wire"
 	"repro/tinygroups"
 	"repro/tinygroups/cluster"
 )
@@ -65,7 +66,7 @@ func TestWrongShardRejections(t *testing.T) {
 	if st := postJSON(t, ts.URL+"/v1/lookup", keyRequest{Key: owned}, &lr); st != http.StatusOK {
 		t.Fatalf("owned lookup status %d", st)
 	}
-	var er errorResponse
+	var er wire.Error
 	if st := postJSONAny(t, ts.URL+"/v1/lookup", keyRequest{Key: foreign}, &er); st != http.StatusMisdirectedRequest {
 		t.Fatalf("foreign lookup status %d, want 421", st)
 	}
@@ -88,8 +89,8 @@ func TestWrongShardRejections(t *testing.T) {
 	}
 
 	// The batch form rejects per item, not per request.
-	var br batchResponse
-	if st := postJSON(t, ts.URL+"/v1/lookup/batch", batchLookupRequest{Keys: []string{owned, foreign}}, &br); st != http.StatusOK {
+	var br wire.BatchResponse
+	if st := postJSON(t, ts.URL+"/v1/lookup/batch", wire.LookupBatchRequest{Keys: []string{owned, foreign}}, &br); st != http.StatusOK {
 		t.Fatalf("mixed batch status %d", st)
 	}
 	if br.Results[0].Code != "ok" || br.Results[1].Code != "wrong_shard" {
@@ -119,25 +120,25 @@ func TestBatchEndpointsMatchSingles(t *testing.T) {
 	defer ts.Close()
 
 	keys := []string{"alpha", "beta", "gamma", "delta"}
-	pairs := make([]batchKV, len(keys))
+	pairs := make([]wire.KV, len(keys))
 	for i, k := range keys {
-		pairs[i] = batchKV{Key: k, Value: []byte("v-" + k)}
+		pairs[i] = wire.KV{Key: k, Value: []byte("v-" + k)}
 	}
-	var pb batchResponse
-	if st := postJSON(t, ts.URL+"/v1/put/batch", batchPutRequest{Pairs: pairs}, &pb); st != http.StatusOK {
+	var pb wire.BatchResponse
+	if st := postJSON(t, ts.URL+"/v1/put/batch", wire.PutBatchRequest{Pairs: pairs}, &pb); st != http.StatusOK {
 		t.Fatalf("put/batch status %d", st)
 	}
 	if len(pb.Results) != len(keys) {
 		t.Fatalf("put/batch returned %d results", len(pb.Results))
 	}
 
-	var lb batchResponse
-	if st := postJSON(t, ts.URL+"/v1/lookup/batch", batchLookupRequest{Keys: keys}, &lb); st != http.StatusOK {
+	var lb wire.BatchResponse
+	if st := postJSON(t, ts.URL+"/v1/lookup/batch", wire.LookupBatchRequest{Keys: keys}, &lb); st != http.StatusOK {
 		t.Fatalf("lookup/batch status %d", st)
 	}
 	for i, k := range keys {
 		var single lookupResponse
-		var serr errorResponse
+		var serr wire.Error
 		st := postJSON(t, ts.URL+"/v1/lookup", keyRequest{Key: k}, &single)
 		it := lb.Results[i]
 		if it.Key != k {
@@ -171,6 +172,36 @@ func TestBatchEndpointsMatchSingles(t *testing.T) {
 	}
 }
 
+// TestBatchWorkerCountInvariance is the serving-layer half of the
+// determinism contract: the same /v1/put/batch body produces byte-identical
+// reply bytes whether the underlying System fans routing across 1 worker
+// or 4. This is what lets operators resize the pool without changing a
+// single served byte.
+func TestBatchWorkerCountInvariance(t *testing.T) {
+	pairs := make([]wire.KV, 24)
+	for i := range pairs {
+		k := "inv-" + string(rune('a'+i))
+		pairs[i] = wire.KV{Key: k, Value: []byte(k)}
+	}
+	body, err := json.Marshal(wire.PutBatchRequest{Pairs: pairs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]string
+	for i, workers := range []int{1, 4} {
+		s := newTestServer(t, Config{}, tinygroups.WithWorkers(workers))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/put/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("workers=%d: put/batch status %d: %s", workers, rec.Code, rec.Body)
+		}
+		got[i] = rec.Body.String()
+	}
+	if got[0] != got[1] {
+		t.Fatalf("batched put replies differ across worker counts:\n 1: %s\n 4: %s", got[0], got[1])
+	}
+}
+
 // TestEpochBuildFlipAbort drives the two-phase endpoints end to end:
 // build parks without flipping, flip advances, a bare flip 409s, and
 // build→abort→advance replays the identical epoch a plain advance runs.
@@ -198,7 +229,7 @@ func TestEpochBuildFlipAbort(t *testing.T) {
 	}
 
 	// A bare flip has nothing to commit.
-	var er errorResponse
+	var er wire.Error
 	if st := postJSONAny(t, ts.URL+"/v1/epoch/flip", struct{}{}, &er); st != http.StatusConflict || er.Code != "no_pending" {
 		t.Fatalf("bare flip = (%d, %q), want (409, no_pending)", st, er.Code)
 	}

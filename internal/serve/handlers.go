@@ -8,18 +8,13 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/wire"
 	"repro/tinygroups"
 )
 
 // maxBodyBytes bounds request bodies; the API carries keys and small
 // values, so 1 MiB is generous.
 const maxBodyBytes = 1 << 20
-
-// errorResponse is the JSON error envelope of every non-2xx response.
-type errorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
 
 // keyRequest is the body of /v1/lookup and /v1/put.
 type keyRequest struct {
@@ -102,8 +97,10 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// statusOf maps the tinygroups error taxonomy (and the serve-layer queue
-// errors) onto HTTP statuses and stable machine-readable codes.
+// statusOf maps the tinygroups error taxonomy (and the serve-layer shard
+// guard) onto HTTP statuses and stable machine-readable codes. A context
+// error means the client gave up before the operation ran: a write that
+// answers "canceled" was not applied.
 func statusOf(err error) (status int, code string) {
 	switch {
 	case err == nil:
@@ -116,12 +113,8 @@ func statusOf(err error) (status int, code string) {
 		return http.StatusBadRequest, "bad_config"
 	case errors.Is(err, tinygroups.ErrMintFailed):
 		return http.StatusInternalServerError, "mint_failed"
-	case errors.Is(err, tinygroups.ErrClosed), errors.Is(err, errDraining):
+	case errors.Is(err, tinygroups.ErrClosed):
 		return http.StatusServiceUnavailable, "closed"
-	case errors.Is(err, errQueueFull):
-		return http.StatusTooManyRequests, "queue_full"
-	case errors.Is(err, errWriteTimeout):
-		return http.StatusGatewayTimeout, "write_timeout"
 	case errors.Is(err, errWrongShard):
 		return http.StatusMisdirectedRequest, "wrong_shard"
 	case errors.Is(err, tinygroups.ErrNoPending):
@@ -149,13 +142,13 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	} else {
 		s.m.errors4xx.Add(1)
 	}
-	writeJSON(w, status, errorResponse{Error: err.Error(), Code: code})
+	writeJSON(w, status, wire.Error{Error: err.Error(), Code: code})
 }
 
 // badRequest writes a 400 with the bad_request code.
 func (s *Server) badRequest(w http.ResponseWriter, msg string) {
 	s.m.errors4xx.Add(1)
-	writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg, Code: "bad_request"})
+	writeJSON(w, http.StatusBadRequest, wire.Error{Error: msg, Code: "bad_request"})
 }
 
 // methodCheck enforces the endpoint's method, answering 405 otherwise.
@@ -164,7 +157,7 @@ func (s *Server) methodCheck(w http.ResponseWriter, r *http.Request, method stri
 		w.Header().Set("Allow", method)
 		s.m.errors4xx.Add(1)
 		writeJSON(w, http.StatusMethodNotAllowed,
-			errorResponse{Error: "use " + method, Code: "method_not_allowed"})
+			wire.Error{Error: "use " + method, Code: "method_not_allowed"})
 		return false
 	}
 	return true
@@ -202,9 +195,6 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errWrongShard)
 		return
 	}
-	// Reads bypass the write queue entirely: Lookup is lock-free against
-	// the System's epoch snapshot, so it runs right here on the handler
-	// goroutine — no dispatcher round-trip, no queue slot, no 429.
 	info, err := s.sys.Lookup(r.Context(), req.Key)
 	if err != nil {
 		s.writeError(w, err)
@@ -235,18 +225,14 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errWrongShard)
 		return
 	}
-	br, err := s.doPut(req.Key, req.Value)
+	info, err := s.sys.Put(r.Context(), req.Key, req.Value)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if br.Err != nil {
-		s.writeError(w, br.Err)
-		return
-	}
 	writeJSON(w, http.StatusOK, lookupResponse{
-		Key: req.Key, Owner: pointHex(br.Info.Owner),
-		Hops: br.Info.Hops, Messages: br.Info.Messages,
+		Key: req.Key, Owner: pointHex(info.Owner),
+		Hops: info.Hops, Messages: info.Messages,
 	})
 }
 
@@ -265,7 +251,6 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errWrongShard)
 		return
 	}
-	// Get is a lock-free read like Lookup: no dispatcher round-trip.
 	v, info, err := s.sys.Get(r.Context(), key)
 	if err != nil {
 		s.writeError(w, err)
@@ -294,15 +279,7 @@ func (s *Server) handleCompute(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, `missing "key"`)
 		return
 	}
-	var (
-		res tinygroups.ComputeResult
-		err error
-	)
-	ctx := r.Context()
-	if eerr := s.doExec(func() { res, err = s.sys.Compute(ctx, req.Key, req.Input) }); eerr != nil {
-		s.writeError(w, eerr)
-		return
-	}
+	res, err := s.sys.Compute(r.Context(), req.Key, req.Input)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -340,18 +317,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h := healthResponse{
 		Status:        "ok",
 		Version:       s.version(),
-		Epoch:         s.epoch.Load(),
+		Epoch:         int64(s.sys.Epoch()),
 		N:             s.sys.N(),
 		Shard:         s.cfg.ShardIndex,
 		Shards:        shards,
 		Fingerprint:   s.sys.Fingerprint(),
-		PendingEpoch:  s.pending.Load(),
+		PendingEpoch:  s.sys.HasPendingEpoch(),
 		UptimeS:       time.Since(s.start).Seconds(),
 		Durable:       dur.Enabled,
 		Recovered:     dur.Recovered,
 		SnapshotEpoch: dur.SnapshotEpoch,
 	}
-	if s.draining() {
+	if s.draining.Load() {
 		h.Status = "draining"
 		writeJSON(w, http.StatusServiceUnavailable, h)
 		return
@@ -364,7 +341,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.m.snapshot()
-	snap.Epoch = s.epoch.Load()
+	snap.Epoch = int64(s.sys.Epoch())
 	snap.UptimeS = time.Since(s.start).Seconds()
 	snap.Mint.Work = s.sys.MintWork()
 	dur := s.sys.Durability()

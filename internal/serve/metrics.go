@@ -2,19 +2,15 @@ package serve
 
 import "sync/atomic"
 
-// counters is the server's telemetry: request counts per endpoint, error
-// counts by class, and the put-coalescing statistics of the write queue.
-// All fields are atomic.Int64 — lock-free read handlers, the write
-// dispatcher, and /metrics itself touch them concurrently from different
-// goroutines — and /metrics serves a consistent snapshot (individual
-// counters are exact; cross-counter skew of a few in-flight requests is
-// fine).
+// counters is the server's telemetry: request counts per endpoint and
+// error counts by class. All fields are atomic.Int64 — handlers and
+// /metrics itself touch them concurrently from different goroutines — and
+// /metrics serves a consistent snapshot (individual counters are exact;
+// cross-counter skew of a few in-flight requests is fine).
 type counters struct {
 	lookups, puts, gets, computes, advances, health atomic.Int64
 	mints, verifies                                 atomic.Int64
 	errors4xx, errors5xx                            atomic.Int64
-	queueRejects                                    atomic.Int64
-	writeTimeouts                                   atomic.Int64
 	epochsAdvanced                                  atomic.Int64
 
 	// Cluster surface: batch endpoint calls (and the keys they carried),
@@ -25,7 +21,6 @@ type counters struct {
 	epochBuilds, epochFlips, epochAborts atomic.Int64
 	wrongShard                           atomic.Int64
 
-	putBatches, putBatchedOps atomic.Int64
 	// mintedIDs / verifiedClaims total the items behind the mint and verify
 	// calls (one call can carry a batch).
 	mintedIDs, verifiedClaims atomic.Int64
@@ -66,25 +61,10 @@ type MetricsSnapshot struct {
 		Server int64 `json:"server_5xx"`
 	} `json:"errors"`
 
-	// Batch reports the coalescing effectiveness of the write queue:
-	// ops/calls is the mean put-batch size the concurrent load achieved.
-	// Reads never batch — they resolve lock-free per request — so only
-	// puts appear here.
-	Batch struct {
-		PutCalls int64   `json:"put_calls"`
-		PutOps   int64   `json:"put_ops"`
-		MeanPut  float64 `json:"mean_put_batch"`
-	} `json:"batch"`
-
-	// QueueRejects counts write requests shed with 429 by the bounded
-	// write queue; reads are never shed. WriteTimeouts counts accepted
-	// writes whose handlers gave up with 504 before the dispatcher
-	// confirmed them (the queued work still ran). WrongShard counts keyed
-	// requests rejected with 421 because this shard does not own the
-	// key's ring range — nonzero only in cluster mode, and on a healthy
-	// cluster it stays zero (the router never misroutes).
-	QueueRejects   int64 `json:"queue_rejects"`
-	WriteTimeouts  int64 `json:"write_timeouts"`
+	// WrongShard counts keyed requests rejected with 421 because this
+	// shard does not own the key's ring range — nonzero only in cluster
+	// mode, and on a healthy cluster it stays zero (the router never
+	// misroutes).
 	WrongShard     int64 `json:"wrong_shard"`
 	EpochsAdvanced int64 `json:"epochs_advanced"`
 
@@ -124,13 +104,6 @@ func (c *counters) snapshot() MetricsSnapshot {
 	s.Mint.VerifiedClaims = c.verifiedClaims.Load()
 	s.Errors.Client = c.errors4xx.Load()
 	s.Errors.Server = c.errors5xx.Load()
-	s.Batch.PutCalls = c.putBatches.Load()
-	s.Batch.PutOps = c.putBatchedOps.Load()
-	if s.Batch.PutCalls > 0 {
-		s.Batch.MeanPut = float64(s.Batch.PutOps) / float64(s.Batch.PutCalls)
-	}
-	s.QueueRejects = c.queueRejects.Load()
-	s.WriteTimeouts = c.writeTimeouts.Load()
 	s.WrongShard = c.wrongShard.Load()
 	s.EpochsAdvanced = c.epochsAdvanced.Load()
 	return s

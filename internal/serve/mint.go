@@ -11,7 +11,7 @@ import (
 // The mint path serves the §IV identity layer over HTTP. Minting is pure
 // computation against the lock-free epoch snapshot, so — like lookups and
 // gets — it runs on the handler goroutine's solver fan-out and never
-// enters the write queue: a storm of expensive mints cannot stall puts
+// takes the writer lock: a storm of expensive mints cannot stall puts
 // behind it, and an epoch advance never waits on an in-flight solve.
 
 // maxMintCount caps IDs per /v1/mint call: each one is a full PoW solve,

@@ -1,27 +1,26 @@
 // Package serve implements the HTTP/JSON serving layer behind the
-// tinygroupsd daemon: request handlers over a tinygroups.System, a bounded
-// write queue that coalesces concurrent puts into amortized PutBatch
-// calls, a background epoch ticker, and graceful drain-then-close
-// shutdown.
+// tinygroupsd daemon: request handlers over a tinygroups.System, a
+// background epoch ticker, and graceful drain-then-close shutdown.
 //
-// The server mirrors the System's one-writer/many-readers contract.
-// Reads — /v1/lookup and /v1/get — call the System directly from their
-// handler goroutines: Lookup and Get are lock-free against the
-// atomically-swapped epoch snapshot, so reads scale with serving
-// goroutines, never queue behind writes, and keep flat latency through a
-// live epoch advance. Writes — /v1/put, /v1/compute, /v1/epoch/advance —
-// funnel through a single dispatcher goroutine over a bounded queue: the
-// dispatcher coalesces adjacent puts into one PutBatch call and runs
-// exclusive operations (Compute, AdvanceEpoch) between batches, so
-// writers never contend on the System's writer mutex. Queue-full 429s
-// therefore apply to writes only; reads are never shed.
+// The server adds no serialisation of its own — the System's
+// one-writer/many-readers contract is the whole concurrency story. Every
+// endpoint calls the System from its handler goroutine with the request's
+// context. Reads — /v1/lookup, /v1/get, the batch lookup, mint and verify
+// — are lock-free against the atomically-swapped epoch snapshot, so they
+// scale with serving goroutines and keep flat latency through a live
+// epoch advance. Writes — /v1/put, /v1/put/batch, /v1/compute and the
+// /v1/epoch endpoints — serialise on the System's writer lock; a write
+// waiting behind a long epoch build gives up the moment its client does
+// (504 "canceled"), and a write that reports a context error was not
+// applied. Waiting writes are bounded by open connections and by one
+// epoch build; there is no queue to overflow and nothing is shed.
 //
 // Shutdown follows the drain-then-close contract: the epoch ticker is
 // cancelled first (an in-flight epoch aborts cooperatively between
 // construction batches via RunEpochContext), the embedded http.Server
-// stops accepting and waits for in-flight handlers, the queue is closed
-// and drained — every enqueued request still receives a real response —
-// and only then is the System closed.
+// stops accepting and waits for in-flight handlers — which are the
+// in-flight writes, so every accepted request still receives a real
+// response — and only then is the System closed.
 package serve
 
 import (
@@ -29,7 +28,6 @@ import (
 	"errors"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,29 +35,13 @@ import (
 	"repro/tinygroups/cluster"
 )
 
-// Config tunes a Server. The zero value is usable: defaults are applied by
-// New.
+// Config tunes a Server. The zero value is usable.
 type Config struct {
-	// MaxBatch bounds how many queued puts are coalesced into a single
-	// PutBatch call. Default 256.
-	MaxBatch int
-	// QueueCap bounds the write queue; a full queue fails fast with
-	// 429 Too Many Requests instead of building unbounded backlog.
-	// Reads never consume queue slots and are never shed. Default 1024.
-	QueueCap int
 	// EpochEvery, when positive, starts a background ticker that advances
 	// the epoch at that period. Ticks are closed-loop (a tick waits for
 	// the previous advance to finish) and the in-flight advance is
 	// cancelled cooperatively on Shutdown.
 	EpochEvery time.Duration
-	// WriteTimeout, when positive, bounds how long an accepted write may
-	// wait on the dispatcher before its handler gives up with a typed
-	// 504 (code "write_timeout"). The queued work itself is not revoked —
-	// the dispatcher still executes it when its turn comes, standard
-	// gateway-timeout semantics ("not confirmed in time", not "not
-	// done") — but the client gets a deterministic fast failure instead
-	// of a stall behind a saturated queue. Zero disables the bound.
-	WriteTimeout time.Duration
 	// Logf, when non-nil, receives one line per lifecycle event (start,
 	// epoch advance, shutdown). Requests are not logged.
 	Logf func(format string, args ...any)
@@ -76,22 +58,11 @@ type Config struct {
 	// startup log line and the /healthz payload, so multi-process harness
 	// logs identify which binary answered.
 	Version string
-
-	// hookBeforeBatch, when non-nil, runs on the dispatcher goroutine
-	// immediately before each put-batch flush. Tests use it to hold a
-	// batch open while they stage concurrent requests; it must be set
-	// before New (the dispatcher starts there).
-	hookBeforeBatch func()
 }
 
-// errors returned by the write path, mapped to HTTP statuses by the
-// handlers.
-var (
-	errQueueFull    = errors.New("serve: request queue full")
-	errDraining     = errors.New("serve: server draining")
-	errWriteTimeout = errors.New("serve: write not confirmed within the write timeout")
-	errWrongShard   = errors.New("serve: key not owned by this shard")
-)
+// errWrongShard rejects a keyed request for a ring range this shard does
+// not own; statusOf maps it to 421.
+var errWrongShard = errors.New("serve: key not owned by this shard")
 
 // Server serves a tinygroups.System over HTTP/JSON. Create one with New,
 // run it with Serve or ListenAndServe (or mount Handler on any server),
@@ -102,56 +73,23 @@ type Server struct {
 	mux *http.ServeMux
 	hs  *http.Server
 
-	// mu guards closed against enqueue: every sender holds the read lock
-	// across its channel send, so once Shutdown flips closed under the
-	// write lock no send can race the subsequent close(reqs).
-	mu     sync.RWMutex
-	closed bool
-
-	reqs           chan *request
-	dispatcherDone chan struct{}
-	// closeOnce guards the final sys.Close so a Shutdown retried after a
-	// context expiry still closes the System exactly once.
-	closeOnce sync.Once
-	closeErr  error
+	// draining is set when Shutdown begins; /healthz reports it. Requests
+	// are refused by the closed System, not by this flag.
+	draining atomic.Bool
 
 	tickCancel context.CancelFunc
 	tickerDone chan struct{}
 
-	// epoch mirrors the last epoch counter the server observed, so
-	// /healthz and /metrics keep answering after Shutdown closes the
-	// System. While the System is live they could equally read
-	// sys.Epoch() — it is lock-free.
-	epoch atomic.Int64
-	// pending mirrors whether a two-phase build is parked awaiting flip.
-	// It is the serve-layer shadow of System.HasPendingEpoch, kept here so
-	// /healthz never blocks on the writer mutex while a build is running.
-	pending atomic.Bool
-	start   time.Time
-	m       counters
+	start time.Time
+	m     counters
 }
 
 // New wraps sys in a Server. The Server takes ownership of sys: Shutdown
-// closes it. The dispatcher goroutine starts immediately; HTTP serving
-// starts with Serve/ListenAndServe.
+// closes it. HTTP serving starts with Serve/ListenAndServe.
 func New(sys *tinygroups.System, cfg Config) *Server {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 256
-	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 1024
-	}
-	s := &Server{
-		sys:            sys,
-		cfg:            cfg,
-		reqs:           make(chan *request, cfg.QueueCap),
-		dispatcherDone: make(chan struct{}),
-		start:          time.Now(),
-	}
-	s.epoch.Store(int64(sys.Epoch()))
+	s := &Server{sys: sys, cfg: cfg, start: time.Now()}
 	s.mux = s.routes()
 	s.hs = &http.Server{Handler: s.mux}
-	go s.dispatch()
 	if cfg.EpochEvery > 0 {
 		ctx, cancel := context.WithCancel(context.Background())
 		s.tickCancel = cancel
@@ -163,7 +101,8 @@ func New(sys *tinygroups.System, cfg Config) *Server {
 
 // Handler returns the server's HTTP handler, for mounting on an external
 // http.Server or an httptest.Server. Callers that bypass Serve are still
-// expected to call Shutdown to drain the queue and close the System.
+// expected to call Shutdown to close the System, after stopping their own
+// server: Shutdown can only wait for handlers of the embedded one.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Serve accepts connections on l until Shutdown. It returns nil after a
@@ -208,14 +147,13 @@ func (s *Server) owns(p tinygroups.Point) bool {
 
 // Shutdown drains and stops the server: the epoch ticker is cancelled (an
 // in-flight advance aborts cooperatively), the HTTP listener stops
-// accepting and in-flight handlers complete, every queued request is
-// answered, and the System is closed. ctx bounds the wait; on expiry the
-// remaining work is abandoned and ctx.Err() returned. Shutdown is
-// idempotent.
+// accepting and in-flight handlers — reads and writes alike — complete,
+// and the System is closed. ctx bounds the wait; on expiry the remaining
+// work is abandoned and ctx.Err() returned. Shutdown is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
-	// Stop feeding the queue new epoch work first, and cancel the advance
-	// that may be mid-construction — RunEpochContext aborts between
-	// per-ID batches, so the dispatcher frees up quickly.
+	s.draining.Store(true)
+	// Cancel the advance that may be mid-construction — RunEpochContext
+	// aborts between per-ID batches, so the writer lock frees up quickly.
 	if s.tickCancel != nil {
 		s.tickCancel()
 		select {
@@ -224,126 +162,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}
-	// Let in-flight HTTP handlers finish while the dispatcher is still
-	// serving; new connections are refused by the http layer.
 	s.hs.SetKeepAlivesEnabled(false)
 	if err := s.hs.Shutdown(ctx); err != nil {
 		return err
 	}
-	// Refuse new enqueues, then close the queue: the mu dance guarantees
-	// no sender can race the close, and the dispatcher drains everything
-	// already queued before exiting — each request gets a real reply.
-	s.mu.Lock()
-	already := s.closed
-	s.closed = true
-	s.mu.Unlock()
-	if !already {
-		close(s.reqs)
-	}
-	select {
-	case <-s.dispatcherDone:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	s.closeOnce.Do(func() {
-		s.logf("tinygroupsd: drained, closing system")
-		s.closeErr = s.sys.Close()
-	})
-	return s.closeErr
+	s.logf("tinygroupsd: drained, closing system")
+	return s.sys.Close()
 }
 
-// draining reports whether Shutdown has begun.
-func (s *Server) draining() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.closed
-}
-
-// enqueue places r on the bounded write queue, failing fast with
-// errQueueFull when it is saturated and errDraining once Shutdown has
-// begun. Reads never call this: they resolve lock-free against the
-// System's epoch snapshot without consuming a queue slot.
-func (s *Server) enqueue(r *request) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return errDraining
-	}
-	select {
-	case s.reqs <- r:
-		return nil
-	default:
-		s.m.queueRejects.Add(1)
-		return errQueueFull
-	}
-}
-
-// doPut enqueues one put and waits — bounded by WriteTimeout when set —
-// for the dispatcher's reply. On timeout the handler answers 504 while
-// the queued put still executes when its turn comes (its reply channel is
-// buffered, so the dispatcher never blocks on an abandoned waiter).
-func (s *Server) doPut(key string, value []byte) (tinygroups.BatchResult, error) {
-	r := &request{kind: kindPut, key: key, value: value, done: make(chan tinygroups.BatchResult, 1)}
-	if err := s.enqueue(r); err != nil {
-		return tinygroups.BatchResult{}, err
-	}
-	if d := s.cfg.WriteTimeout; d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case br := <-r.done:
-			return br, nil
-		case <-timer.C:
-			s.m.writeTimeouts.Add(1)
-			return tinygroups.BatchResult{}, errWriteTimeout
-		}
-	}
-	return <-r.done, nil
-}
-
-// doExec runs fn on the dispatcher goroutine, serialized against every
-// other write, and waits — bounded by WriteTimeout when set — for it to
-// finish. fn runs even during shutdown drain, so callers always get an
-// answer; a caller that times out must not read fn's results (the closure
-// still runs later, unobserved).
-func (s *Server) doExec(fn func()) error {
-	done := make(chan struct{})
-	r := &request{kind: kindExec, exec: func() { fn(); close(done) }}
-	if err := s.enqueue(r); err != nil {
-		return err
-	}
-	if d := s.cfg.WriteTimeout; d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case <-done:
-			return nil
-		case <-timer.C:
-			s.m.writeTimeouts.Add(1)
-			return errWriteTimeout
-		}
-	}
-	<-done
-	return nil
-}
-
-// advanceEpoch runs one epoch turnover on the dispatcher and mirrors the
-// new epoch counter. It returns the construction stats or the typed error.
+// advanceEpoch runs one epoch turnover and counts it. It returns the
+// construction stats or the typed error.
 func (s *Server) advanceEpoch(ctx context.Context) (tinygroups.Stats, error) {
-	var (
-		st  tinygroups.Stats
-		err error
-	)
-	if eerr := s.doExec(func() {
-		st, err = s.sys.AdvanceEpoch(ctx)
-		if err == nil {
-			// A one-shot advance commits any parked two-phase build.
-			s.pending.Store(false)
-			s.epoch.Store(int64(st.Epoch))
-			s.m.epochsAdvanced.Add(1)
-		}
-	}); eerr != nil {
-		return tinygroups.Stats{}, eerr
+	st, err := s.sys.AdvanceEpoch(ctx)
+	if err == nil {
+		s.m.epochsAdvanced.Add(1)
 	}
 	return st, err
 }

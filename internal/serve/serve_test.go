@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/wire"
 	"repro/tinygroups"
 )
 
@@ -47,10 +50,6 @@ func TestStatusOf(t *testing.T) {
 		{tinygroups.ErrBadConfig, http.StatusBadRequest, "bad_config"},
 		{fmt.Errorf("wrapped: %w", tinygroups.ErrBadConfig), http.StatusBadRequest, "bad_config"},
 		{tinygroups.ErrClosed, http.StatusServiceUnavailable, "closed"},
-		{errDraining, http.StatusServiceUnavailable, "closed"},
-		{errQueueFull, http.StatusTooManyRequests, "queue_full"},
-		{errWriteTimeout, http.StatusGatewayTimeout, "write_timeout"},
-		{fmt.Errorf("wrapped: %w", errWriteTimeout), http.StatusGatewayTimeout, "write_timeout"},
 		{context.Canceled, http.StatusGatewayTimeout, "canceled"},
 		{context.DeadlineExceeded, http.StatusGatewayTimeout, "canceled"},
 		{fmt.Errorf("boom"), http.StatusInternalServerError, "internal"},
@@ -105,7 +104,7 @@ func TestHandlersBadInput(t *testing.T) {
 			if resp.StatusCode != c.wantStatus {
 				t.Fatalf("status = %d, want %d", resp.StatusCode, c.wantStatus)
 			}
-			var e errorResponse
+			var e wire.Error
 			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 				t.Fatalf("decode error body: %v", err)
 			}
@@ -171,7 +170,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e errorResponse
+		var e wire.Error
 		if resp.StatusCode == http.StatusNotFound {
 			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 				t.Fatal(err)
@@ -268,117 +267,8 @@ func TestEpochTicker(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if s.epoch.Load() == 0 {
-		t.Fatal("epoch mirror never updated")
-	}
-}
-
-// TestQueueFull checks the bounded write queue fails fast: with the
-// dispatcher held and a capacity-1 queue, the third concurrent put gets
-// 429 — while reads, which never consume queue slots, keep succeeding.
-func TestQueueFull(t *testing.T) {
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 16)
-	s := newTestServer(t, Config{
-		QueueCap: 1,
-		hookBeforeBatch: func() {
-			entered <- struct{}{}
-			<-gate
-		},
-	})
-
-	// First put: taken by the dispatcher, held at the flush hook.
-	r1 := &request{kind: kindPut, key: "a", done: make(chan tinygroups.BatchResult, 1)}
-	if err := s.enqueue(r1); err != nil {
-		t.Fatalf("enqueue 1: %v", err)
-	}
-	<-entered
-	// Second put: sits in the capacity-1 queue.
-	r2 := &request{kind: kindPut, key: "b", done: make(chan tinygroups.BatchResult, 1)}
-	if err := s.enqueue(r2); err != nil {
-		t.Fatalf("enqueue 2: %v", err)
-	}
-	// Third put: queue full.
-	r3 := &request{kind: kindPut, key: "c", done: make(chan tinygroups.BatchResult, 1)}
-	if err := s.enqueue(r3); err != errQueueFull {
-		t.Fatalf("enqueue 3: err = %v, want errQueueFull", err)
-	}
-	if got, code := statusOf(errQueueFull); got != http.StatusTooManyRequests || code != "queue_full" {
-		t.Fatalf("statusOf(errQueueFull) = (%d, %q)", got, code)
-	}
-	// Reads bypass the queue entirely: a lookup succeeds even with the
-	// write queue saturated and the dispatcher wedged.
-	if _, err := s.sys.Lookup(context.Background(), "read-during-full"); err != nil && err != tinygroups.ErrUnreachable {
-		t.Fatalf("lookup with saturated write queue: %v", err)
-	}
-	close(gate)
-	<-r1.done
-	<-r2.done
-	if s.m.queueRejects.Load() != 1 {
-		t.Fatalf("queueRejects = %d, want 1", s.m.queueRejects.Load())
-	}
-}
-
-// TestWriteTimeout wedges the dispatcher mid-batch and checks an accepted
-// put gives up with the typed 504 after WriteTimeout — while reads, which
-// never touch the queue, keep answering — and that the abandoned put still
-// executes once the dispatcher frees up (gateway-timeout semantics: the
-// work is late, not revoked).
-func TestWriteTimeout(t *testing.T) {
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 16)
-	var once bool
-	s := newTestServer(t, Config{
-		WriteTimeout: 20 * time.Millisecond,
-		hookBeforeBatch: func() {
-			if !once { // hold only the first flush; cleanup must drain free
-				once = true
-				entered <- struct{}{}
-				<-gate
-			}
-		},
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	body, _ := json.Marshal(map[string]any{"key": "late-write", "value": []byte("v")})
-	resp, err := http.Post(ts.URL+"/v1/put", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	<-entered // the dispatcher did take the put before wedging
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("put status = %d, want 504", resp.StatusCode)
-	}
-	var e errorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		t.Fatal(err)
-	}
-	if e.Code != "write_timeout" {
-		t.Fatalf("code = %q, want write_timeout", e.Code)
-	}
-	if got := s.m.writeTimeouts.Load(); got != 1 {
-		t.Fatalf("writeTimeouts = %d, want 1", got)
-	}
-
-	// Reads never queue behind the wedged dispatcher.
-	if _, err := s.sys.Lookup(context.Background(), "read-during-wedge"); err != nil && err != tinygroups.ErrUnreachable {
-		t.Fatalf("lookup during wedged dispatcher: %v", err)
-	}
-
-	// Release the dispatcher: the timed-out put still runs — its value is
-	// readable afterwards (unless the key routes unreachable, the conceded ε).
-	close(gate)
-	deadline := time.Now().Add(10 * time.Second)
-	for s.m.putBatches.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned put never flushed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if v, _, err := s.sys.Get(context.Background(), "late-write"); err == nil && string(v) != "v" {
-		t.Fatalf("abandoned put stored %q, want %q", v, "v")
+	if s.sys.Epoch() == 0 {
+		t.Fatal("ticker counted an advance the System never committed")
 	}
 }
 
@@ -397,9 +287,6 @@ func TestReadsSurviveCancelledAdvance(t *testing.T) {
 	if got := s.sys.Epoch(); got != 0 {
 		t.Fatalf("epoch = %d after cancelled advance, want 0 (snapshot must not flip)", got)
 	}
-	if got := s.epoch.Load(); got != 0 {
-		t.Fatalf("epoch mirror = %d after cancelled advance, want 0", got)
-	}
 
 	// Reads still serve the pinned snapshot.
 	if _, err := s.sys.Lookup(context.Background(), "read-after-abort"); err != nil && err != tinygroups.ErrUnreachable {
@@ -416,29 +303,46 @@ func TestReadsSurviveCancelledAdvance(t *testing.T) {
 	}
 }
 
-// TestShutdownDrainsInflight stages puts behind a held dispatcher, begins
-// Shutdown while they are queued, and checks every one of them still
-// receives a real routed response before the System closes — the
-// drain-then-close contract.
+// blockFirstPut is an Observer whose first put-search event parks until
+// release: Put reports the event while holding the System's writer lock,
+// so the put that trips it pins the writer and every later write queues
+// behind it.
+type blockFirstPut struct {
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *blockFirstPut) ObserveSearch(ev tinygroups.SearchEvent) {
+	if ev.Op != tinygroups.OpPut {
+		return
+	}
+	b.once.Do(func() {
+		close(b.entered)
+		<-b.release
+	})
+}
+func (*blockFirstPut) ObserveEpoch(tinygroups.EpochEvent) {}
+func (*blockFirstPut) ObserveMint(tinygroups.MintEvent)   {}
+
+// TestShutdownDrainsInflight holds one put inside the System with more
+// queued on the writer lock behind it, begins Shutdown, and checks every
+// one of them still receives a real routed response before the System
+// closes — the drain-then-close contract.
 func TestShutdownDrainsInflight(t *testing.T) {
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 16)
-	var once bool
-	sys, err := tinygroups.New(256, tinygroups.WithSeed(1))
+	obs := &blockFirstPut{entered: make(chan struct{}), release: make(chan struct{})}
+	sys, err := tinygroups.New(256, tinygroups.WithSeed(1), tinygroups.WithObserver(obs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(sys, Config{
-		hookBeforeBatch: func() {
-			if !once { // hold only the first flush; the drain must run free
-				once = true
-				entered <- struct{}{}
-				<-gate
-			}
-		},
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	s := New(sys, Config{})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- s.Serve(l) }()
+	url := "http://" + l.Addr().String()
 
 	const inflight = 6
 	type reply struct {
@@ -448,7 +352,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	replies := make(chan reply, inflight)
 	post := func(key string) {
 		body, _ := json.Marshal(map[string]string{"key": key})
-		resp, err := http.Post(ts.URL+"/v1/put", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(url+"/v1/put", "application/json", bytes.NewReader(body))
 		if err != nil {
 			replies <- reply{err: err}
 			return
@@ -458,10 +362,10 @@ func TestShutdownDrainsInflight(t *testing.T) {
 		replies <- reply{status: resp.StatusCode}
 	}
 
-	// One put reaches the dispatcher and is held at the flush hook...
+	// One put enters the System and is held under the writer lock...
 	go post("drain-0")
-	<-entered
-	// ...then more arrive and stack up in the queue behind it.
+	<-obs.entered
+	// ...then more arrive and wait for the lock behind it.
 	for i := 1; i < inflight; i++ {
 		go post(fmt.Sprintf("drain-%d", i))
 	}
@@ -473,19 +377,22 @@ func TestShutdownDrainsInflight(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Shutdown begins while the queue is full of unanswered requests.
+	// Shutdown begins while all of them are unanswered.
 	shutdownErr := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		shutdownErr <- s.Shutdown(ctx)
 	}()
-	// Give Shutdown a moment to flip the draining flag, then release the
-	// dispatcher so the drain can run.
-	for !s.draining() {
+	for !s.draining.Load() {
 		time.Sleep(time.Millisecond)
 	}
-	close(gate)
+	select {
+	case err := <-shutdownErr:
+		t.Fatalf("Shutdown returned (%v) with writes still in flight", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(obs.release)
 
 	for i := 0; i < inflight; i++ {
 		r := <-replies
@@ -499,29 +406,19 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
+	if err := <-serveErr; err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
 
-	// After the drain the server refuses work: a late put hits the closed
-	// write queue, and a late lookup hits the closed System (ErrClosed) —
-	// both map to 503 "closed".
-	for _, path := range []string{"/v1/put", "/v1/lookup"} {
-		body, _ := json.Marshal(map[string]string{"key": "late"})
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+	// After the drain the System is closed: a late put, a late lookup and
+	// /healthz all answer 503.
+	for _, c := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/put"}, {http.MethodPost, "/v1/lookup"}, {http.MethodGet, "/healthz"},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(`{"key":"late"}`)))
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("post-shutdown %s: status %d, want 503", c.path, rec.Code)
 		}
-		status := resp.StatusCode
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if status != http.StatusServiceUnavailable {
-			t.Fatalf("post-shutdown %s: status %d, want 503", path, status)
-		}
-	}
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("post-shutdown healthz: status %d, want 503", hresp.StatusCode)
 	}
 }

@@ -106,10 +106,13 @@ func (s *System) LookupBatch(ctx context.Context, keys []string) ([]BatchResult,
 // PutBatch stores every pair whose owner is securely reachable, routing
 // all keys concurrently. Per-key results report which puts landed;
 // semantics per key match Put. PutBatch is a write: concurrent calls are
-// safe but serialize on the writer mutex.
+// safe but serialize on the writer lock, and a call-level context error
+// means no pair of the batch was stored.
 func (s *System) PutBatch(ctx context.Context, pairs []KV) ([]BatchResult, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	if err := s.wmu.lock(ctx); err != nil {
+		return nil, err
+	}
+	defer s.wmu.unlock()
 	keys := make([]string, len(pairs))
 	for i, kv := range pairs {
 		keys[i] = kv.Key

@@ -5,32 +5,13 @@ import (
 	"io"
 	"net/http"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // This file is the router's scatter-gather plane: batches split per
 // owning shard and merge back in request order; health and metrics
 // aggregate across every member.
-
-// wireBatchItem mirrors the shard daemons' per-key batch result.
-type wireBatchItem struct {
-	Key      string `json:"key"`
-	Code     string `json:"code"`
-	Owner    string `json:"owner,omitempty"`
-	Hops     int    `json:"hops,omitempty"`
-	Messages int64  `json:"messages,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
-
-// wireBatchResponse mirrors the shard daemons' batch envelope.
-type wireBatchResponse struct {
-	Results []wireBatchItem `json:"results"`
-}
-
-// wireKV is one pair of a put batch on the wire.
-type wireKV struct {
-	Key   string `json:"key"`
-	Value []byte `json:"value,omitempty"`
-}
 
 // scatter fans per-shard sub-batches out concurrently and merges the
 // per-key results back into request order. keys[i] decides the owning
@@ -38,13 +19,13 @@ type wireKV struct {
 // returns its items in sub-batch order. A failed shard marks its items
 // shard_unreachable instead of failing the whole batch — per-key degraded
 // results, matching the daemons' own per-item error model.
-func (rt *Router) scatter(keys []string, send func(shard int, idx []int) ([]wireBatchItem, error)) []wireBatchItem {
+func (rt *Router) scatter(keys []string, send func(shard int, idx []int) ([]wire.BatchItem, error)) []wire.BatchItem {
 	byShard := make([][]int, rt.Shards())
 	for i, k := range keys {
 		s := OwnerOf(k, rt.Shards())
 		byShard[s] = append(byShard[s], i)
 	}
-	out := make([]wireBatchItem, len(keys))
+	out := make([]wire.BatchItem, len(keys))
 	rt.eachShard(func(s int) error {
 		idx := byShard[s]
 		if len(idx) == 0 {
@@ -57,7 +38,7 @@ func (rt *Router) scatter(keys []string, send func(shard int, idx []int) ([]wire
 				if err != nil {
 					msg = err.Error()
 				}
-				out[i] = wireBatchItem{Key: keys[i], Code: "shard_unreachable", Error: msg}
+				out[i] = wire.BatchItem{Key: keys[i], Code: "shard_unreachable", Error: msg}
 			}
 			return nil
 		}
@@ -70,43 +51,39 @@ func (rt *Router) scatter(keys []string, send func(shard int, idx []int) ([]wire
 }
 
 func (rt *Router) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Keys []string `json:"keys"`
-	}
+	var req wire.LookupBatchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRouterBody)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, routerError{Error: "bad JSON body: " + err.Error(), Code: "bad_request"})
+		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON body: " + err.Error(), Code: "bad_request"})
 		return
 	}
 	if len(req.Keys) == 0 {
-		writeJSON(w, http.StatusBadRequest, routerError{Error: `missing "keys"`, Code: "bad_request"})
+		writeJSON(w, http.StatusBadRequest, wire.Error{Error: `missing "keys"`, Code: "bad_request"})
 		return
 	}
 	ctx := r.Context()
-	out := rt.scatter(req.Keys, func(shard int, idx []int) ([]wireBatchItem, error) {
+	out := rt.scatter(req.Keys, func(shard int, idx []int) ([]wire.BatchItem, error) {
 		sub := make([]string, len(idx))
 		for j, i := range idx {
 			sub[j] = req.Keys[i]
 		}
-		var resp wireBatchResponse
+		var resp wire.BatchResponse
 		if err := rt.postShard(ctx, shard, "/v1/lookup/batch",
-			map[string]any{"keys": sub}, &resp); err != nil {
+			wire.LookupBatchRequest{Keys: sub}, &resp); err != nil {
 			return nil, err
 		}
 		return resp.Results, nil
 	})
-	writeJSON(w, http.StatusOK, wireBatchResponse{Results: out})
+	writeJSON(w, http.StatusOK, wire.BatchResponse{Results: out})
 }
 
 func (rt *Router) handlePutBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Pairs []wireKV `json:"pairs"`
-	}
+	var req wire.PutBatchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRouterBody)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, routerError{Error: "bad JSON body: " + err.Error(), Code: "bad_request"})
+		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON body: " + err.Error(), Code: "bad_request"})
 		return
 	}
 	if len(req.Pairs) == 0 {
-		writeJSON(w, http.StatusBadRequest, routerError{Error: `missing "pairs"`, Code: "bad_request"})
+		writeJSON(w, http.StatusBadRequest, wire.Error{Error: `missing "pairs"`, Code: "bad_request"})
 		return
 	}
 	keys := make([]string, len(req.Pairs))
@@ -114,19 +91,19 @@ func (rt *Router) handlePutBatch(w http.ResponseWriter, r *http.Request) {
 		keys[i] = kv.Key
 	}
 	ctx := r.Context()
-	out := rt.scatter(keys, func(shard int, idx []int) ([]wireBatchItem, error) {
-		sub := make([]wireKV, len(idx))
+	out := rt.scatter(keys, func(shard int, idx []int) ([]wire.BatchItem, error) {
+		sub := make([]wire.KV, len(idx))
 		for j, i := range idx {
 			sub[j] = req.Pairs[i]
 		}
-		var resp wireBatchResponse
+		var resp wire.BatchResponse
 		if err := rt.postShard(ctx, shard, "/v1/put/batch",
-			map[string]any{"pairs": sub}, &resp); err != nil {
+			wire.PutBatchRequest{Pairs: sub}, &resp); err != nil {
 			return nil, err
 		}
 		return resp.Results, nil
 	})
-	writeJSON(w, http.StatusOK, wireBatchResponse{Results: out})
+	writeJSON(w, http.StatusOK, wire.BatchResponse{Results: out})
 }
 
 // memberHealth is one shard's health as seen by the aggregator.

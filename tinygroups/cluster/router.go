@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/wire"
 	"repro/tinygroups"
 )
 
@@ -127,13 +128,6 @@ func (rt *Router) routes() *http.ServeMux {
 	return mux
 }
 
-// routerError is the router's error envelope — the same {"error","code"}
-// shape the shard daemons answer with, so clients see one taxonomy.
-type routerError struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -141,7 +135,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (rt *Router) writeUnreachable(w http.ResponseWriter, shard int, err error) {
-	writeJSON(w, http.StatusBadGateway, routerError{
+	writeJSON(w, http.StatusBadGateway, wire.Error{
 		Error: fmt.Sprintf("shard %d: %v", shard, err),
 		Code:  "shard_unreachable",
 	})
@@ -178,12 +172,12 @@ func (rt *Router) keyedForward(extract func([]byte) (string, error)) http.Handle
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouterBody))
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, routerError{Error: "read body: " + err.Error(), Code: "bad_request"})
+			writeJSON(w, http.StatusBadRequest, wire.Error{Error: "read body: " + err.Error(), Code: "bad_request"})
 			return
 		}
 		key, err := extract(body)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, routerError{Error: "bad JSON body: " + err.Error(), Code: "bad_request"})
+			writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON body: " + err.Error(), Code: "bad_request"})
 			return
 		}
 		shard := 0
@@ -209,7 +203,7 @@ func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleVerify(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouterBody))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, routerError{Error: "read body: " + err.Error(), Code: "bad_request"})
+		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "read body: " + err.Error(), Code: "bad_request"})
 		return
 	}
 	rt.proxy(w, r, 0, body)
@@ -277,7 +271,7 @@ func (rt *Router) postShard(ctx context.Context, shard int, path string, in, out
 		return fmt.Errorf("%w: shard %d: %v", ErrShardUnreachable, shard, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		var e routerError
+		var e wire.Error
 		if json.Unmarshal(data, &e) == nil && e.Code != "" {
 			return fmt.Errorf("shard %d: %s (%s)", shard, e.Error, e.Code)
 		}
@@ -372,7 +366,7 @@ func (rt *Router) Advance(ctx context.Context) (tinygroups.Stats, error) {
 func (rt *Router) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, routerError{Error: "use POST", Code: "method_not_allowed"})
+		writeJSON(w, http.StatusMethodNotAllowed, wire.Error{Error: "use POST", Code: "method_not_allowed"})
 		return
 	}
 	st, err := rt.Advance(r.Context())
@@ -383,7 +377,7 @@ func (rt *Router) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		} else if errors.Is(err, ErrFlipFailed) {
 			code = "epoch_flip_failed"
 		}
-		writeJSON(w, http.StatusBadGateway, routerError{Error: err.Error(), Code: code})
+		writeJSON(w, http.StatusBadGateway, wire.Error{Error: err.Error(), Code: code})
 		return
 	}
 	writeJSON(w, http.StatusOK, st)

@@ -3,6 +3,7 @@ package tinygroups
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -97,5 +98,94 @@ func TestOperationsHonorContext(t *testing.T) {
 	}
 	if _, err := s.LookupBatch(ctx, []string{"k"}); !errors.Is(err, context.Canceled) {
 		t.Errorf("LookupBatch: %v", err)
+	}
+}
+
+// TestPutCancelledWhileWriterHeld is the writer lock's cancellation
+// contract: a Put whose deadline expires while a BuildEpoch holds the
+// writer returns the context error promptly instead of waiting out the
+// build, was NOT applied — absent from the store and from the op log, so
+// a restart cannot resurrect it — leaves concurrent Lookups unaffected,
+// and the next Put succeeds.
+func TestPutCancelledWhileWriterHeld(t *testing.T) {
+	bg := context.Background()
+	dir := t.TempDir()
+	// n is sized so one build (hundreds of ms) dwarfs the 20 ms deadline.
+	s := newTest(t, 8192, 0.05, WithSeed(1), WithDataDir(dir))
+	var key string
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("late-%d", i)
+		if _, err := s.Lookup(bg, k); err == nil {
+			key = k
+		}
+	}
+
+	buildCtx, stopBuild := context.WithCancel(bg)
+	defer stopBuild()
+	built := make(chan error, 1)
+	go func() {
+		_, err := s.BuildEpoch(buildCtx)
+		built <- err
+	}()
+	for len(s.wmu) == 0 { // until the build holds the writer
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	appends := s.Durability().OplogAppends
+	ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := s.Put(ctx, key, []byte("v"))
+	waited := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Put behind a running build: err = %v, want context.DeadlineExceeded", err)
+	}
+	select {
+	case err := <-built:
+		t.Fatalf("build finished (%v) before the Put gave up; the test proved nothing", err)
+	default:
+	}
+	if waited > 150*time.Millisecond {
+		t.Errorf("Put took %v to honour a 20ms deadline", waited)
+	}
+	// Reads never touch the writer lock.
+	if _, err := s.Lookup(bg, key); err != nil {
+		t.Errorf("Lookup during the build: %v", err)
+	}
+	if _, _, err := s.Get(bg, key); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Get after the cancelled Put: err = %v, want ErrNotFound", err)
+	}
+
+	stopBuild()
+	if err := <-built; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build: err = %v, want context.Canceled", err)
+	}
+	if got := s.Durability().OplogAppends; got != appends {
+		t.Errorf("op log grew by %d records for a Put that reported a context error", got-appends)
+	}
+	if _, _, err := s.Get(bg, key); !errors.Is(err, ErrNotFound) {
+		t.Errorf("cancelled Put surfaced after the writer freed up: err = %v", err)
+	}
+
+	// The writer is free again: an unrelated key lands, and a restart from
+	// the op log serves it but not the cancelled one.
+	other := key + "-next"
+	for i := 0; ; i++ {
+		if _, err := s.Put(bg, other, []byte("w")); err == nil {
+			break
+		} else if !errors.Is(err, ErrUnreachable) {
+			t.Fatalf("Put after the build released the writer: %v", err)
+		}
+		other = fmt.Sprintf("%s-next-%d", key, i)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r := newTest(t, 8192, 0.05, WithSeed(1), WithDataDir(dir))
+	if _, _, err := r.Get(bg, other); err != nil {
+		t.Errorf("recovered system lost the acknowledged Put: %v", err)
+	}
+	if _, _, err := r.Get(bg, key); !errors.Is(err, ErrNotFound) {
+		t.Errorf("recovered system serves the cancelled Put: err = %v, want ErrNotFound", err)
 	}
 }

@@ -47,9 +47,13 @@
 //     snapshot (an immutable view of one generation's graphs, ring and
 //     rank tables) and resolves entirely against it, so reads scale
 //     linearly with reader goroutines and never block behind a write.
-//   - Writes — Put, PutBatch, Compute, AdvanceEpoch, Robustness, Close —
-//     serialize on an internal writer mutex. Concurrent calls are safe;
-//     they simply queue.
+//   - Writes — Put, PutBatch, Compute, AdvanceEpoch, BuildEpoch,
+//     CommitEpoch, AbortEpoch, Robustness, Close — serialize on an
+//     internal writer lock. Concurrent calls are safe; they queue in
+//     arrival order. The writes that take a context honour it while they
+//     wait: a Put queued behind a long epoch build returns ctx.Err() the
+//     moment ctx ends. A write that returns a context error was not
+//     applied — nothing stored, nothing logged, no epoch flipped.
 //
 // A read racing an epoch flip has snapshot semantics: AdvanceEpoch builds
 // the upcoming generation entirely off to the side and publishes it by

@@ -227,8 +227,8 @@ func (s *System) persistBoundaryLocked() {
 // checkpoint before shutdown, tests). It fails with ErrClosed after Close
 // and with ErrBadConfig when the System has no data directory.
 func (s *System) SaveSnapshot() error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	s.wmu.lockWait()
+	defer s.wmu.unlock()
 	if s.closed.Load() {
 		return ErrClosed
 	}
@@ -349,8 +349,8 @@ func (s *System) finishRecovery(res *disk.LoadResult) error {
 	// rewritten snapshot subsumes the log, and the rotated (empty) log
 	// rules out unbounded log growth across repeated crashes. Replay is
 	// idempotent, so a crash between the two writes is harmless.
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	s.wmu.lockWait()
+	defer s.wmu.unlock()
 	if err := s.persistLocked(); err != nil {
 		return fmt.Errorf("recovery checkpoint: %w", err)
 	}

@@ -199,3 +199,30 @@ func TestRunByStatusBreakdown(t *testing.T) {
 		t.Fatalf("retries = %d, want 20 (one per op)", res.Retries)
 	}
 }
+
+// fixedTarget answers every op with one outcome.
+type fixedTarget Outcome
+
+func (f fixedTarget) Do(context.Context, Op) (Outcome, error) { return Outcome(f), nil }
+
+// TestSuccessRateCountsMisses pins what success_rate means: a target that
+// misses by design (every key never written) answered every op correctly,
+// while one that is unreachable by design answered none.
+func TestSuccessRateCountsMisses(t *testing.T) {
+	for _, c := range []struct {
+		out  Outcome
+		want float64
+	}{{NotFound, 1}, {Unreachable, 0}} {
+		res, err := Run(context.Background(), fixedTarget(c.out), Uniform(16),
+			Config{Concurrency: 2, Ops: 20, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OK != 0 || res.ByStatus[c.out.String()] != 20 {
+			t.Fatalf("%v target: ok = %d, by_status = %v; want 20 %v", c.out, res.OK, res.ByStatus, c.out)
+		}
+		if res.SuccessRate != c.want {
+			t.Fatalf("%v target: success rate = %v, want %v", c.out, res.SuccessRate, c.want)
+		}
+	}
+}

@@ -72,15 +72,16 @@ type Result struct {
 	MintOps       int     `json:"mint_ops,omitempty"`
 	MintP50Millis float64 `json:"mint_p50_ms,omitempty"`
 	MintP99Millis float64 `json:"mint_p99_ms,omitempty"`
-	// SuccessRate is OK/Ops — the headline number of an attack run: the
-	// fraction of operations the system answered successfully under
-	// whatever pressure the workload applied.
+	// SuccessRate is (OK+NotFound)/Ops — the headline number of an attack
+	// run: the fraction of operations the system answered correctly under
+	// whatever pressure the workload applied. A miss on a never-written
+	// key is the right answer; Unreachable stays a failure — it is the ε
+	// the attack suite measures.
 	SuccessRate float64 `json:"success_rate"`
 	// ByStatus breaks every non-OK operation down by its cause:
 	// "unreachable" and "not_found" for the semantic outcomes, "http_NNN"
-	// for transport-level statuses (429 saturation, 503 draining, 504
-	// write timeouts), "error" for everything else. Empty when every op
-	// succeeded.
+	// for transport-level statuses (503 draining, 504 canceled), "error"
+	// for everything else. Empty when every op succeeded.
 	ByStatus map[string]int `json:"by_status,omitempty"`
 	// Retries counts transport-level retry attempts the target performed
 	// (see WithRetry). A retried-then-successful op counts once in OK and
@@ -196,7 +197,7 @@ func Run(ctx context.Context, target Target, gen Generator, cfg Config) (Result,
 	}
 	res.Ops = lat.N()
 	if res.Ops > 0 {
-		res.SuccessRate = float64(res.OK) / float64(res.Ops)
+		res.SuccessRate = float64(res.OK+res.NotFound) / float64(res.Ops)
 	}
 	if res.Seconds > 0 {
 		res.Throughput = float64(res.Ops) / res.Seconds

@@ -283,7 +283,7 @@ type mintstorm struct {
 // solves a full PoW puzzle for a fresh miner identity — punctuated by one
 // epoch advance per advanceEvery ops (default 500) so the mints keep
 // crossing string rotations. It is the probe for the mint serving path:
-// mints run outside the write queue, so the advances should not stall
+// mints never take the writer lock, so the advances should not stall
 // behind the solves or vice versa. The miner name of op i derives from
 // (seed, i), keeping the stream a pure function of its coordinates.
 func MintStorm(advanceEvery int) Generator {

@@ -61,8 +61,8 @@ type RetryCounter interface {
 
 // StatusError reports an HTTP response status the target has no semantic
 // mapping for. The driver's per-status breakdown (Result.ByStatus) keys
-// off Status, so saturation 429s, draining 503s and write-timeout 504s
-// stay distinguishable in attack reports.
+// off Status, so draining 503s and canceled 504s stay distinguishable in
+// attack reports.
 type StatusError struct {
 	Method string
 	Path   string
@@ -93,9 +93,9 @@ func WithRequestTimeout(d time.Duration) TargetOption {
 	}
 }
 
-// WithRetry enables bounded retries of attempts answered 429 (write queue
-// saturated) or 503 (draining/restarting): up to max extra attempts per
-// op, spaced by decorrelated-jitter backoff growing from base. Retries are
+// WithRetry enables bounded retries of attempts answered 429 (a router or
+// proxy shedding load) or 503 (draining/restarting): up to max extra
+// attempts per op, spaced by decorrelated-jitter backoff growing from base. Retries are
 // counted on the Retries counter — the driver reports them separately, so
 // a retried success never hides the rejection that preceded it. The
 // backoff jitter is timing-only: it cannot affect which operations run or

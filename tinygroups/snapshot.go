@@ -29,6 +29,10 @@ type snapshot struct {
 	// in a fresh one (rotating the string and, under retargeting, τ), which
 	// is exactly how the paper expires minted IDs.
 	mint mintState
+	// fp memoises System.Fingerprint for this generation; the snapshot is
+	// immutable, so the digest is computed at most once.
+	fpOnce sync.Once
+	fp     string
 }
 
 // mintState fixes one epoch's puzzle: solve against r at difficulty p.Tau.

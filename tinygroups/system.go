@@ -17,6 +17,28 @@ import (
 	disk "repro/internal/snapshot"
 )
 
+// writerLock is the System's writer mutex as a 1-slot channel, so a caller
+// waiting behind a long epoch build can abandon the wait when its context
+// ends. Blocked senders queue FIFO.
+type writerLock chan struct{}
+
+// lock acquires the writer lock, or returns ctx.Err() if ctx ends first —
+// in which case the caller holds nothing and must not touch writer state.
+func (l writerLock) lock(ctx context.Context) error {
+	select {
+	case l <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// lockWait acquires the writer lock unconditionally, for the writers whose
+// signatures carry no context.
+func (l writerLock) lockWait() { l <- struct{}{} }
+
+func (l writerLock) unlock() { <-l }
+
 // Point is a location in the system's circular ID space [0,1), encoded as
 // a 64-bit fixed-point value (the paper's hash-range convention).
 type Point uint64
@@ -117,8 +139,9 @@ type ComputeResult struct {
 // current epoch snapshot (an immutable generation view swapped atomically
 // by AdvanceEpoch) and scale with reader goroutines. Writes — Put,
 // PutBatch, Compute, AdvanceEpoch, Robustness, Close — serialize on an
-// internal writer mutex; see the package documentation for the full
-// contract.
+// internal writer lock, and the ones that take a context give up waiting
+// for it when the context ends; see the package documentation for the
+// full contract.
 type System struct {
 	cfg config
 	dyn *epoch.System
@@ -134,7 +157,10 @@ type System struct {
 	closed atomic.Bool
 
 	// wmu serializes the writers. It is never taken on the read path.
-	wmu sync.Mutex
+	wmu writerLock
+	// pending publishes whether a BuildEpoch result is parked, so
+	// HasPendingEpoch never waits behind a running build. Written under wmu.
+	pending atomic.Bool
 	// rng is the writer-side randomness (Robustness sampling); guarded by
 	// wmu. Reads never touch it — their randomness is hash-derived per
 	// (epoch, key), which is what makes results independent of reader
@@ -204,6 +230,7 @@ func New(n int, opts ...Option) (*System, error) {
 	s := &System{
 		cfg:     c,
 		dyn:     dyn,
+		wmu:     make(writerLock, 1),
 		rng:     rand.New(rand.NewSource(c.seed + 0x5eed)),
 		durable: durable,
 	}
@@ -221,9 +248,9 @@ func New(n int, opts ...Option) (*System, error) {
 	if durable != nil {
 		// Persist the bootstrap state immediately so a crash before the
 		// first epoch flip still restarts from disk.
-		s.wmu.Lock()
+		s.wmu.lockWait()
 		err := s.persistLocked()
-		s.wmu.Unlock()
+		s.wmu.unlock()
 		if err != nil {
 			dyn.Close()
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
@@ -237,8 +264,8 @@ func New(n int, opts ...Option) (*System, error) {
 // reads through a Snapshot pinned before the close (immutable generation
 // data needs no pool).
 func (s *System) Close() error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	s.wmu.lockWait()
+	defer s.wmu.unlock()
 	if s.closed.CompareAndSwap(false, true) {
 		s.dyn.Close()
 		if d := s.durable; d != nil && d.oplog != nil {
@@ -311,10 +338,14 @@ func (s *System) Lookup(ctx context.Context, key string) (LookupInfo, error) {
 
 // Put stores a value under key at the owner group (replicated across its
 // members). It fails if the owner cannot be reached securely. Put is a
-// write: concurrent calls are safe but serialize on the writer mutex.
+// write: concurrent calls are safe but serialize on the writer lock. If ctx
+// ends while Put waits for the lock it returns ctx.Err() and the value is
+// not stored.
 func (s *System) Put(ctx context.Context, key string, value []byte) (LookupInfo, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	if err := s.wmu.lock(ctx); err != nil {
+		return LookupInfo{}, err
+	}
+	defer s.wmu.unlock()
 	info, err := s.lookup(ctx, OpPut, key)
 	if err != nil {
 		return info, err
@@ -353,10 +384,13 @@ func (s *System) Get(ctx context.Context, key string) ([]byte, LookupInfo, error
 // it: the members execute phase-king Byzantine agreement on the job's
 // input bit. A good group always computes correctly (the paper's
 // "reliable processor"); a bad group may not. Compute is an exclusive
-// operation: concurrent calls are safe but serialize on the writer mutex.
+// operation: concurrent calls are safe but serialize on the writer lock,
+// and a call whose ctx ends while it waits returns ctx.Err().
 func (s *System) Compute(ctx context.Context, jobKey string, input int) (ComputeResult, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	if err := s.wmu.lock(ctx); err != nil {
+		return ComputeResult{}, err
+	}
+	defer s.wmu.unlock()
 	info, err := s.lookup(ctx, OpCompute, jobKey)
 	if err != nil {
 		return ComputeResult{}, err
@@ -399,14 +433,17 @@ func (s *System) Compute(ctx context.Context, jobKey string, input int) (Compute
 // resolving against the current snapshot, lock-free, for the whole
 // construction — and the snapshot pointer flips in O(1) once the swap
 // commits. Concurrent AdvanceEpoch calls are safe but serialize on the
-// writer mutex.
+// writer lock.
 //
-// ctx is polled between per-ID construction batches: on cancellation the
-// epoch aborts cleanly — the returned error wraps ctx.Err(), the snapshot
-// never flips, and the System keeps serving the old generation.
+// ctx is honoured while waiting for the writer lock and polled between
+// per-ID construction batches: on cancellation the epoch aborts cleanly —
+// the returned error wraps ctx.Err(), the snapshot never flips, and the
+// System keeps serving the old generation.
 func (s *System) AdvanceEpoch(ctx context.Context) (Stats, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	if err := s.wmu.lock(ctx); err != nil {
+		return Stats{}, err
+	}
+	defer s.wmu.unlock()
 	if s.closed.Load() {
 		return Stats{}, ErrClosed
 	}
@@ -434,6 +471,7 @@ func (s *System) publishLocked(est epoch.Stats) Stats {
 		}
 	}
 	s.snap.Store(newSnapshot(s.cfg.seed, s.dyn.Generation(), work))
+	s.pending.Store(false)
 	s.persistBoundaryLocked()
 	st := statsFrom(est)
 	if obs := s.cfg.observer; obs != nil {
@@ -446,10 +484,10 @@ func (s *System) publishLocked(est epoch.Stats) Stats {
 // Robustness measures Theorem 3's two bullets on the current graphs over
 // the given number of sampled searches. It consumes the system's writer
 // rng, so it counts as a write: concurrent calls are safe but serialize
-// on the writer mutex.
+// on the writer lock.
 func (s *System) Robustness(samples int) (Robustness, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	s.wmu.lockWait()
+	defer s.wmu.unlock()
 	if s.closed.Load() {
 		return Robustness{}, ErrClosed
 	}

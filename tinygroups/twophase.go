@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+
+	"repro/internal/epoch"
 )
 
 // This file is the public two-phase epoch advance: the shard-local half of
@@ -27,12 +29,14 @@ import (
 // while a build is pending is idempotent: the pending build's Stats return
 // and nothing is recomputed.
 //
-// ctx is polled between construction batches; on cancellation the build
-// aborts cleanly (nothing pending, snapshot untouched, rng rewound) and
+// ctx is honoured while waiting for the writer lock and polled between
+// construction batches; on cancellation the build aborts cleanly (nothing pending, snapshot untouched, rng rewound) and
 // the error wraps ctx.Err().
 func (s *System) BuildEpoch(ctx context.Context) (Stats, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	if err := s.wmu.lock(ctx); err != nil {
+		return Stats{}, err
+	}
+	defer s.wmu.unlock()
 	if s.closed.Load() {
 		return Stats{}, ErrClosed
 	}
@@ -40,6 +44,7 @@ func (s *System) BuildEpoch(ctx context.Context) (Stats, error) {
 	if err != nil {
 		return Stats{}, fmt.Errorf("tinygroups: epoch %d build aborted: %w", s.dyn.Epoch()+1, err)
 	}
+	s.pending.Store(true)
 	return statsFrom(est), nil
 }
 
@@ -48,8 +53,8 @@ func (s *System) BuildEpoch(ctx context.Context) (Stats, error) {
 // performs — and returns its construction Stats. It fails with
 // ErrNoPending when no BuildEpoch result is parked.
 func (s *System) CommitEpoch() (Stats, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	s.wmu.lockWait()
+	defer s.wmu.unlock()
 	if s.closed.Load() {
 		return Stats{}, ErrClosed
 	}
@@ -66,41 +71,46 @@ func (s *System) CommitEpoch() (Stats, error) {
 // whether there was a pending build to discard; aborting with nothing
 // pending is a no-op, not an error.
 func (s *System) AbortEpoch() (aborted bool, err error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	s.wmu.lockWait()
+	defer s.wmu.unlock()
 	if s.closed.Load() {
 		return false, ErrClosed
 	}
+	s.pending.Store(false)
 	return s.dyn.AbortPending(), nil
 }
 
 // HasPendingEpoch reports whether a built-but-uncommitted generation is
 // parked (BuildEpoch succeeded and neither CommitEpoch nor AbortEpoch has
-// run).
-func (s *System) HasPendingEpoch() bool {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return s.dyn.HasPending()
-}
+// run). It is lock-free: a probe never waits behind a running build.
+func (s *System) HasPendingEpoch() bool { return s.pending.Load() }
 
 // Fingerprint returns a hex-encoded digest of the serving generation:
 // epoch index, the full ID ring, and both group graphs (leaders, group
 // flags, members with their corruption bits). Two Systems serve
 // byte-identical state if and only if their fingerprints match — the
 // equality the cluster determinism gate checks across shards and against
-// the single-process system. It reads the epoch snapshot lock-free.
+// the single-process system. It reads the epoch snapshot lock-free, and
+// the digest is computed once per generation: health probes that poll it
+// do not re-hash the ring.
 func (s *System) Fingerprint() string {
 	snap := s.snap.Load()
+	snap.fpOnce.Do(func() { snap.fp = fingerprintOf(snap.gen) })
+	return snap.fp
+}
+
+// fingerprintOf hashes one immutable generation; see Fingerprint.
+func fingerprintOf(gen *epoch.Generation) string {
 	h := sha256.New()
 	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(snap.gen.Epoch))
+	binary.BigEndian.PutUint64(buf[:], uint64(gen.Epoch))
 	h.Write(buf[:])
-	r := snap.gen.Ring
+	r := gen.Ring
 	for i := 0; i < r.Len(); i++ {
 		binary.BigEndian.PutUint64(buf[:], uint64(r.At(i)))
 		h.Write(buf[:])
 	}
-	for _, g := range snap.gen.Graphs {
+	for _, g := range gen.Graphs {
 		if g == nil {
 			continue
 		}

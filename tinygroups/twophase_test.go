@@ -121,8 +121,12 @@ func TestTwoPhaseClosed(t *testing.T) {
 }
 
 // TestFingerprintIdentifiesGeneration pins that fingerprints separate
-// epochs and seeds but agree across independently-built equal systems.
+// epochs and seeds but agree across independently-built equal systems, and
+// that the per-generation memo behind Fingerprint is stable across calls,
+// untouched by a parked build, replaced by CommitEpoch, and always equal to
+// a fresh hash of the serving generation.
 func TestFingerprintIdentifiesGeneration(t *testing.T) {
+	ctx := context.Background()
 	a := newTest(t, 256, 0.05, WithSeed(3))
 	b := newTest(t, 256, 0.05, WithSeed(3))
 	c := newTest(t, 256, 0.05, WithSeed(4))
@@ -133,10 +137,31 @@ func TestFingerprintIdentifiesGeneration(t *testing.T) {
 		t.Fatal("different seeds collide at epoch 0")
 	}
 	fp0 := a.Fingerprint()
-	if _, err := a.AdvanceEpoch(context.Background()); err != nil {
+	if _, err := a.BuildEpoch(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if a.Fingerprint() == fp0 {
-		t.Fatal("fingerprint unchanged across an epoch advance")
+	if a.Fingerprint() != fp0 {
+		t.Fatal("fingerprint moved while the built epoch was only parked")
+	}
+	if _, err := a.CommitEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	fp1 := a.Fingerprint()
+	if fp1 == fp0 {
+		t.Fatal("fingerprint unchanged across an epoch commit")
+	}
+	if again := a.Fingerprint(); again != fp1 {
+		t.Fatalf("fingerprint not stable across calls: %s then %s", fp1, again)
+	}
+	if fresh := fingerprintOf(a.snap.Load().gen); fresh != fp1 {
+		t.Fatalf("memoised fingerprint %s != fresh hash %s of the serving generation", fp1, fresh)
+	}
+	// b reaches the same (seed, epoch) by the one-shot path, never having
+	// been asked for a fingerprint at epoch 1 before.
+	if _, err := b.AdvanceEpoch(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if b.Fingerprint() != fp1 {
+		t.Fatal("same-seed systems disagree at epoch 1")
 	}
 }
