@@ -3,29 +3,19 @@
 
 GO ?= go
 
-# The hot-path micro-benchmarks recorded in BENCH_hotpaths.json: the oracle
-# hash APIs, ring successor lookups, overlay routing, group build/search and
-# the sim round loop — the three paths every experiment funnels through.
-HOTPATH_BENCH = BenchmarkRingSuccessor|BenchmarkHashPoint|BenchmarkHashOfPoint|BenchmarkHashPointsAt|BenchmarkXORInto|BenchmarkChordRoute|BenchmarkSimRound|BenchmarkGroupsBuild|BenchmarkGroupSearch|BenchmarkSecureRouteProtocol|BenchmarkLookupParallel|BenchmarkSolveSharded
-
-# The epoch-pipeline benchmarks recorded in BENCH_epoch.json: steady-state
-# RunEpoch at one worker, the same on the default pool, and the E4-shaped
-# init + 3-epoch sweep.
-EPOCH_BENCH = BenchmarkRunEpoch|BenchmarkRunEpochParallel|BenchmarkEpochSweep
-
 # The packages whose exported surface is pinned in API.txt and guarded in
 # CI (make apicheck), and whose exported symbols must all carry doc
 # comments (make doclint). Everything under internal/ is explicitly
 # unstable.
 API_PKGS = ./tinygroups ./tinygroups/scenario ./tinygroups/loadgen ./tinygroups/cluster
 
-# The daemon/loadgen pair used by serve-smoke and bench-service. Override
-# SERVE_PORT if 8477 is taken locally.
+# The daemon/loadgen pair used by serve-smoke. Override SERVE_PORT if 8477
+# is taken locally.
 SERVE_PORT ?= 8477
 SERVE_ADDR = 127.0.0.1:$(SERVE_PORT)
 
 # The separate port chaos-smoke tortures its daemon on, so a concurrent
-# serve-smoke/bench run on SERVE_PORT is never collateral damage.
+# serve-smoke run on SERVE_PORT is never collateral damage.
 CHAOS_PORT ?= 8479
 CHAOS_ADDR = 127.0.0.1:$(CHAOS_PORT)
 
@@ -39,7 +29,7 @@ CLUSTER_SHARD1_ADDR = 127.0.0.1:$(shell expr $(CLUSTER_PORT) + 2)
 SNAPSHOT_PORT ?= 8482
 SNAPSHOT_ADDR = 127.0.0.1:$(SNAPSHOT_PORT)
 
-.PHONY: build test cover bench bench-smoke bench-json bench-service bench-faults bench-pow bench-cluster bench-snapshot lint doclint api apicheck smoke-examples serve-smoke chaos-smoke cluster-smoke snapshot-smoke fuzz-short ci
+.PHONY: build test cover bench bench-smoke lint doclint api apicheck smoke-examples serve-smoke chaos-smoke cluster-smoke snapshot-smoke fuzz-short ci
 
 build:
 	$(GO) build ./...
@@ -63,6 +53,9 @@ fuzz-short:
 	$(GO) test -fuzz FuzzDecodeSnapshot -fuzztime 5s -run '^$$' ./internal/snapshot
 	$(GO) test -fuzz FuzzDecodeLog -fuzztime 5s -run '^$$' ./internal/snapshot
 
+# bench runs every root-module Go benchmark once: a smoke of the per-
+# substrate profiling benchmarks (go test -bench X -cpuprofile ...). The
+# measured benchmark is the bench/ module: go run -C bench .
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
@@ -72,19 +65,6 @@ bench:
 # /metrics: this is the gate that catches a change here breaking it.
 bench-smoke:
 	cd bench && $(GO) vet . && $(GO) test . && $(GO) run . -smoke
-
-# bench-json reruns the hot-path and epoch-pipeline benchmarks with
-# allocation reporting and records them as BENCH_hotpaths.json /
-# BENCH_epoch.json — the repo's perf trajectory. Compare against the
-# committed files (git diff BENCH_*.json) before merging perf-sensitive
-# changes.
-bench-json:
-	$(GO) test -run=NONE -bench '$(HOTPATH_BENCH)' -benchmem -benchtime=200ms . \
-		| $(GO) run ./cmd/benchjson > BENCH_hotpaths.json
-	@echo "wrote BENCH_hotpaths.json"
-	$(GO) test -run=NONE -bench '$(EPOCH_BENCH)' -benchmem -benchtime=200ms . \
-		| $(GO) run ./cmd/benchjson > BENCH_epoch.json
-	@echo "wrote BENCH_epoch.json"
 
 lint:
 	$(GO) vet ./...
@@ -136,23 +116,6 @@ serve-smoke:
 	wait $$pid; \
 	echo "serve-smoke: clean daemon exit"
 
-# bench-service records the serving layer's measured service level
-# (throughput + latency quantiles per workload) as the committed
-# BENCH_service.json — the service-side sibling of bench-json. Compare
-# against the committed file before merging serving-path changes;
-# latencies are machine-sensitive, so judge shape, not nanoseconds.
-bench-service:
-	@set -e; \
-	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/tinygroupsd" ./cmd/tinygroupsd; \
-	$(GO) build -o "$$tmp/loadgen" ./cmd/loadgen; \
-	"$$tmp/tinygroupsd" -addr $(SERVE_ADDR) -n 2048 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
-	"$$tmp/loadgen" -addr http://$(SERVE_ADDR) -ops 2000 -concurrency 4 -keys 512 -out BENCH_service.json; \
-	kill -TERM $$pid; \
-	wait $$pid; \
-	echo "wrote BENCH_service.json"
-
 # chaos-smoke gates crash recovery: cmd/chaos boots the daemon, drives the
 # three adversarial workloads, SIGKILLs it mid-epoch, restarts it, and
 # requires the friendly tail to come back at >= 99% lookup success plus a
@@ -165,25 +128,6 @@ chaos-smoke:
 	$(GO) build -o "$$tmp/tinygroupsd" ./cmd/tinygroupsd; \
 	$(GO) build -o "$$tmp/chaos" ./cmd/chaos; \
 	"$$tmp/chaos" -daemon "$$tmp/tinygroupsd" -addr $(CHAOS_ADDR) -n 512 -ops 300
-
-# bench-faults records the serving layer's measured service level under the
-# adversarial workloads (join-flood, targeted-churn, eclipse-storm) as the
-# committed BENCH_faults.json — the attack-side sibling of bench-service.
-# The success-rate and by-status columns are the headline: they read out
-# how much of the offered adversarial load the system still answered.
-bench-faults:
-	@set -e; \
-	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/tinygroupsd" ./cmd/tinygroupsd; \
-	$(GO) build -o "$$tmp/loadgen" ./cmd/loadgen; \
-	"$$tmp/tinygroupsd" -addr $(SERVE_ADDR) -n 2048 -mint-work 256 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
-	"$$tmp/loadgen" -addr http://$(SERVE_ADDR) -ops 2000 -concurrency 4 -keys 512 \
-		-workloads join-flood,targeted-churn,eclipse-storm -advance-every 250 \
-		-retries 3 -out BENCH_faults.json; \
-	kill -TERM $$pid; \
-	wait $$pid; \
-	echo "wrote BENCH_faults.json"
 
 # cluster-smoke gates cluster mode end to end with the real binaries: two
 # shard daemons (-shard-index/-shard-count) and a tinygroupsrouter boot,
@@ -208,16 +152,6 @@ cluster-smoke:
 	wait $$rp; wait $$s0; wait $$s1; \
 	echo "cluster-smoke: clean router + 2-shard exit"
 
-# bench-cluster records cluster-mode serving — the same sweep through a
-# router at K=1 and K=2 — as the committed BENCH_cluster.json. The K=1
-# row is the single-shard baseline; the K=2 row shows what the partition
-# costs (an extra proxy hop per keyed op) and buys (two write queues, a
-# scatter-gathered batch plane). Latencies are machine-sensitive; judge
-# shape, not nanoseconds.
-bench-cluster:
-	$(GO) run ./cmd/benchcluster -sizes 1,2 -n 1024 -ops 2000 -concurrency 4 -keys 512 -out BENCH_cluster.json
-	@echo "wrote BENCH_cluster.json"
-
 # snapshot-smoke gates durability end to end with the real binaries: boot
 # tinygroupsd with a data dir, drive epochs and puts over HTTP, SIGKILL it,
 # restart on the same dir, and require recovered=true with the pre-kill
@@ -229,22 +163,4 @@ snapshot-smoke:
 	$(GO) build -o "$$tmp/snapshotsmoke" ./cmd/snapshotsmoke; \
 	"$$tmp/snapshotsmoke" -daemon "$$tmp/tinygroupsd" -addr $(SNAPSHOT_ADDR)
 
-# bench-snapshot records what the durability layer buys at boot — cold
-# bootstrap to epoch E vs restore-from-snapshot of the identical state —
-# as the committed BENCH_snapshot.json. The restore must verify against
-# the saved fingerprint and must be faster (speedup > 1 is enforced).
-bench-snapshot:
-	$(GO) run ./cmd/benchsnapshot -out BENCH_snapshot.json
-	@echo "wrote BENCH_snapshot.json"
-
-# bench-pow records the PoW mining engine's measured throughput — raw
-# hashes/sec (legacy derive-per-attempt stream vs the counter-mode engine),
-# full solves/sec at the reference difficulty, and in-process mint latency
-# quantiles — as the committed BENCH_pow.json. The baseline block pins the
-# pre-engine BenchmarkPoWSolveSharded reading next to a live re-measurement
-# of the same workload, so the speedup stays an explicit number.
-bench-pow:
-	$(GO) run ./cmd/benchpow -out BENCH_pow.json
-	@echo "wrote BENCH_pow.json"
-
-ci: build lint doclint apicheck test fuzz-short smoke-examples serve-smoke chaos-smoke cluster-smoke snapshot-smoke bench bench-smoke bench-faults bench-pow bench-cluster bench-snapshot
+ci: build lint doclint apicheck test fuzz-short smoke-examples serve-smoke chaos-smoke cluster-smoke snapshot-smoke bench bench-smoke

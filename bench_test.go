@@ -11,7 +11,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/engine"
 	"repro/internal/epoch"
-	"repro/internal/experiments"
 	"repro/internal/groups"
 	"repro/internal/hashes"
 	"repro/internal/overlay"
@@ -22,122 +21,10 @@ import (
 	"repro/tinygroups"
 )
 
-// ---------------------------------------------------------------------------
-// One benchmark per experiment (DESIGN.md §6). Each regenerates its table in
-// quick mode; per-experiment metrics of interest are also reported as
-// custom benchmark metrics so `go test -bench` output doubles as the
-// reproduction record.
-// ---------------------------------------------------------------------------
-
-func benchExperiment(b *testing.B, id string) experiments.Result {
-	e, ok := experiments.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	var res experiments.Result
-	for i := 0; i < b.N; i++ {
-		res = e.Run(experiments.Options{Quick: true, Seed: 1})
-	}
-	return res
-}
-
-func cell(b *testing.B, res experiments.Result, row, col int) float64 {
-	v, err := strconv.ParseFloat(res.Table.Rows[row][col], 64)
-	if err != nil {
-		b.Fatalf("cell (%d,%d) not numeric: %v", row, col, err)
-	}
-	return v
-}
-
-func BenchmarkE1StaticSearch(b *testing.B) {
-	res := benchExperiment(b, "e1")
-	b.ReportMetric(cell(b, res, 0, 4), "searchFail@n1k,b05")
-	b.ReportMetric(cell(b, res, len(res.Table.Rows)-1, 4), "searchFail@max,b10")
-}
-
-func BenchmarkE2BadGroups(b *testing.B) {
-	res := benchExperiment(b, "e2")
-	b.ReportMetric(cell(b, res, 1, 4), "badFrac@2lnln,b05")
-}
-
-func BenchmarkE3Costs(b *testing.B) {
-	res := benchExperiment(b, "e3")
-	// rows alternate tiny/log per overlay; ratio of msgs/search is the
-	// Corollary 1 improvement factor.
-	tiny := cell(b, res, 0, 5)
-	logg := cell(b, res, 1, 5)
-	b.ReportMetric(logg/tiny, "logVsTinyMsgRatio")
-}
-
-func BenchmarkE4Dynamic(b *testing.B) {
-	res := benchExperiment(b, "e4")
-	last := len(res.Table.Rows) - 1
-	b.ReportMetric(cell(b, res, last, 5), "searchFail@lastEpoch")
-}
-
-func BenchmarkE5Ablation(b *testing.B) {
-	res := benchExperiment(b, "e5")
-	var lastTwo, lastOne float64
-	for i, row := range res.Table.Rows {
-		if row[0] == "2" {
-			lastTwo = cell(b, res, i, 3)
-		} else {
-			lastOne = cell(b, res, i, 3)
-		}
-	}
-	b.ReportMetric(lastTwo, "redFrac@2graphs")
-	b.ReportMetric(lastOne, "redFrac@1graph")
-}
-
-func BenchmarkE6PoW(b *testing.B) {
-	res := benchExperiment(b, "e6")
-	b.ReportMetric(cell(b, res, 0, 2), "minted@b05")
-}
-
-func BenchmarkE7Strings(b *testing.B) {
-	res := benchExperiment(b, "e7")
-	b.ReportMetric(cell(b, res, 0, 4), "maxSolutionSet")
-}
-
-func BenchmarkE8Knee(b *testing.B) {
-	res := benchExperiment(b, "e8")
-	b.ReportMetric(cell(b, res, 0, 4), "searchFail@halfLnln")
-	b.ReportMetric(cell(b, res, len(res.Table.Rows)-1, 4), "searchFail@4lnln")
-}
-
-func BenchmarkE9InputGraphs(b *testing.B) {
-	res := benchExperiment(b, "e9")
-	b.ReportMetric(cell(b, res, 0, 3), "chordHopsOverLog2n")
-}
-
-func BenchmarkE10Cuckoo(b *testing.B) {
-	res := benchExperiment(b, "e10")
-	b.ReportMetric(cell(b, res, 0, 4), "cuckooSurvived@g8")
-}
-
-func BenchmarkE11Precompute(b *testing.B) {
-	res := benchExperiment(b, "e11")
-	last := len(res.Table.Rows) - 1
-	rot := cell(b, res, last, 1)
-	no := cell(b, res, last, 2)
-	b.ReportMetric(no/rot, "hoardGrowthRatio")
-}
-
-func BenchmarkE12State(b *testing.B) {
-	res := benchExperiment(b, "e12")
-	b.ReportMetric(cell(b, res, 0, 3), "spamAccepted@verify")
-	b.ReportMetric(cell(b, res, 1, 3), "spamAccepted@noVerify")
-}
-
-func BenchmarkE13BA(b *testing.B) {
-	res := benchExperiment(b, "e13")
-	b.ReportMetric(cell(b, res, 0, 3), "agreementRate")
-}
-
-// ---------------------------------------------------------------------------
-// Micro-benchmarks of the hot substrates (testing.B in the conventional
-// per-op style).
-// ---------------------------------------------------------------------------
+// Profiling benchmarks, one per hot substrate, in the conventional per-op
+// style: run one under -cpuprofile/-memprofile to see where its time goes.
+// The recorded numbers live in the bench/ module (go run -C bench .), and
+// the paper's tables are pinned by the experiments package's golden tests.
 
 func benchRing(n int, seed int64) *ring.Ring {
 	return overlay.UniformRing(n, rand.New(rand.NewSource(seed)))
@@ -274,18 +161,6 @@ func BenchmarkViceroyRoute(b *testing.B) {
 	}
 }
 
-func BenchmarkGroupGraphBuild(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	pl := adversary.Place(adversary.Config{N: 1 << 12, Beta: 0.05, Strategy: adversary.Uniform}, rng)
-	params := groups.DefaultParams()
-	params.Beta = 0.05
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ov := overlay.NewChord(pl.Ring())
-		groups.Build(ov, pl.BadSet(), params, hashes.H1)
-	}
-}
-
 func BenchmarkGroupSearch(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))
 	pl := adversary.Place(adversary.Config{N: 1 << 12, Beta: 0.05, Strategy: adversary.Uniform}, rng)
@@ -311,19 +186,9 @@ func BenchmarkPoWSolve(b *testing.B) {
 	}
 }
 
-func BenchmarkPoWSolveSharded(b *testing.B) {
-	p := pow.Params{Tau: ring.Point(^uint64(0) >> 10), StringLen: 32}
-	rstr := pow.EpochString(1, 0, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pow.SolveSharded(rstr, p, int64(i+1), 1<<20, 0)
-	}
-}
-
-// BenchmarkSolveSharded is the mining-engine trajectory benchmark recorded
-// in BENCH_hotpaths.json and compared in BENCH_pow.json: one explicit
-// worker, so ns/op tracks the per-attempt hash cost rather than scheduling,
-// with throughput surfaced as hashes/s.
+// BenchmarkSolveSharded profiles the mining engine at one explicit worker,
+// so ns/op tracks the per-attempt hash cost rather than scheduling, with
+// throughput surfaced as hashes/s.
 func BenchmarkSolveSharded(b *testing.B) {
 	p := pow.Params{Tau: ring.Point(^uint64(0) >> 10), StringLen: 32}
 	rstr := pow.EpochString(1, 0, 32)
@@ -395,28 +260,6 @@ func BenchmarkCuckooEvent(b *testing.B) {
 	}
 }
 
-func BenchmarkE14SecureRouting(b *testing.B) {
-	res := benchExperiment(b, "e14")
-	b.ReportMetric(cell(b, res, 0, 3), "scoreAgreement")
-}
-
-func BenchmarkE15Departures(b *testing.B) {
-	res := benchExperiment(b, "e15")
-	b.ReportMetric(cell(b, res, 0, 3), "majLost@10pct")
-	b.ReportMetric(cell(b, res, len(res.Table.Rows)-1, 3), "majLost@80pct")
-}
-
-func BenchmarkE16Bootstrap(b *testing.B) {
-	res := benchExperiment(b, "e16")
-	b.ReportMetric(cell(b, res, 1, 4), "goodMajorityRate")
-}
-
-func BenchmarkE17OverlayAblation(b *testing.B) {
-	res := benchExperiment(b, "e17")
-	b.ReportMetric(cell(b, res, 0, 1), "chordHops")
-	b.ReportMetric(cell(b, res, 1, 1), "debruijn2Hops")
-}
-
 func BenchmarkSecureRouteProtocol(b *testing.B) {
 	rng := rand.New(rand.NewSource(14))
 	pl := adversary.Place(adversary.Config{N: 1 << 12, Beta: 0.05, Strategy: adversary.Uniform}, rng)
@@ -432,23 +275,10 @@ func BenchmarkSecureRouteProtocol(b *testing.B) {
 	}
 }
 
-func BenchmarkEpochConstruction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := epoch.DefaultConfig(512)
-		cfg.Seed = int64(i + 1)
-		s, err := epoch.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.RunEpoch()
-		s.Close()
-	}
-}
-
 // BenchmarkRunEpoch measures one steady-state epoch (n = 1024, defaults)
-// at a single worker — the sequential-pipeline number BENCH_epoch.json
-// tracks. The pre-pipeline sequential implementation measured
-// 83.6 ms/op and 1,036,614 allocs/op on the same workload.
+// at a single worker — the sequential-pipeline cost. The pre-pipeline
+// sequential implementation measured 83.6 ms/op and 1,036,614 allocs/op on
+// the same workload.
 func BenchmarkRunEpoch(b *testing.B) {
 	cfg := epoch.DefaultConfig(1024)
 	cfg.Seed = 1
@@ -483,25 +313,6 @@ func BenchmarkRunEpochParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkEpochSweep measures the E4-shaped workload end to end: trusted
-// initialization plus a three-epoch dynamic chain at n = 512, including
-// graph construction and generation swaps.
-func BenchmarkEpochSweep(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := epoch.DefaultConfig(512)
-		cfg.Seed = int64(i + 1)
-		s, err := epoch.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for e := 0; e < 3; e++ {
-			s.RunEpoch()
-		}
-		s.Close()
-	}
-}
-
 func BenchmarkLotteryRound(b *testing.B) {
 	rng := rand.New(rand.NewSource(15))
 	r := overlay.UniformRing(256, rng)
@@ -513,23 +324,6 @@ func BenchmarkLotteryRound(b *testing.B) {
 		cfg.Seed = int64(i + 1)
 		pow.RunLottery(cfg, adj)
 	}
-}
-
-func BenchmarkE18Quarantine(b *testing.B) {
-	res := benchExperiment(b, "e18")
-	b.ReportMetric(cell(b, res, 2, 3), "residentBad@pMis1")
-	b.ReportMetric(cell(b, res, 0, 3), "residentBad@stealth")
-}
-
-func BenchmarkE19AdaptivePoW(b *testing.B) {
-	res := benchExperiment(b, "e19")
-	b.ReportMetric(cell(b, res, 0, 1), "workRatio@peace")
-	b.ReportMetric(cell(b, res, 3, 1), "workRatio@griefing")
-}
-
-func BenchmarkE20SizeDrift(b *testing.B) {
-	res := benchExperiment(b, "e20")
-	b.ReportMetric(cell(b, res, len(res.Table.Rows)-1, 4), "searchFail@50pctDrift")
 }
 
 // BenchmarkLookupParallel measures the lock-free snapshot read path under

@@ -1,6 +1,6 @@
 // Command loadgen drives deterministic workloads against a running
 // tinygroupsd daemon and records the measured service level — throughput
-// and latency quantiles per workload — as a bench-JSON document.
+// and latency quantiles per workload — as a JSON report.
 //
 // Usage:
 //
@@ -12,11 +12,11 @@
 //
 // The default sweep runs the six canonical workloads (uniform,
 // zipf-hotspot, readwrite-mix, churn-heavy, epoch-storm, mint-storm) and
-// writes BENCH_service.json. The three adversarial workloads (join-flood,
-// targeted-churn, eclipse-storm) are selected explicitly via -workloads —
-// `make bench-faults` runs exactly that sweep into BENCH_faults.json — as
-// is bulk-read, the batched-lookup workload `make bench-cluster` drives
-// through a router to exercise the scatter-gather plane.
+// writes the report to stdout (-out FILE writes it to a file). The three
+// adversarial workloads (join-flood, targeted-churn, eclipse-storm) are
+// selected explicitly via -workloads, as is bulk-read, the batched-lookup
+// workload `make cluster-smoke` drives through a router to exercise the
+// scatter-gather plane.
 // Op streams are pure functions of (seed, index) — see tinygroups/loadgen
 // — so two sweeps with equal seeds send byte-identical operation
 // sequences regardless of concurrency.
@@ -67,7 +67,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	retries := fs.Int("retries", 0, "max extra attempts per op on 429/503 (0 = no retries)")
 	retryBase := fs.Duration("retry-base", 25*time.Millisecond, "decorrelated-jitter backoff base between retries")
 	requestTimeout := fs.Duration("request-timeout", 0, "per-attempt HTTP timeout (0 = target default)")
-	out := fs.String("out", "BENCH_service.json", `report file ("-" = stdout)`)
+	out := fs.String("out", "-", `report file ("-" = stdout)`)
 	readyTimeout := fs.Duration("ready-timeout", 30*time.Second, "how long to wait for /healthz")
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -7,7 +7,8 @@
 //	tinygroups list
 //	tinygroups all
 //
-// Scenarios are e1..e20; see DESIGN.md §6 for the claim each regenerates.
+// Scenarios are e1..e21; `tinygroups list` names the paper claim each
+// regenerates.
 // Trials within each scenario fan across a worker pool (-parallel, default
 // GOMAXPROCS); tables are bit-identical at every parallelism level because
 // every trial's randomness is derived from the root seed by hashing.
@@ -166,7 +167,7 @@ func (a *app) usage(fs *flag.FlagSet) {
 	fmt.Fprintf(a.stderr, `tinygroups — reproduction harness for "Tiny Groups Tackle Byzantine Adversaries" (IPDPS 2018)
 
 usage:
-  tinygroups [flags] <scenario>...   run specific scenarios (e1..e20)
+  tinygroups [flags] <scenario>...   run specific scenarios (e1..e21)
   tinygroups [flags] all             run everything
   tinygroups list                    list scenarios
 

@@ -181,7 +181,7 @@ func TestRealRegistryQuickRun(t *testing.T) {
 }
 
 // TestRealRegistryListMatchesAll asserts the registry the CLI ships is the
-// full e1..e20 set.
+// full e1..e21 set.
 func TestRealRegistryListMatchesAll(t *testing.T) {
 	a := &app{stdout: &bytes.Buffer{}, stderr: &bytes.Buffer{}, registry: scenario.Default()}
 	if code := run(a, "list"); code != 0 {

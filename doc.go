@@ -9,7 +9,7 @@
 // streaming runner over every evaluation table); their exported API is
 // pinned in API.txt and guarded in CI. The substrates live in
 // internal/{ring,hashes,overlay,groups,adversary,epoch,pow,sim,ba,
-// baseline}; internal/experiments implements the e1..e20 experiments on
+// baseline}; internal/experiments implements the e1..e21 experiments on
 // the parallel deterministic runner in internal/engine; bench_test.go in
-// this directory exposes one benchmark per experiment.
+// this directory holds one profiling benchmark per hot substrate.
 package repro

@@ -377,13 +377,6 @@ func (s *System) Ring() *ring.Ring { return s.ids }
 // (the adversary's PoW-minted ≈βn share, Lemma 11).
 func (s *System) BadCount() int { return len(s.badList) }
 
-// Pool returns the system's persistent construction worker pool so callers
-// can fan their own read-only work — batch lookups against the immutable
-// serving graphs, say — across the same workers instead of maintaining a
-// second pool. The pool is owned by the System: callers must not Close it
-// and must not use it concurrently with RunEpoch.
-func (s *System) Pool() *engine.Pool { return s.pool }
-
 // tallyDual folds one dual-search outcome pair into the worker's tallies
 // and reports whether the step was corrupted (all searches failed).
 // lastRank is the old-ring rank of suc(p) when the route surfaced it for
@@ -803,9 +796,9 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 
 	// Assemble the new graphs and classify.
 	var newG [2]*groups.Graph
-	newG[0] = groups.BuildExplicitRanked(newOv, newBad, s.cfg.Params, s.members[0], s.confused[0])
+	newG[0] = groups.BuildExplicitRanked(newOv, s.cfg.Params, s.members[0], s.confused[0])
 	if s.cfg.TwoGraphs {
-		newG[1] = groups.BuildExplicitRanked(newOv, newBad, s.cfg.Params, s.members[1], s.confused[1])
+		newG[1] = groups.BuildExplicitRanked(newOv, s.cfg.Params, s.members[1], s.confused[1])
 	}
 
 	// Phase 3 — mid-epoch departures (§III churn model): a fraction of the

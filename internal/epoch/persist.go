@@ -125,7 +125,7 @@ func Restore(cfg Config, st PersistedState) (*System, error) {
 			members[i] = pg[i].Members
 			confused[i] = pg[i].Confused
 		}
-		g := groups.BuildExplicitRanked(ov, s.bad, cfg.Params, members, confused)
+		g := groups.BuildExplicitRanked(ov, cfg.Params, members, confused)
 		// classify() recomputed Bad from the member lists; overwrite it with
 		// the persisted flag — departures reclassify under rules classify
 		// cannot reproduce (see the file comment).

@@ -37,8 +37,8 @@ func nearZeroVictim() string {
 // eclipse read storm against a Clustered arc that contains the storm's.
 // Outcome counts, not latencies, are the columns: the closed loop runs at
 // concurrency 1 over the in-process System, so every count is a pure
-// function of the seed and the e1–e20 golden machinery pins attack tables
-// the same way it pins the analytic ones. Each pairing is one engine trial.
+// function of the seed and the golden tests pin the attack table the same
+// way they pin the analytic ones. Each pairing is one engine trial.
 func E21AttackSuite(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err

@@ -1,7 +1,7 @@
-// Package experiments regenerates every evaluation artifact of DESIGN.md §6:
-// one table (or series) per analytic claim of the paper. Each experiment is
-// a pure function of its Options, so CLI runs and benchmarks are
-// reproducible bit-for-bit given a seed.
+// Package experiments regenerates every evaluation artifact of the
+// reproduction, e1..e21: one table (or series) per analytic claim of the
+// paper. Each experiment is a pure function of its Options, so CLI runs
+// and benchmarks are reproducible bit-for-bit given a seed.
 //
 // Experiments are *streaming*: the canonical form is a StreamFunc that
 // emits its header, rows and notes into an Emitter as they are produced —
@@ -138,7 +138,7 @@ func (e Experiment) Run(o Options) Result {
 }
 
 // registry is the map-backed experiment index; order preserves
-// registration order so All() lists DESIGN.md order for the built-ins.
+// registration order so All() lists the built-ins in e1..e21 order.
 var (
 	registry = map[string]Experiment{}
 	order    []string

@@ -180,9 +180,9 @@ func E16Bootstrap(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E17OverlayAblation regenerates the design-choice ablation DESIGN.md
-// calls out: route length vs degree across de Bruijn bases and Chord —
-// the |G|²-per-hop cost makes D the multiplier tiny groups pay. All five
+// E17OverlayAblation regenerates the overlay design-choice ablation:
+// route length vs degree across de Bruijn bases and Chord — the
+// |G|²-per-hop cost makes D the multiplier tiny groups pay. All five
 // constructions share one ring; each build+measure is an engine trial
 // (rows are emitted in trial order once the fan-out completes).
 func E17OverlayAblation(ctx context.Context, o Options, em Emitter) error {

@@ -17,15 +17,13 @@ import (
 // member lists yield bad groups via the size criterion (definition (i)).
 // The member slices are retained by the graph, not copied; confused may be
 // nil.
-func BuildExplicitRanked(ov overlay.Graph, badIDs map[ring.Point]bool, params Params,
-	members [][]Member, confused []bool) *Graph {
+func BuildExplicitRanked(ov overlay.Graph, params Params, members [][]Member, confused []bool) *Graph {
 
 	r := ov.Ring()
 	n := r.Len()
 	g := &Graph{
 		ov:       ov,
 		params:   params,
-		badIDs:   badIDs,
 		byRank:   make([]*Group, n),
 		memberOf: make(map[ring.Point][]ring.Point, n),
 		size:     params.SizeFor(n),
@@ -48,17 +46,4 @@ func BuildExplicitRanked(ov overlay.Graph, badIDs map[ring.Point]bool, params Pa
 		}
 	}
 	return g
-}
-
-// BlueLeaders returns the leaders of all blue (non-red) groups, the
-// candidate bootstrap groups for joins (§III-A assumes a joining ID knows a
-// good bootstrapping group).
-func (g *Graph) BlueLeaders() []ring.Point {
-	var out []ring.Point
-	for _, grp := range g.byRank {
-		if grp != nil && !grp.Red() {
-			out = append(out, grp.Leader)
-		}
-	}
-	return out
 }

@@ -36,8 +36,8 @@ type Params struct {
 	MajorityRule bool
 }
 
-// DefaultParams returns the parameter defaults used across experiments
-// (DESIGN.md §8).
+// DefaultParams returns the values of the §I-C constants that every
+// experiment starts from.
 func DefaultParams() Params {
 	return Params{D1: 2, D2: 3, MinSize: 6, Beta: 0.10, Delta: 0.25, MajorityRule: true}
 }
@@ -120,7 +120,6 @@ type Graph struct {
 	ov     overlay.Graph
 	params Params
 	hash   hashes.Func
-	badIDs map[ring.Point]bool
 	// byRank indexes groups by their leader's rank on the ring — leaders
 	// are exactly the ring's points, so a leader resolves to its group by
 	// rank instead of hashing a map[ring.Point]*Group per search hop.
@@ -215,7 +214,6 @@ func BuildSized(ov overlay.Graph, badIDs map[ring.Point]bool, params Params, h h
 		ov:       ov,
 		params:   params,
 		hash:     h,
-		badIDs:   badIDs,
 		byRank:   make([]*Group, n),
 		memberOf: make(map[ring.Point][]ring.Point, n),
 		size:     size,
@@ -343,9 +341,6 @@ func (g *Graph) Groups() []*Group {
 
 // N returns the number of groups.
 func (g *Graph) N() int { return len(g.byRank) }
-
-// IsBad reports whether the ID id is Byzantine.
-func (g *Graph) IsBad(id ring.Point) bool { return g.badIDs[id] }
 
 // MemberOf returns the leaders of all groups containing id.
 func (g *Graph) MemberOf(id ring.Point) []ring.Point { return g.memberOf[id] }

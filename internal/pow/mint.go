@@ -11,7 +11,7 @@ import (
 // `attempts` total hash attempts at per-attempt success probability tau.
 // This is exactly the Binomial(attempts, tau) distribution that the
 // Lemma 11 Chernoff bound is taken over; sampling it (instead of hashing
-// `attempts` times) is the DESIGN.md substitution for large sweeps.
+// `attempts` times) is what makes large sweeps affordable.
 func MintCount(attempts int64, tau float64, rng *rand.Rand) int {
 	if attempts <= 0 || tau <= 0 {
 		return 0

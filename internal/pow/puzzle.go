@@ -3,7 +3,7 @@
 // global-random-string lottery that defeats pre-computation attacks
 // (Appendix VIII).
 //
-// Two layers are provided, per the DESIGN.md substitution table:
+// Two layers are provided:
 //
 //   - a literal layer (this file): real SHA-256 puzzle solving and
 //     verification, used by tests and small-scale runs to validate the
@@ -30,13 +30,6 @@ type Params struct {
 	Tau ring.Point
 	// StringLen is the byte length of σ and r (the paper's ℓ·ln n bits).
 	StringLen int
-}
-
-// DefaultParams returns a difficulty where one solution takes ~2^14
-// attempts in expectation — small enough for tests, large enough to be a
-// real puzzle.
-func DefaultParams() Params {
-	return Params{Tau: ^ring.Point(0) >> 14, StringLen: 32}
 }
 
 // TauForEpoch returns the threshold giving one expected solution per T/2

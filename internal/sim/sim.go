@@ -162,12 +162,6 @@ func (nw *Network) allowed(u int, to NodeID) bool {
 	return ok
 }
 
-// Len returns the number of nodes.
-func (nw *Network) Len() int { return len(nw.nodes) }
-
-// Stats returns the counters accumulated so far.
-func (nw *Network) Stats() Stats { return nw.stats }
-
 // routeShard routes every outbox message whose recipient falls in shard s
 // of `shards` into the next-round inboxes, reusing their backing arrays.
 // Senders are scanned in ascending order, so each inbox is filled already

@@ -89,9 +89,6 @@ func (l *Log) Append(op Op) error {
 // Count reports how many ops have been appended since the log was created.
 func (l *Log) Count() int { return l.count }
 
-// Sync flushes appended records to stable storage.
-func (l *Log) Sync() error { return l.f.Sync() }
-
 // Close syncs and closes the log file.
 func (l *Log) Close() error {
 	if err := l.f.Sync(); err != nil {

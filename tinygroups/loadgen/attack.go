@@ -13,8 +13,7 @@ import (
 // range, and an eclipse-style read storm over a clustered arc. Each is the
 // same pure function of (seed, i) the friendly generators are — attack
 // runs replay byte-identically at any concurrency — and each emits the
-// standard Result row, so BENCH_faults.json slots next to
-// BENCH_service.json in the golden machinery.
+// standard Result row, so an attack sweep reports like a friendly one.
 
 // pointDist returns the circular ID-space distance between two points —
 // the wrap-aware metric the adversary's NearKey strategy minimizes.
@@ -191,8 +190,8 @@ func (g *eclipsestorm) Op(seed int64, i int) Op {
 
 // AttackSuite returns the three adversarial workloads — join-flood,
 // targeted-churn and eclipse-storm — over a keyspace of the given size
-// with one epoch advance per advanceEvery ops. This is the sweep `make
-// bench-faults` runs and BENCH_faults.json records.
+// with one epoch advance per advanceEvery ops. This is the sweep cmd/chaos
+// drives over HTTP; experiment e21 runs the same three in process.
 func AttackSuite(keys, advanceEvery int) []Generator {
 	return []Generator{
 		JoinFlood(keys, advanceEvery, 16),

@@ -41,8 +41,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Result is one workload's measured service level, the unit of
-// BENCH_service.json. Latencies are milliseconds.
+// Result is one workload's measured service level, the unit of a Report.
+// Latencies are milliseconds.
 type Result struct {
 	Workload    string  `json:"workload"`
 	Ops         int     `json:"ops"`
@@ -217,7 +217,7 @@ func Run(ctx context.Context, target Target, gen Generator, cfg Config) (Result,
 	return res, ctx.Err()
 }
 
-// Report is the BENCH_service.json document: one Result per workload of a
+// Report is the document cmd/loadgen writes: one Result per workload of a
 // sweep, plus the run's shape.
 type Report struct {
 	Target         string   `json:"target"`
@@ -249,9 +249,7 @@ func RunSuite(ctx context.Context, target Target, gens []Generator, cfg Config) 
 	return rep, nil
 }
 
-// WriteJSON writes the report as indented JSON — the format committed as
-// BENCH_service.json, alongside the BENCH_*.json files cmd/benchjson
-// produces.
+// WriteJSON writes the report as indented JSON.
 func (r Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

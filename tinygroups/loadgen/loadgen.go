@@ -23,8 +23,7 @@
 // sustained while epoch advances fire near-continuously, the probe for
 // the lock-free snapshot read path — and mint-storm, sustained PoW
 // identity minting across epoch rotations, the probe for the mint path.
-// Suite returns all six for the standard sweep recorded in
-// BENCH_service.json.
+// Suite returns all six for the standard sweep.
 package loadgen
 
 import (
@@ -342,8 +341,8 @@ func (g *bulkread) Op(seed int64, i int) Op {
 // (skew 4), readwrite-mix (10% writes), churn-heavy (one advance per
 // advanceEvery ops), epoch-storm (one advance per advanceEvery/5 ops,
 // floored at 1) and mint-storm (one advance per advanceEvery ops) — over
-// a keyspace of the given size. This is the sweep cmd/loadgen runs and
-// BENCH_service.json records.
+// a keyspace of the given size. This is the sweep cmd/loadgen runs by
+// default.
 func Suite(keys, advanceEvery int) []Generator {
 	return []Generator{
 		Uniform(keys),

@@ -1,5 +1,5 @@
 // Package scenario is the public, streaming face of the reproduction's
-// experiment harness: every evaluation table of the paper (e1..e20) is a
+// experiment harness: every evaluation table of the paper (e1..e21) is a
 // registered Scenario that emits its header, rows and interpretation
 // notes *as they are produced* — epoch-chained scenarios surface each
 // epoch's row the moment it is measured, and cancelling the context stops
@@ -171,7 +171,7 @@ func (r *Registry) Render(ctx context.Context, id string, o Options, w io.Writer
 }
 
 // Default returns a registry holding every experiment of the paper
-// reproduction (e1..e20), in DESIGN.md order, adapted to the streaming
+// reproduction (e1..e21), in that order, adapted to the streaming
 // Scenario interface.
 func Default() *Registry {
 	reg := NewRegistry()
