@@ -7,15 +7,10 @@ GO ?= go
 # CI (make apicheck), and whose exported symbols must all carry doc
 # comments (make doclint). Everything under internal/ is explicitly
 # unstable.
-API_PKGS = ./tinygroups ./tinygroups/scenario ./tinygroups/loadgen ./tinygroups/cluster
+API_PKGS = ./tinygroups ./tinygroups/scenario ./tinygroups/cluster
 
-# The daemon/loadgen pair used by serve-smoke. Override SERVE_PORT if 8477
-# is taken locally.
-SERVE_PORT ?= 8477
-SERVE_ADDR = 127.0.0.1:$(SERVE_PORT)
-
-# The separate port chaos-smoke tortures its daemon on, so a concurrent
-# serve-smoke run on SERVE_PORT is never collateral damage.
+# The port chaos-smoke tortures its daemon on, clear of the daemon's
+# default 8477 so a locally running tinygroupsd is never collateral damage.
 CHAOS_PORT ?= 8479
 CHAOS_ADDR = 127.0.0.1:$(CHAOS_PORT)
 
@@ -25,11 +20,7 @@ CLUSTER_ROUTER_ADDR = 127.0.0.1:$(CLUSTER_PORT)
 CLUSTER_SHARD0_ADDR = 127.0.0.1:$(shell expr $(CLUSTER_PORT) + 1)
 CLUSTER_SHARD1_ADDR = 127.0.0.1:$(shell expr $(CLUSTER_PORT) + 2)
 
-# snapshot-smoke's own port, clear of the other smokes.
-SNAPSHOT_PORT ?= 8482
-SNAPSHOT_ADDR = 127.0.0.1:$(SNAPSHOT_PORT)
-
-.PHONY: build test cover bench bench-smoke lint doclint api apicheck smoke-examples serve-smoke chaos-smoke cluster-smoke snapshot-smoke fuzz-short ci
+.PHONY: build test cover bench bench-smoke lint doclint api apicheck smoke-examples chaos-smoke cluster-smoke fuzz-short ci
 
 build:
 	$(GO) build ./...
@@ -37,13 +28,18 @@ build:
 test:
 	$(GO) test -race ./...
 
-# cover reruns the test suite with coverage accounting and prints the
-# per-package and total percentages. CI uploads coverage.out as an
-# artifact and surfaces the total in the job summary; there is no
-# hard threshold — the number is informational, the tests are the gate.
+# cover reruns the test suite with coverage accounting, prints the
+# per-package and total percentages, and fails when the total statement
+# coverage falls below the floor: the total measured when the floor was
+# last set, rounded down to 0.5. Raise the floor as coverage rises; never
+# lower it. CI runs this target and uploads coverage.out.
 cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
-	$(GO) tool cover -func=coverage.out | tail -1
+	@floor=85.0; total=$$($(GO) tool cover -func=coverage.out | tail -1 | awk '{ sub("%", "", $$NF); print $$NF }'); \
+	echo "total statement coverage $$total% (floor $$floor%)"; \
+	if ! awk -v t="$$total" -v f="$$floor" 'BEGIN { exit !(t >= f) }'; then \
+		echo "coverage $$total% is below the $$floor% floor" >&2; exit 1; \
+	fi
 
 # fuzz-short runs each snapshot/op-log decoder fuzz target briefly (the
 # committed seed corpora plus a few seconds of mutation) — the CI-sized
@@ -101,27 +97,14 @@ smoke-examples:
 		echo "== $$d"; $(GO) run "./$$d" > /dev/null; \
 	done
 
-# serve-smoke gates the daemon's full lifecycle: boot, answer /healthz,
-# serve real traffic from loadgen, then drain cleanly on SIGTERM (the
-# daemon's exit status is the assertion — a botched drain exits non-zero).
-serve-smoke:
-	@set -e; \
-	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/tinygroupsd" ./cmd/tinygroupsd; \
-	$(GO) build -o "$$tmp/loadgen" ./cmd/loadgen; \
-	"$$tmp/tinygroupsd" -addr $(SERVE_ADDR) -n 512 -epoch-interval 250ms & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
-	"$$tmp/loadgen" -addr http://$(SERVE_ADDR) -ops 64 -concurrency 2 -keys 64 -advance-every 32 -out - > /dev/null; \
-	kill -TERM $$pid; \
-	wait $$pid; \
-	echo "serve-smoke: clean daemon exit"
-
-# chaos-smoke gates crash recovery: cmd/chaos boots the daemon, drives the
-# three adversarial workloads, SIGKILLs it mid-epoch, restarts it, and
-# requires the friendly tail to come back at >= 99% lookup success plus a
-# clean final drain — the kill/restart drill of ARCHITECTURE.md's fault
-# model. A wedged phase trips the harness watchdog, which SIGQUITs the
-# daemon for a goroutine dump before failing.
+# chaos-smoke gates the daemon's whole life with the real binary: cmd/chaos
+# boots it on a data dir, drives the three adversarial workloads, SIGKILLs
+# it mid-epoch, restarts it on the same dir, requires a disk recovery
+# (recovered=true, the pre-kill fingerprint, every acknowledged key) and a
+# friendly tail at >= 99% lookup success, then a clean SIGTERM drain — the
+# kill/restart drill of ARCHITECTURE.md's fault model. A wedged phase trips
+# the harness watchdog, which SIGQUITs the daemon for a goroutine dump
+# before failing.
 chaos-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
@@ -130,37 +113,32 @@ chaos-smoke:
 	"$$tmp/chaos" -daemon "$$tmp/tinygroupsd" -addr $(CHAOS_ADDR) -n 512 -ops 300
 
 # cluster-smoke gates cluster mode end to end with the real binaries: two
-# shard daemons (-shard-index/-shard-count) and a tinygroupsrouter boot,
-# loadgen drives a sweep — including the scatter-gathered bulk-read
-# workload and coordinated two-phase epoch advances — through the router,
-# and all three processes drain cleanly on SIGTERM (each exit status is an
-# assertion).
+# shard daemons (-shard-index/-shard-count) and a tinygroupsrouter boot;
+# every curl below must answer 200 — router /healthz "ok" (the shards agree
+# on epoch and fingerprint), a coordinated two-phase advance, a batch put
+# and a batch lookup scatter-gathered across both shards, and /healthz "ok"
+# again after the advance — and all three processes drain cleanly on
+# SIGTERM (each exit status is an assertion).
 cluster-smoke:
 	@set -e; \
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/tinygroupsd" ./cmd/tinygroupsd; \
 	$(GO) build -o "$$tmp/tinygroupsrouter" ./cmd/tinygroupsrouter; \
-	$(GO) build -o "$$tmp/loadgen" ./cmd/loadgen; \
 	"$$tmp/tinygroupsd" -addr $(CLUSTER_SHARD0_ADDR) -n 512 -shard-index 0 -shard-count 2 & s0=$$!; \
 	"$$tmp/tinygroupsd" -addr $(CLUSTER_SHARD1_ADDR) -n 512 -shard-index 1 -shard-count 2 & s1=$$!; \
 	"$$tmp/tinygroupsrouter" -addr $(CLUSTER_ROUTER_ADDR) \
 		-shards http://$(CLUSTER_SHARD0_ADDR),http://$(CLUSTER_SHARD1_ADDR) & rp=$$!; \
 	trap 'kill $$rp $$s0 $$s1 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
-	"$$tmp/loadgen" -addr http://$(CLUSTER_ROUTER_ADDR) -ops 64 -concurrency 2 -keys 64 \
-		-workloads uniform,readwrite-mix,churn-heavy,bulk-read -advance-every 32 -out - > /dev/null; \
+	router=http://$(CLUSTER_ROUTER_ADDR); \
+	for i in $$(seq 100); do curl -fs $$router/healthz > /dev/null && break; sleep 0.1; done; \
+	curl -fsS $$router/healthz | grep -q '"status":"ok"'; \
+	curl -fsS -X POST $$router/v1/epoch/advance > /dev/null; \
+	curl -fsS -X POST $$router/v1/put/batch \
+		-d '{"pairs":[{"key":"a","value":"MQ=="},{"key":"b","value":"Mg=="},{"key":"c","value":"Mw=="},{"key":"d","value":"NA=="}]}' > /dev/null; \
+	curl -fsS -X POST $$router/v1/lookup/batch -d '{"keys":["a","b","c","d"]}' > /dev/null; \
+	curl -fsS $$router/healthz | grep -q '"status":"ok"'; \
 	kill -TERM $$rp $$s0 $$s1; \
 	wait $$rp; wait $$s0; wait $$s1; \
 	echo "cluster-smoke: clean router + 2-shard exit"
 
-# snapshot-smoke gates durability end to end with the real binaries: boot
-# tinygroupsd with a data dir, drive epochs and puts over HTTP, SIGKILL it,
-# restart on the same dir, and require recovered=true with the pre-kill
-# epoch fingerprint and every acknowledged key served back from disk.
-snapshot-smoke:
-	@set -e; \
-	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/tinygroupsd" ./cmd/tinygroupsd; \
-	$(GO) build -o "$$tmp/snapshotsmoke" ./cmd/snapshotsmoke; \
-	"$$tmp/snapshotsmoke" -daemon "$$tmp/tinygroupsd" -addr $(SNAPSHOT_ADDR)
-
-ci: build lint doclint apicheck test fuzz-short smoke-examples serve-smoke chaos-smoke cluster-smoke snapshot-smoke bench bench-smoke
+ci: build lint doclint apicheck test fuzz-short smoke-examples chaos-smoke cluster-smoke bench bench-smoke

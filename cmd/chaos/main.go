@@ -22,9 +22,9 @@
 //	      [-advance-every N] [-success-floor F] [-timeout D]
 //	      [-data-dir DIR]
 //
-// The op streams are the deterministic attack generators of
-// tinygroups/loadgen, so two chaos runs with equal seeds apply identical
-// pressure; only the kill timing is wall-clock.
+// The op streams are the deterministic generators of internal/workload,
+// so two chaos runs with equal seeds apply identical pressure; only the
+// kill timing is wall-clock.
 package main
 
 import (
@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"os/exec"
 	"runtime/pprof"
@@ -43,7 +44,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/tinygroups/loadgen"
+	"repro/internal/workload"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -54,7 +55,7 @@ type daemonProc struct {
 }
 
 // startDaemon launches the daemon binary and returns once the process is
-// spawned (readiness is the caller's WaitReady).
+// spawned (readiness is the caller's waitReady).
 func startDaemon(bin string, stderr io.Writer, args ...string) (*daemonProc, error) {
 	cmd := exec.Command(bin, args...)
 	cmd.Stdout = stderr
@@ -103,25 +104,119 @@ type health struct {
 	SnapshotEpoch int    `json:"snapshot_epoch"`
 }
 
-// fetchHealth reads and decodes /healthz.
-func fetchHealth(client *http.Client, base string) (health, error) {
-	var h health
-	resp, err := client.Get(base + "/healthz")
+// client is the drill's one HTTP client. Every call is a single attempt
+// bounded by the client timeout: nothing retries, because only a closed
+// daemon answers 503 and the daemon sheds no load with 429.
+type client struct {
+	base string
+	http *http.Client
+}
+
+// call sends one request, with in as its JSON body when non-nil, and
+// returns the response status; a 200 body is decoded into out when out is
+// non-nil.
+func (c *client) call(ctx context.Context, method, path string, in, out any) (int, error) {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return 0, err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return h, err
+		return 0, err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return 0, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return h, fmt.Errorf("healthz status %d", resp.StatusCode)
+	if resp.StatusCode == http.StatusOK && out != nil {
+		return resp.StatusCode, json.NewDecoder(resp.Body).Decode(out)
 	}
-	return h, json.NewDecoder(resp.Body).Decode(&h)
+	_, _ = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, nil
+}
+
+// do is the workload.Do of the daemon: op kinds map onto the /v1
+// endpoints and statuses back onto outcomes (200 OK, 502 Unreachable, 404
+// NotFound); any other status is an error.
+func (c *client) do(ctx context.Context, op workload.Op) (workload.Outcome, error) {
+	var (
+		path string
+		in   any
+	)
+	switch op.Kind {
+	case workload.KindLookup:
+		path, in = "/v1/lookup", map[string]any{"key": op.Key}
+	case workload.KindPut:
+		path, in = "/v1/put", map[string]any{"key": op.Key, "value": op.Value}
+	case workload.KindAdvance:
+		path = "/v1/epoch/advance"
+	case workload.KindMint:
+		path, in = "/v1/mint", map[string]any{"miner": op.Key, "count": 1}
+	default:
+		return workload.OK, fmt.Errorf("chaos: unknown op kind %d", op.Kind)
+	}
+	status, err := c.call(ctx, http.MethodPost, path, in, nil)
+	switch {
+	case err != nil:
+		return workload.OK, err
+	case status == http.StatusOK:
+		return workload.OK, nil
+	case status == http.StatusBadGateway:
+		return workload.Unreachable, nil
+	case status == http.StatusNotFound:
+		return workload.NotFound, nil
+	}
+	return workload.OK, fmt.Errorf("chaos: POST %s: status %d", path, status)
+}
+
+// health reads and decodes /healthz.
+func (c *client) health(ctx context.Context) (health, error) {
+	var h health
+	status, err := c.call(ctx, http.MethodGet, "/healthz", nil, &h)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("healthz status %d", status)
+	}
+	return h, err
+}
+
+// waitReady polls /healthz until the daemon answers 200 or timeout
+// elapses.
+func (c *client) waitReady(ctx context.Context, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for {
+		_, err := c.health(ctx)
+		if err == nil {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("%s/healthz not ready after %s (last: %v)", c.base, timeout, err)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// get fetches a stored value via /v1/get; ok reports a 200 with a body.
+func (c *client) get(ctx context.Context, key string) (value []byte, ok bool) {
+	var out struct {
+		Value []byte `json:"value"`
+	}
+	status, err := c.call(ctx, http.MethodGet, "/v1/get?key="+url.QueryEscape(key), nil, &out)
+	return out.Value, err == nil && status == http.StatusOK
 }
 
 // fingerprintTrail polls /healthz until stop is closed, recording every
 // (epoch, fingerprint) pair the daemon serves. The 10ms cadence against the
 // 100ms epoch ticker makes the trail effectively gapless, so the epoch the
 // restarted daemon recovers to is almost always in the map.
-func fingerprintTrail(client *http.Client, base string, stop <-chan struct{}) (map[int64]string, *sync.Mutex) {
+func fingerprintTrail(ctx context.Context, c *client, stop <-chan struct{}) (map[int64]string, *sync.Mutex) {
 	trail := make(map[int64]string)
 	var mu sync.Mutex
 	go func() {
@@ -132,7 +227,7 @@ func fingerprintTrail(client *http.Client, base string, stop <-chan struct{}) (m
 			case <-stop:
 				return
 			case <-t.C:
-				if h, err := fetchHealth(client, base); err == nil {
+				if h, err := c.health(ctx); err == nil {
 					mu.Lock()
 					trail[h.Epoch] = h.Fingerprint
 					mu.Unlock()
@@ -143,42 +238,8 @@ func fingerprintTrail(client *http.Client, base string, stop <-chan struct{}) (m
 	return trail, &mu
 }
 
-// putKey stores key=value via /v1/put, reporting whether the daemon
-// acknowledged the write (only acknowledged keys are asserted after the
-// restart — an unacknowledged put is allowed to be lost).
-func putKey(client *http.Client, base, key string, value []byte) bool {
-	body, _ := json.Marshal(map[string]any{"key": key, "value": value})
-	resp, err := client.Post(base+"/v1/put", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode == http.StatusOK
-}
-
-// getKey fetches a stored value via /v1/get; ok reports a 200 with a body.
-func getKey(client *http.Client, base, key string) (value []byte, ok bool) {
-	resp, err := client.Get(base + "/v1/get?key=" + key)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, false
-	}
-	var out struct {
-		Value []byte `json:"value"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, false
-	}
-	return out.Value, true
-}
-
 // run executes the chaos sequence and returns the process exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	daemon := fs.String("daemon", "", "path to the tinygroupsd binary to torture (required)")
@@ -211,8 +272,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "chaos: mkdir data dir: %v\n", err)
 			return 1
 		}
-		defer os.RemoveAll(tmp)
 		dir = tmp
+		// The dir is the evidence of a failed run: remove it only on a
+		// clean exit, and say where it is otherwise.
+		defer func() {
+			if code == 0 {
+				os.RemoveAll(tmp)
+			} else {
+				fmt.Fprintf(stderr, "chaos: data dir kept at %s\n", tmp)
+			}
+		}()
 	}
 
 	// The watchdog is the harness's own liveness bound: if any phase wedges
@@ -220,7 +289,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// its goroutine dump lands in the log, dump our own stacks, and fail.
 	var current atomic.Pointer[exec.Cmd]
 	wd := time.AfterFunc(*timeout, func() {
-		fmt.Fprintf(stderr, "chaos: watchdog fired after %s — dumping goroutines\n", *timeout)
+		fmt.Fprintf(stderr, "chaos: watchdog fired after %s — dumping goroutines (data dir %s kept)\n", *timeout, dir)
 		if c := current.Load(); c != nil && c.Process != nil {
 			_ = c.Process.Signal(syscall.SIGQUIT)
 			time.Sleep(2 * time.Second) // let the daemon's dump flush
@@ -243,13 +312,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bootArgs := append(append([]string{}, baseArgs...), "-epoch-interval", "100ms")
 	restartArgs := append(append([]string{}, baseArgs...), "-epoch-interval", "0")
 	ctx := context.Background()
-	base := "http://" + *addr
-	target := loadgen.NewHTTPTarget(base,
-		loadgen.WithRequestTimeout(2*time.Second),
-		loadgen.WithRetry(3, 10*time.Millisecond),
-	)
-	httpc := &http.Client{Timeout: 2 * time.Second}
-	cfg := loadgen.Config{Concurrency: *concurrency, Ops: *ops, Seed: *seed}
+	cl := &client{base: "http://" + *addr, http: &http.Client{Timeout: 2 * time.Second}}
 
 	// Phase 1: boot.
 	d, err := startDaemon(*daemon, stderr, bootArgs...)
@@ -263,7 +326,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			_ = c.Process.Kill()
 		}
 	}()
-	if err := target.WaitReady(ctx, 30*time.Second); err != nil {
+	if err := cl.waitReady(ctx, 30*time.Second); err != nil {
 		fmt.Fprintf(stderr, "chaos: boot: %v\n", err)
 		return 1
 	}
@@ -273,20 +336,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// fingerprint of every epoch it serves; the restart is checked against
 	// this record.
 	stopTrail := make(chan struct{})
-	trail, trailMu := fingerprintTrail(httpc, base, stopTrail)
+	trail, trailMu := fingerprintTrail(ctx, cl, stopTrail)
 
 	// Phase 2: adversarial pressure — the three attack workloads, with the
 	// background epoch ticker churning underneath. Failures are tolerated
 	// here (that is what the attacks are for); transport-level hangs are
 	// not, which the per-attempt timeout enforces.
-	for _, g := range loadgen.AttackSuite(*keys, *advanceEvery) {
-		res, err := loadgen.Run(ctx, target, g, cfg)
+	for _, g := range workload.AttackSuite(*keys, *advanceEvery) {
+		res, err := workload.Run(ctx, cl.do, g, *seed, *ops, *concurrency)
 		if err != nil {
 			fmt.Fprintf(stderr, "chaos: attack %s: %v\n", g.Name(), err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "chaos: attack %-14s ops=%d ok=%d success=%.3f retries=%d by_status=%v\n",
-			res.Workload, res.Ops, res.OK, res.SuccessRate, res.Retries, res.ByStatus)
+		fmt.Fprintf(stdout, "chaos: attack %-14s ops=%d ok=%d unreachable=%d not_found=%d errors=%d success=%.3f\n",
+			g.Name(), res.Ops, res.OK, res.Unreachable, res.NotFound, res.Errors, res.SuccessRate)
 	}
 
 	// Phase 2.5: store keys the restart must serve back. Only acknowledged
@@ -296,7 +359,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("chaos-durable-%02d", i)
 		val := []byte(fmt.Sprintf("survives-the-kill-%02d", i))
-		if putKey(httpc, base, key, val) {
+		if out, err := cl.do(ctx, workload.Op{Kind: workload.KindPut, Key: key, Value: val}); err == nil && out == workload.OK {
 			durable[key] = val
 		}
 	}
@@ -312,7 +375,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	advCtx, advCancel := context.WithTimeout(ctx, 10*time.Second)
 	go func() {
 		defer advCancel()
-		_, _ = target.Do(advCtx, loadgen.Op{Kind: loadgen.KindAdvance})
+		_, _ = cl.do(advCtx, workload.Op{Kind: workload.KindAdvance})
 	}()
 	time.Sleep(25 * time.Millisecond)
 	d.kill()
@@ -327,7 +390,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	current.Store(d2.cmd)
-	if err := target.WaitReady(ctx, 30*time.Second); err != nil {
+	if err := cl.waitReady(ctx, 30*time.Second); err != nil {
 		fmt.Fprintf(stderr, "chaos: restart: %v\n", err)
 		return 1
 	}
@@ -338,7 +401,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// (same-seed re-bootstrap reproduces fingerprints but not stored keys);
 	// the fingerprint trail pins the recovered epoch to the exact
 	// generation the first daemon served at that boundary.
-	h, err := fetchHealth(httpc, base)
+	h, err := cl.health(ctx)
 	if err != nil {
 		fmt.Fprintf(stderr, "chaos: post-restart healthz: %v\n", err)
 		return 1
@@ -369,7 +432,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	recoveredKeys := 0
 	for key, want := range durable {
-		got, ok := getKey(httpc, base, key)
+		got, ok := cl.get(ctx, key)
 		if !ok || !bytes.Equal(got, want) {
 			fmt.Fprintf(stderr, "chaos: FAIL — durable key %q lost across the kill (ok=%v)\n", key, ok)
 			return 1
@@ -382,13 +445,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Phase 5: friendly tail — uniform lookups against the restarted
 	// daemon must clear the success floor (the conceded ε of Theorem 3 is
 	// well under 1% at these sizes).
-	tail, err := loadgen.Run(ctx, target, loadgen.Uniform(*keys), cfg)
+	tail, err := workload.Run(ctx, cl.do, workload.Uniform(*keys), *seed, *ops, *concurrency)
 	if err != nil {
 		fmt.Fprintf(stderr, "chaos: friendly tail: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "chaos: tail ops=%d ok=%d success=%.4f retries=%d by_status=%v\n",
-		tail.Ops, tail.OK, tail.SuccessRate, tail.Retries, tail.ByStatus)
+	fmt.Fprintf(stdout, "chaos: tail ops=%d ok=%d unreachable=%d errors=%d success=%.4f\n",
+		tail.Ops, tail.OK, tail.Unreachable, tail.Errors, tail.SuccessRate)
 	if tail.SuccessRate < *floor {
 		fmt.Fprintf(stderr, "chaos: FAIL — post-restart success %.4f below floor %.4f\n",
 			tail.SuccessRate, *floor)

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"net"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -27,11 +29,22 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
+// TestRunMissingBinary also checks that a failed run keeps its default
+// temp data dir and prints where it is: the dir is the evidence.
 func TestRunMissingBinary(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir())
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-daemon", filepath.Join(t.TempDir(), "nope")}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1 (stderr: %s)", code, stderr.String())
+	}
+	_, dir, ok := strings.Cut(stderr.String(), "chaos: data dir kept at ")
+	dir = strings.TrimSpace(dir)
+	if !ok || dir == "" {
+		t.Fatalf("stderr does not name the kept data dir:\n%s", stderr.String())
+	}
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("kept data dir %q is gone: %v", dir, err)
 	}
 }
 

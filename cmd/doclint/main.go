@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	doclint ./tinygroups ./tinygroups/scenario ./tinygroups/loadgen
+//	doclint ./tinygroups ./tinygroups/scenario ./tinygroups/cluster
 //
 // For each package directory it requires:
 //

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 
 	"repro/internal/engine"
+	"repro/internal/workload"
 	"repro/tinygroups"
-	"repro/tinygroups/loadgen"
 )
 
 // nearZeroVictim picks, from a fixed candidate set, the victim string whose
@@ -49,12 +49,12 @@ func E21AttackSuite(ctx context.Context, o Options, em Emitter) error {
 	}
 	const keys = 256
 	pairs := []struct {
-		gen      loadgen.Generator
+		gen      workload.Generator
 		strategy tinygroups.Strategy
 	}{
-		{loadgen.JoinFlood(keys, advanceEvery, 16), tinygroups.Uniform},
-		{loadgen.TargetedChurn(keys, advanceEvery, 8, nearZeroVictim()), tinygroups.NearKey},
-		{loadgen.EclipseStorm(keys, advanceEvery, 8, 0.125), tinygroups.Clustered},
+		{workload.JoinFlood(keys, advanceEvery, 16), tinygroups.Uniform},
+		{workload.TargetedChurn(keys, advanceEvery, 8, nearZeroVictim()), tinygroups.NearKey},
+		{workload.EclipseStorm(keys, advanceEvery, 8, 0.125), tinygroups.Clustered},
 	}
 	rows := engine.Map(o.cfg(), "e21", len(pairs), func(pi int, rng *rand.Rand) []string {
 		p := pairs[pi]
@@ -67,9 +67,7 @@ func E21AttackSuite(ctx context.Context, o Options, em Emitter) error {
 			panic(err) // validated static options never fail
 		}
 		defer sys.Close()
-		res, _ := loadgen.Run(ctx, loadgen.NewSystemTarget(sys), p.gen, loadgen.Config{
-			Concurrency: 1, Ops: ops, Seed: rng.Int63(),
-		})
+		res, _ := workload.Run(ctx, workload.SystemDo(sys), p.gen, rng.Int63(), ops, 1)
 		return []string{
 			p.gen.Name(), p.strategy.String(), itoa(res.Ops), itoa(res.OK),
 			itoa(res.Unreachable), itoa(res.NotFound), itoa(res.Errors),

@@ -1,98 +1,9 @@
 // Package metrics provides the small statistics toolkit the experiment
-// harness uses: streaming summaries, quantiles, and a chi-square uniformity
-// test (for Lemma 11's "IDs are u.a.r." claim).
+// harness uses: a chi-square uniformity test (for Lemma 11's "IDs are
+// u.a.r." claim) and a column-aligned table printer.
 package metrics
 
-import (
-	"math"
-	"sort"
-)
-
-// Summary accumulates a stream of float64 observations.
-type Summary struct {
-	n        int
-	sum, sq  float64
-	min, max float64
-	vals     []float64 // retained for quantiles
-}
-
-// Add records one observation.
-func (s *Summary) Add(x float64) {
-	if s.n == 0 || x < s.min {
-		s.min = x
-	}
-	if s.n == 0 || x > s.max {
-		s.max = x
-	}
-	s.n++
-	s.sum += x
-	s.sq += x * x
-	s.vals = append(s.vals, x)
-}
-
-// N returns the number of observations.
-func (s *Summary) N() int { return s.n }
-
-// Mean returns the sample mean (0 when empty).
-func (s *Summary) Mean() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.sum / float64(s.n)
-}
-
-// Var returns the unbiased sample variance (0 for n < 2).
-func (s *Summary) Var() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	return (s.sq - float64(s.n)*m*m) / float64(s.n-1)
-}
-
-// Std returns the sample standard deviation.
-func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
-
-// Min and Max return the extremes (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-func (s *Summary) Max() float64 { return s.max }
-
-// Merge folds every observation of o into s, as if each had been Added
-// directly — the reduction step for per-worker summaries (the load
-// driver's latency recorders merge this way after the run).
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 || o.min < s.min {
-		s.min = o.min
-	}
-	if s.n == 0 || o.max > s.max {
-		s.max = o.max
-	}
-	s.n += o.n
-	s.sum += o.sum
-	s.sq += o.sq
-	s.vals = append(s.vals, o.vals...)
-}
-
-// Quantile returns the q-th empirical quantile, q ∈ [0,1], by nearest-rank.
-func (s *Summary) Quantile(q float64) float64 {
-	if s.n == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(s.vals))
-	copy(sorted, s.vals)
-	sort.Float64s(sorted)
-	i := int(q * float64(len(sorted)-1))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
-}
+import "math"
 
 // ChiSquareUniform computes the chi-square statistic of bucket counts
 // against the uniform expectation, and reports whether it is below the

@@ -1,50 +1,10 @@
 package metrics
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
-
-func TestSummaryBasics(t *testing.T) {
-	var s Summary
-	if s.Mean() != 0 || s.N() != 0 {
-		t.Error("empty summary should be zero")
-	}
-	for _, x := range []float64{1, 2, 3, 4, 5} {
-		s.Add(x)
-	}
-	if s.N() != 5 || s.Mean() != 3 || s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("summary wrong: n=%d mean=%v min=%v max=%v", s.N(), s.Mean(), s.Min(), s.Max())
-	}
-	if math.Abs(s.Var()-2.5) > 1e-9 {
-		t.Errorf("var = %v, want 2.5", s.Var())
-	}
-	if math.Abs(s.Std()-math.Sqrt(2.5)) > 1e-9 {
-		t.Errorf("std wrong")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	var s Summary
-	for i := 100; i >= 1; i-- { // reverse order: quantile must sort
-		s.Add(float64(i))
-	}
-	if q := s.Quantile(0); q != 1 {
-		t.Errorf("q0 = %v", q)
-	}
-	if q := s.Quantile(1); q != 100 {
-		t.Errorf("q1 = %v", q)
-	}
-	if q := s.Quantile(0.5); math.Abs(q-50) > 2 {
-		t.Errorf("median = %v", q)
-	}
-	var empty Summary
-	if empty.Quantile(0.5) != 0 {
-		t.Error("empty quantile should be 0")
-	}
-}
 
 func TestChiSquareAcceptsUniform(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -89,43 +49,5 @@ func TestTableRendering(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 4 {
 		t.Errorf("table has %d lines, want 4", len(lines))
-	}
-}
-
-func TestSummaryMerge(t *testing.T) {
-	// Merging per-worker summaries must equal one summary fed every value.
-	var whole, a, b, empty Summary
-	vals := []float64{5, 1, 3, 9, 2, 8, 4, 7, 6, 0}
-	for i, v := range vals {
-		whole.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	var merged Summary
-	merged.Merge(&a)
-	merged.Merge(&b)
-	merged.Merge(&empty) // merging nothing changes nothing
-	if merged.N() != whole.N() {
-		t.Fatalf("N = %d, want %d", merged.N(), whole.N())
-	}
-	if merged.Mean() != whole.Mean() || merged.Var() != whole.Var() {
-		t.Fatalf("mean/var = %v/%v, want %v/%v", merged.Mean(), merged.Var(), whole.Mean(), whole.Var())
-	}
-	if merged.Min() != 0 || merged.Max() != 9 {
-		t.Fatalf("min/max = %v/%v, want 0/9", merged.Min(), merged.Max())
-	}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if merged.Quantile(q) != whole.Quantile(q) {
-			t.Fatalf("quantile %v = %v, want %v", q, merged.Quantile(q), whole.Quantile(q))
-		}
-	}
-	// An empty receiver adopts the other side's extremes.
-	var fresh Summary
-	fresh.Merge(&a)
-	if fresh.Min() != a.Min() || fresh.Max() != a.Max() || fresh.N() != a.N() {
-		t.Fatalf("empty-receiver merge broken: %v/%v/%d", fresh.Min(), fresh.Max(), fresh.N())
 	}
 }

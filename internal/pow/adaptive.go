@@ -3,8 +3,6 @@ package pow
 import (
 	"math/rand"
 	"time"
-
-	"repro/internal/ring"
 )
 
 // RetargetConfig tunes a Retargeter. The zero value is completed by
@@ -86,9 +84,6 @@ func (rt *Retargeter) Observe(meanSolve time.Duration) float64 {
 
 // Work returns the current difficulty in expected attempts per solution.
 func (rt *Retargeter) Work() float64 { return rt.work }
-
-// Tau returns the puzzle threshold realizing the current work factor.
-func (rt *Retargeter) Tau() ring.Point { return TauForWork(rt.work) }
 
 // This file explores the paper's concluding open question — "Might there
 // be a way to avoid the continual solving of puzzles? Is there an approach

@@ -1,4 +1,4 @@
-package loadgen
+package workload
 
 import (
 	"fmt"
@@ -6,14 +6,12 @@ import (
 	"repro/tinygroups"
 )
 
-// The adversarial workloads. Where the six canonical generators model
-// friendly traffic, these three model the paper's Byzantine adversary
+// The adversarial workloads model the paper's Byzantine adversary
 // hammering the serving path: a join flood saturating the identity-minting
 // pipeline before each epoch flip, churn concentrated on one victim's key
-// range, and an eclipse-style read storm over a clustered arc. Each is the
-// same pure function of (seed, i) the friendly generators are — attack
-// runs replay byte-identically at any concurrency — and each emits the
-// standard Result row, so an attack sweep reports like a friendly one.
+// range, and an eclipse-style read storm over a clustered arc. Each is a
+// pure function of (seed, i), so attack runs replay byte-identically at
+// any concurrency.
 
 // pointDist returns the circular ID-space distance between two points —
 // the wrap-aware metric the adversary's NearKey strategy minimizes.

@@ -313,6 +313,26 @@ func TestRecoveryRejectsConfigMismatch(t *testing.T) {
 		t.Fatal("worker-count change blocked recovery")
 	}
 	r.Close()
+
+	// Request verification changes the epoch construction, so it is part
+	// of the key: a dir written without it is refused by the default.
+	noVerify := t.TempDir()
+	s, err = New(64, WithSeed(5), WithVerifyRequests(false), WithDataDir(noVerify))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if _, err := New(64, WithSeed(5), WithDataDir(noVerify)); !errors.Is(err, disk.ErrConfigMismatch) {
+		t.Fatalf("verify-requests change: got %v, want ErrConfigMismatch", err)
+	}
+	r, err = New(64, WithSeed(5), WithVerifyRequests(false), WithDataDir(noVerify))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if !r.Durability().Recovered {
+		t.Fatal("WithVerifyRequests(false) dir not recovered under the same option")
+	}
 }
 
 // SaveSnapshot is the on-demand checkpoint; retention prunes old epochs.
