@@ -1,5 +1,5 @@
-// Command tinygroups regenerates the paper-reproduction tables through the
-// public scenario API.
+// Command tinygroups regenerates the paper-reproduction tables from the
+// experiment registry.
 //
 // Usage:
 //
@@ -30,7 +30,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/tinygroups/scenario"
+	"repro/internal/experiments"
 )
 
 func main() {
@@ -43,15 +43,15 @@ func main() {
 		<-ctx.Done()
 		stop()
 	}()
-	a := &app{stdout: os.Stdout, stderr: os.Stderr, registry: scenario.Default()}
+	a := &app{stdout: os.Stdout, stderr: os.Stderr, registry: experiments.Default()}
 	os.Exit(a.run(ctx, os.Args[1:]))
 }
 
 // app carries the CLI's dependencies so tests can substitute writers and a
-// stub scenario registry.
+// stub experiment registry.
 type app struct {
 	stdout, stderr io.Writer
-	registry       *scenario.Registry
+	registry       *experiments.Registry
 }
 
 // run parses args, executes the selected scenarios, and returns the
@@ -73,8 +73,8 @@ func (a *app) run(ctx context.Context, args []string) int {
 		a.usage(fs)
 		return 2
 	}
-	opts := scenario.Options{Quick: *quick, Seed: *seed, Parallel: *parallel, Trials: *trials}
-	var selected []scenario.Scenario
+	opts := experiments.Options{Quick: *quick, Seed: *seed, Parallel: *parallel, Trials: *trials}
+	var selected []experiments.Experiment
 	switch rest[0] {
 	case "list":
 		for _, s := range a.registry.List() {
@@ -110,7 +110,7 @@ func (a *app) run(ctx context.Context, args []string) int {
 	return 0
 }
 
-func (a *app) runOne(ctx context.Context, s scenario.Scenario, opts scenario.Options, stream bool) error {
+func (a *app) runOne(ctx context.Context, s experiments.Experiment, opts experiments.Options, stream bool) error {
 	start := time.Now()
 	if stream {
 		fmt.Fprintf(a.stdout, "== %s: %s\n\n", s.ID, s.Title)

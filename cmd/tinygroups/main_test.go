@@ -6,18 +6,18 @@ import (
 	"strings"
 	"testing"
 
-	"repro/tinygroups/scenario"
+	"repro/internal/experiments"
 )
 
 // stubApp returns an app with a two-scenario stub registry that records
 // the Options each run received.
-func stubApp(t *testing.T, got *[]scenario.Options) *app {
+func stubApp(t *testing.T, got *[]experiments.Options) *app {
 	t.Helper()
-	reg := scenario.NewRegistry()
-	mk := func(id, title string) scenario.Scenario {
-		return scenario.Scenario{
+	reg := experiments.NewRegistry()
+	mk := func(id, title string) experiments.Experiment {
+		return experiments.Experiment{
 			ID: id, Title: title,
-			Stream: func(ctx context.Context, o scenario.Options, h scenario.Handler) error {
+			Stream: func(ctx context.Context, o experiments.Options, h experiments.Emitter) error {
 				*got = append(*got, o)
 				h.Header("k", "v")
 				h.Row(id, "1")
@@ -26,7 +26,7 @@ func stubApp(t *testing.T, got *[]scenario.Options) *app {
 			},
 		}
 	}
-	for _, s := range []scenario.Scenario{mk("x1", "first stub"), mk("x2", "second stub")} {
+	for _, s := range []experiments.Experiment{mk("x1", "first stub"), mk("x2", "second stub")} {
 		if err := reg.Register(s); err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func run(a *app, args ...string) int {
 }
 
 func TestListPrintsRegistry(t *testing.T) {
-	var got []scenario.Options
+	var got []experiments.Options
 	a := stubApp(t, &got)
 	if code := run(a, "list"); code != 0 {
 		t.Fatalf("list exit code %d", code)
@@ -56,7 +56,7 @@ func TestListPrintsRegistry(t *testing.T) {
 }
 
 func TestAllRunsEveryScenario(t *testing.T) {
-	var got []scenario.Options
+	var got []experiments.Options
 	a := stubApp(t, &got)
 	if code := run(a, "all"); code != 0 {
 		t.Fatalf("all exit code %d", code)
@@ -73,7 +73,7 @@ func TestAllRunsEveryScenario(t *testing.T) {
 }
 
 func TestUnknownScenarioFails(t *testing.T) {
-	var got []scenario.Options
+	var got []experiments.Options
 	a := stubApp(t, &got)
 	if code := run(a, "x1", "nope"); code != 2 {
 		t.Fatalf("unknown id exit code %d, want 2", code)
@@ -88,7 +88,7 @@ func TestUnknownScenarioFails(t *testing.T) {
 }
 
 func TestNoArgsPrintsUsage(t *testing.T) {
-	var got []scenario.Options
+	var got []experiments.Options
 	a := stubApp(t, &got)
 	if code := run(a); code != 2 {
 		t.Fatalf("no-args exit code %d, want 2", code)
@@ -99,7 +99,7 @@ func TestNoArgsPrintsUsage(t *testing.T) {
 }
 
 func TestBadFlagFails(t *testing.T) {
-	var got []scenario.Options
+	var got []experiments.Options
 	a := stubApp(t, &got)
 	if code := run(a, "-bogus", "x1"); code != 2 {
 		t.Fatalf("bad flag exit code %d, want 2", code)
@@ -107,7 +107,7 @@ func TestBadFlagFails(t *testing.T) {
 }
 
 func TestFlagsReachScenarios(t *testing.T) {
-	var got []scenario.Options
+	var got []experiments.Options
 	a := stubApp(t, &got)
 	if code := run(a, "-quick", "-seed", "42", "-parallel", "3", "-trials", "5", "x2"); code != 0 {
 		t.Fatalf("exit code %d", code)
@@ -115,7 +115,7 @@ func TestFlagsReachScenarios(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("ran %d scenarios, want 1", len(got))
 	}
-	want := scenario.Options{Quick: true, Seed: 42, Parallel: 3, Trials: 5}
+	want := experiments.Options{Quick: true, Seed: 42, Parallel: 3, Trials: 5}
 	if got[0] != want {
 		t.Errorf("scenario received %+v, want %+v", got[0], want)
 	}
@@ -124,7 +124,7 @@ func TestFlagsReachScenarios(t *testing.T) {
 // TestStreamMode prints rows live: banner first, then header, rows and
 // notes.
 func TestStreamMode(t *testing.T) {
-	var got []scenario.Options
+	var got []experiments.Options
 	a := stubApp(t, &got)
 	if code := run(a, "-stream", "x1"); code != 0 {
 		t.Fatalf("exit code %d", code)
@@ -140,12 +140,12 @@ func TestStreamMode(t *testing.T) {
 // TestCancelledContextExits: a cancelled context stops the run with the
 // interrupt exit code.
 func TestCancelledContextExits(t *testing.T) {
-	var got []scenario.Options
+	var got []experiments.Options
 	a := stubApp(t, &got)
-	reg := scenario.NewRegistry()
-	if err := reg.Register(scenario.Scenario{
+	reg := experiments.NewRegistry()
+	if err := reg.Register(experiments.Experiment{
 		ID: "slow", Title: "ctx-aware stub",
-		Stream: func(ctx context.Context, _ scenario.Options, _ scenario.Handler) error {
+		Stream: func(ctx context.Context, _ experiments.Options, _ experiments.Emitter) error {
 			return ctx.Err()
 		},
 	}); err != nil {
@@ -166,7 +166,7 @@ func TestCancelledContextExits(t *testing.T) {
 // through the CLI layer, in both output modes.
 func TestRealRegistryQuickRun(t *testing.T) {
 	for _, mode := range [][]string{{"-quick", "e13"}, {"-quick", "-stream", "e13"}} {
-		a := &app{stdout: &bytes.Buffer{}, stderr: &bytes.Buffer{}, registry: scenario.Default()}
+		a := &app{stdout: &bytes.Buffer{}, stderr: &bytes.Buffer{}, registry: experiments.Default()}
 		if code := run(a, mode...); code != 0 {
 			t.Fatalf("%v: exit code %d, stderr: %s", mode, code, a.stderr.(*bytes.Buffer).String())
 		}
@@ -183,12 +183,12 @@ func TestRealRegistryQuickRun(t *testing.T) {
 // TestRealRegistryListMatchesAll asserts the registry the CLI ships is the
 // full e1..e21 set.
 func TestRealRegistryListMatchesAll(t *testing.T) {
-	a := &app{stdout: &bytes.Buffer{}, stderr: &bytes.Buffer{}, registry: scenario.Default()}
+	a := &app{stdout: &bytes.Buffer{}, stderr: &bytes.Buffer{}, registry: experiments.Default()}
 	if code := run(a, "list"); code != 0 {
 		t.Fatalf("list exit code %d", code)
 	}
 	out := a.stdout.(*bytes.Buffer).String()
-	all := scenario.Default().List()
+	all := experiments.Default().List()
 	if n := len(strings.Split(strings.TrimSpace(out), "\n")); n != len(all) {
 		t.Errorf("list printed %d lines, registry has %d scenarios", n, len(all))
 	}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -24,13 +25,32 @@ var (
 	mdRE      = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
 	targetRE  = regexp.MustCompile(`(?m)^([A-Za-z0-9][\w.-]*)\s*:(?:[^=]|$)`)
 	skipDirRE = regexp.MustCompile(`^(bench|testdata|\..+)$`)
+	// apiRefRE matches a qualified name in a stable package, optionRE a
+	// bare functional-option name (which always means a tinygroups option).
+	apiRefRE = regexp.MustCompile(`\b(tinygroups|scenario|cluster)\.([A-Z]\w*)`)
+	optionRE = regexp.MustCompile(`(?:^|[^.\w])(With[A-Z]\w*)`)
 )
+
+// stableDirs maps each stable package's name to its directory.
+var stableDirs = map[string]string{
+	"tinygroups": "tinygroups",
+	"scenario":   "tinygroups/scenario",
+	"cluster":    "tinygroups/cluster",
+}
 
 // TestDocRefs fails when a document points at something missing: a
 // `make <target>` the Makefile does not define, a cmd/<name> that is not a
-// directory, or a *.md file — named by a document or by any Go comment in
-// this module — that does not exist.
+// directory, or — named by a document or by any Go comment in this
+// module — a *.md file that does not exist or a name qualified by
+// tinygroups, scenario or cluster that is not an exported package-level
+// name of that package. A bare option name (With…) in a Go comment must be
+// a tinygroups option.
 func TestDocRefs(t *testing.T) {
+	fset := token.FileSet{}
+	exports := map[string]map[string]bool{}
+	for name, dir := range stableDirs {
+		exports[name] = packageNames(t, &fset, dir)
+	}
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
@@ -64,9 +84,9 @@ func TestDocRefs(t *testing.T) {
 			}
 		}
 		checkMarkdownRefs(t, doc, text)
+		checkAPIRefs(t, doc, text, exports)
 	}
 
-	fset := token.NewFileSet()
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -80,12 +100,19 @@ func TestDocRefs(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		f, err := parser.ParseFile(&fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return err
 		}
 		for _, cg := range f.Comments {
-			checkMarkdownRefs(t, path, cg.Text())
+			text := cg.Text()
+			checkMarkdownRefs(t, path, text)
+			checkAPIRefs(t, path, text, exports)
+			for _, m := range optionRE.FindAllStringSubmatch(text, -1) {
+				if !exports["tinygroups"][m[1]] {
+					t.Errorf("%s: names option %s, which tinygroups does not export", path, m[1])
+				}
+			}
 		}
 		return nil
 	})
@@ -105,6 +132,58 @@ func checkMarkdownRefs(t *testing.T, from, text string) {
 		}
 		t.Errorf("%s: names %s, which does not exist", from, name)
 	}
+}
+
+// checkAPIRefs reports every name in text qualified by a stable package
+// that the package does not declare.
+func checkAPIRefs(t *testing.T, from, text string, exports map[string]map[string]bool) {
+	t.Helper()
+	for _, m := range apiRefRE.FindAllStringSubmatch(text, -1) {
+		if !exports[m[1]][m[2]] {
+			t.Errorf("%s: names %s.%s, which %s does not export", from, m[1], m[2], m[1])
+		}
+	}
+}
+
+// packageNames returns the package-level names declared by the non-test
+// Go files of dir. go doc -short would list only the first name of each
+// var/const group.
+func packageNames(t *testing.T, fset *token.FileSet, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names[d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 func fileExists(path string) bool {

@@ -137,45 +137,6 @@ func TestIntegrationComputePipeline(t *testing.T) {
 	}
 }
 
-func TestIntegrationErosionRegimes(t *testing.T) {
-	// The §III departure bound is load-bearing: moderate erosion (well
-	// within ε'/2 per group on average) stays stable across epochs, while
-	// heavy erosion poisons the graphs the *next* generation is built
-	// through — no self-recovery, exactly why the paper assumes the bound
-	// holds every epoch.
-	ctx := context.Background()
-	run := func(frac float64, epochs int) []float64 {
-		sys, err := tinygroups.New(512,
-			tinygroups.WithMidEpochDepartures(frac),
-			tinygroups.WithSeed(106),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.Close()
-		var rates []float64
-		for e := 0; e < epochs; e++ {
-			st, err := sys.AdvanceEpoch(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rates = append(rates, st.SearchFailRate)
-		}
-		return rates
-	}
-	mild := run(0.10, 3)
-	for e, r := range mild {
-		if r > 0.15 {
-			t.Errorf("10%% erosion should be stable: epoch %d fail rate %.3f", e+1, r)
-		}
-	}
-	heavy := run(0.30, 2)
-	if heavy[1] < heavy[0] {
-		t.Errorf("heavy erosion should compound into the next construction: %.3f then %.3f",
-			heavy[0], heavy[1])
-	}
-}
-
 // TestIntegrationBatchPipeline drives the batch surface end to end across
 // an epoch: batched puts, churn, batched lookups.
 func TestIntegrationBatchPipeline(t *testing.T) {

@@ -3,44 +3,8 @@ package epoch
 import (
 	"context"
 	"errors"
-	"reflect"
 	"testing"
 )
-
-// TestRunEpochContextMatchesRunEpoch pins the chunked cancellable path to
-// the unchunked fast path: a context that can be cancelled but never is
-// must produce byte-identical Stats and graphs, epoch over epoch.
-func TestRunEpochContextMatchesRunEpoch(t *testing.T) {
-	mk := func() *System {
-		cfg := DefaultConfig(512)
-		cfg.Seed = 51
-		cfg.SpamFactor = 2
-		cfg.MidEpochDepartures = 0.05
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	plain, chunked := mk(), mk()
-	defer plain.Close()
-	defer chunked.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	for e := 0; e < 2; e++ {
-		want := plain.RunEpoch()
-		got, err := chunked.RunEpochContext(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("epoch %d: chunked Stats diverged:\n got %+v\nwant %+v", e+1, got, want)
-		}
-		if graphFingerprint(chunked.Graphs()) != graphFingerprint(plain.Graphs()) {
-			t.Errorf("epoch %d: chunked graph fingerprint diverged", e+1)
-		}
-	}
-}
 
 // TestRunEpochContextCancelled: a cancelled context aborts without
 // swapping generations or polluting tallies, and the system stays usable.

@@ -558,7 +558,7 @@ func (s *System) RunEpoch() Stats {
 }
 
 // ctxBatch is the per-ID construction batch size between cancellation
-// polls of RunEpochContext. It only shapes how often ctx is checked —
+// polls of the epoch build. It only shapes how often ctx is checked —
 // per-ID randomness is hash-derived, so batching never changes results.
 const ctxBatch = 256
 
@@ -578,10 +578,6 @@ const yieldStride = 64
 // fully usable, and a retried epoch replays the identical generation the
 // aborted build was constructing. That replay property is what keeps the
 // shards of a cluster in lockstep through failed coordinated advances.
-//
-// A context that cannot be cancelled (Done() == nil, e.g.
-// context.Background()) takes the unchunked fast path: one pool broadcast
-// per phase, byte-identical to RunEpoch.
 //
 // A generation left pending by BuildEpochContext is committed first — the
 // sequence (BuildEpochContext; RunEpochContext) is not meaningful and the
@@ -721,9 +717,9 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 	// Phase 1 — per-ID construction, fanned across the pool. Each task
 	// reads only immutable old-generation state (ring, graphs, blue list,
 	// bad lists — all frozen until the swap below) and writes only its own
-	// rank's arena slots plus its worker's tally. Under a cancellable
-	// context the fan-out proceeds in ctxBatch-sized rank ranges with a
-	// poll between batches; the split is invisible to results.
+	// rank's arena slots plus its worker's tally. The fan-out proceeds in
+	// ctxBatch-sized rank ranges with a ctx poll between batches; the split
+	// is invisible to results.
 	newPts := newRing.Points()
 	build := func(worker, wi int) {
 		// Yield every yieldStride IDs: the construction is CPU-bound for
@@ -736,19 +732,15 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 		}
 		s.buildID(&s.scratch[worker], wi, newPts[wi], epochSeed, newBad, newOv, size, nGraphs)
 	}
-	if ctx.Done() == nil {
-		s.pool.ForEach(n, build)
-	} else {
-		for lo := 0; lo < n; lo += ctxBatch {
-			if err := ctx.Err(); err != nil {
-				return s.abortBuild(rngMark, err)
-			}
-			hi := min(lo+ctxBatch, n)
-			s.pool.ForEach(hi-lo, func(worker, i int) { build(worker, lo+i) })
-		}
+	for lo := 0; lo < n; lo += ctxBatch {
 		if err := ctx.Err(); err != nil {
 			return s.abortBuild(rngMark, err)
 		}
+		hi := min(lo+ctxBatch, n)
+		s.pool.ForEach(hi-lo, func(worker, i int) { build(worker, lo+i) })
+	}
+	if err := ctx.Err(); err != nil {
+		return s.abortBuild(rngMark, err)
 	}
 
 	// Phase 2 — spam attack (Lemma 10 / E12): each bad new ID issues bogus

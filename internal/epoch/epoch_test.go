@@ -260,3 +260,37 @@ func TestMidEpochDeparturesConfig(t *testing.T) {
 		t.Errorf("15%% departures should be survivable, fail rate %.3f", st.SearchFailRate)
 	}
 }
+
+func TestErosionRegimes(t *testing.T) {
+	// The §III departure bound is load-bearing: moderate erosion (well
+	// within ε'/2 per group on average) stays stable across epochs, while
+	// heavy erosion poisons the graphs the *next* generation is built
+	// through — no self-recovery, exactly why the paper assumes the bound
+	// holds every epoch.
+	run := func(frac float64, epochs int) []float64 {
+		cfg := DefaultConfig(512)
+		cfg.MidEpochDepartures = frac
+		cfg.Seed = 106
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		var rates []float64
+		for e := 0; e < epochs; e++ {
+			rates = append(rates, s.RunEpoch().SearchFailRate)
+		}
+		return rates
+	}
+	mild := run(0.10, 3)
+	for e, r := range mild {
+		if r > 0.15 {
+			t.Errorf("10%% erosion should be stable: epoch %d fail rate %.3f", e+1, r)
+		}
+	}
+	heavy := run(0.30, 2)
+	if heavy[1] < heavy[0] {
+		t.Errorf("heavy erosion should compound into the next construction: %.3f then %.3f",
+			heavy[0], heavy[1])
+	}
+}

@@ -163,12 +163,6 @@ type errAfterCtx struct {
 	after int32
 }
 
-func (c *errAfterCtx) Done() <-chan struct{} {
-	// Non-nil so RunEpochContext takes the chunked, poll-between-batches
-	// path rather than the uncancellable fast path.
-	return make(chan struct{})
-}
-
 func (c *errAfterCtx) Err() error {
 	if atomic.AddInt32(&c.polls, 1) > c.after {
 		return context.Canceled

@@ -7,7 +7,7 @@ import "testing"
 // same root seed, because trial seeds are hash-derived and results are
 // reduced in trial order.
 func TestParallelDeterminism(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range Default().List() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			seq := e.Run(Options{Quick: true, Seed: 5, Parallel: 1})
@@ -23,10 +23,7 @@ func TestParallelDeterminism(t *testing.T) {
 // averaged cells must also be schedule-independent.
 func TestTrialsDeterminism(t *testing.T) {
 	for _, id := range []string{"e1", "e2", "e8", "e13"} {
-		e, ok := Lookup(id)
-		if !ok {
-			t.Fatalf("unknown experiment %s", id)
-		}
+		e := mustLookup(id)
 		seq := e.Run(Options{Quick: true, Seed: 9, Parallel: 1, Trials: 3})
 		par := e.Run(Options{Quick: true, Seed: 9, Parallel: 8, Trials: 3})
 		if seq.Table.String() != par.Table.String() {

@@ -9,11 +9,17 @@
 // measured, and a cancelled context aborts the remaining work between
 // rows. Experiment.Run is the buffering adapter for callers that want the
 // whole table at once (goldens, benchmarks, determinism checks).
+//
+// Default returns the Registry of every experiment; it is the one index
+// the CLI, the benchmark and tinygroups/scenario (type aliases over this
+// package) all run through.
 package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strconv"
 
@@ -137,51 +143,86 @@ func (e Experiment) Run(o Options) Result {
 	return Result{ID: e.ID, Title: e.Title, Table: &c.Table, Notes: c.Notes}
 }
 
-// registry is the map-backed experiment index; order preserves
-// registration order so All() lists the built-ins in e1..e21 order.
-var (
-	registry = map[string]Experiment{}
-	order    []string
-)
+// ErrUnknownExperiment is returned by Run and Render for IDs never
+// registered.
+var ErrUnknownExperiment = errors.New("experiments: unknown experiment ID")
 
-// Register adds an experiment to the registry. Empty IDs, nil Stream
-// functions and duplicate IDs are rejected — a duplicate registration is
-// always a bug, not a request to shadow.
-func Register(e Experiment) error {
+// Registry is a map-backed experiment index preserving registration order.
+// The zero value is an empty, usable registry.
+type Registry struct {
+	m     map[string]Experiment
+	order []string
+}
+
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry { return &Registry{} }
+
+// Register adds an experiment. Empty IDs, nil Stream functions and
+// duplicate IDs are rejected — a duplicate registration is always a bug,
+// not a request to shadow.
+func (r *Registry) Register(e Experiment) error {
 	if e.ID == "" || e.Stream == nil {
 		return fmt.Errorf("experiments: Register needs an ID and a Stream func (got ID %q)", e.ID)
 	}
-	if _, dup := registry[e.ID]; dup {
+	if _, dup := r.m[e.ID]; dup {
 		return fmt.Errorf("experiments: duplicate experiment ID %q", e.ID)
 	}
-	registry[e.ID] = e
-	order = append(order, e.ID)
+	if r.m == nil {
+		r.m = map[string]Experiment{}
+	}
+	r.m[e.ID] = e
+	r.order = append(r.order, e.ID)
 	return nil
 }
 
-// MustRegister is Register, panicking on rejection (init-time use).
-func MustRegister(e Experiment) {
-	if err := Register(e); err != nil {
-		panic(err)
-	}
-}
-
-// All lists every registered experiment in registration order.
-func All() []Experiment {
-	out := make([]Experiment, len(order))
-	for i, id := range order {
-		out[i] = registry[id]
+// List returns every experiment in registration order.
+func (r *Registry) List() []Experiment {
+	out := make([]Experiment, len(r.order))
+	for i, id := range r.order {
+		out[i] = r.m[id]
 	}
 	return out
 }
 
 // Lookup finds an experiment by ID in O(1).
-func Lookup(id string) (Experiment, bool) {
-	e, ok := registry[id]
+func (r *Registry) Lookup(id string) (Experiment, bool) {
+	e, ok := r.m[id]
 	return e, ok
 }
 
-func init() {
+// Run streams the experiment's output into em. It fails with
+// ErrUnknownExperiment for unregistered IDs and with ctx.Err() when the
+// context cancels mid-stream.
+func (r *Registry) Run(ctx context.Context, id string, o Options, em Emitter) error {
+	e, ok := r.m[id]
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownExperiment, id)
+	}
+	return e.Stream(ctx, o, em)
+}
+
+// Render runs the experiment to completion and writes the column-aligned
+// table followed by its notes to w — the buffered convenience over Run.
+func (r *Registry) Render(ctx context.Context, id string, o Options, w io.Writer) error {
+	var c Collector
+	if err := r.Run(ctx, id, o, &c); err != nil {
+		return err
+	}
+	if _, err := io.WriteString(w, c.Table.String()); err != nil {
+		return err
+	}
+	for _, n := range c.Notes {
+		if _, err := fmt.Fprintf(w, "  note: %s\n", n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Default returns a registry holding every experiment of the paper
+// reproduction, e1..e21 in that order.
+func Default() *Registry {
+	r := NewRegistry()
 	for _, e := range []Experiment{
 		{"e1", "Static search success (Lemma 4 / Thm 3)", E1StaticSearch},
 		{"e2", "Bad-group probability vs group size (S2/Lemma 9 shape)", E2BadGroups},
@@ -205,8 +246,11 @@ func init() {
 		{"e20", "System size Θ(n) oscillation (§III remark)", E20SizeDrift},
 		{"e21", "Attack suite vs matched adversary placement (§IV pressure)", E21AttackSuite},
 	} {
-		MustRegister(e)
+		if err := r.Register(e); err != nil {
+			panic(err) // the built-in list is statically duplicate-free
+		}
 	}
+	return r
 }
 
 func f3(x float64) string   { return fmt.Sprintf("%.3f", x) }

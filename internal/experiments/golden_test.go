@@ -27,7 +27,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden experiment tables"
 // `go test ./internal/experiments -run Golden -update`
 // and review the diff like any other result change.
 func TestGoldenTables(t *testing.T) {
-	for _, e := range All() {
+	for _, e := range Default().List() {
 		id := e.ID
 		t.Run(id, func(t *testing.T) {
 			got := e.Run(Options{Quick: true, Seed: 1}).Table.String()

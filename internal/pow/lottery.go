@@ -119,7 +119,7 @@ type lotteryNode struct {
 
 	own LotteryString
 
-	seen     map[LotteryString]bool
+	seen     []uint64          // bitset over seenSlot of every string received
 	binBest  []float64         // smallest output seen per bin
 	counters []int             // forwards per bin
 	records  [][]LotteryString // accepted record strings per bin
@@ -130,13 +130,25 @@ type lotteryNode struct {
 	star     LotteryString // si*: selected at the end of Phase 2
 	haveStar bool
 	forwardQ []LotteryString
+	// outbox is Step's message buffer, reused round over round: the
+	// network reads a returned outbox only until the node's next Step.
+	outbox []sim.Message
 }
 
+// seenSlot numbers a string by its identity: good node i's one string
+// (Seq 0) is slot i, and the adversary's Seq-th string (Origin n) is slot
+// n+Seq. The identity fixes Output, so one bit per slot dedups exactly
+// what a set of whole strings would, at n/8 bytes per node instead of a
+// map entry per string.
+func seenSlot(s LotteryString) int { return s.Origin + s.Seq }
+
 func (n *lotteryNode) accept(s LotteryString) (forward bool) {
-	if n.seen[s] {
+	k := seenSlot(s)
+	w, bit := k>>6, uint64(1)<<(k&63)
+	if n.seen[w]&bit != 0 {
 		return false
 	}
-	n.seen[s] = true
+	n.seen[w] |= bit
 	if !n.haveBest || s.Output < n.best.Output {
 		n.best, n.haveBest = s, true
 	}
@@ -153,11 +165,11 @@ func (n *lotteryNode) accept(s LotteryString) (forward bool) {
 
 // Step implements sim.Node.
 func (n *lotteryNode) Step(round int, inbox []sim.Message) []sim.Message {
-	var out []sim.Message
+	out := n.outbox[:0]
 	if round == 0 {
 		// Phase 2 start: announce own Phase-1 minimum.
 		n.accept(n.own)
-		out = append(out, sim.Broadcast(n.own, n.neighbors)...)
+		out = appendBroadcast(out, n.own, n.neighbors)
 	}
 	for _, m := range inbox {
 		s, ok := m.Payload.(LotteryString)
@@ -169,11 +181,22 @@ func (n *lotteryNode) Step(round int, inbox []sim.Message) []sim.Message {
 		}
 	}
 	for _, s := range n.forwardQ {
-		out = append(out, sim.Broadcast(s, n.neighbors)...)
+		out = appendBroadcast(out, s, n.neighbors)
 	}
 	n.forwardQ = n.forwardQ[:0]
 	if round == n.p2End && !n.haveStar {
 		n.star, n.haveStar = n.best, true
+	}
+	n.outbox = out
+	return out
+}
+
+// appendBroadcast appends one message carrying s to every ID in to — the
+// in-place sim.Broadcast, so a reused outbox allocates nothing per round.
+func appendBroadcast(out []sim.Message, s LotteryString, to []sim.NodeID) []sim.Message {
+	var p any = s
+	for _, v := range to {
+		out = append(out, sim.Message{To: v, Payload: p})
 	}
 	return out
 }
@@ -204,7 +227,7 @@ func (a *advNode) Step(round int, inbox []sim.Message) []sim.Message {
 	}
 	var out []sim.Message
 	for _, s := range a.strings {
-		out = append(out, sim.Broadcast(s, a.victims)...)
+		out = appendBroadcast(out, s, a.victims)
 	}
 	return out
 }
@@ -259,6 +282,10 @@ func RunLottery(cfg LotteryConfig, adj [][]sim.NodeID) LotteryResult {
 		}
 	}
 
+	// One seen bitset per node, carved from a single slab: slots run to
+	// n + capPerBin, past the adversary's last string (see seenSlot).
+	seenWords := (n + capPerBin + 63) / 64
+	seen := make([]uint64, n*seenWords)
 	nodes := make([]sim.Node, n, n+1)
 	lns := make([]*lotteryNode, n)
 	for i := 0; i < n; i++ {
@@ -271,7 +298,7 @@ func RunLottery(cfg LotteryConfig, adj [][]sim.NodeID) LotteryResult {
 			neighbors: adj[i],
 			numBins:   numBins,
 			cap:       capPerBin,
-			seen:      make(map[LotteryString]bool),
+			seen:      seen[i*seenWords : (i+1)*seenWords : (i+1)*seenWords],
 			binBest:   make([]float64, numBins),
 			counters:  make([]int, numBins),
 			records:   make([][]LotteryString, numBins),

@@ -16,12 +16,6 @@
 // worker scanning senders in ascending order, so inboxes arrive sorted by
 // (sender, send order) — a total, schedule-independent order that needs no
 // post-hoc sort.
-//
-// Network faults — message drops, whole-round delays, and round-windowed
-// partitions — are injected deterministically via SetFaults: every
-// per-message fate is a pure function of (fault seed, round, sender,
-// recipient, send index), so a faulty run is byte-identical at every
-// worker count, exactly like a fault-free one.
 package sim
 
 import (
@@ -46,10 +40,7 @@ type Message struct {
 // messages delivered this round and returns the messages to deliver next
 // round. The inbox is sorted by sender, with multiple messages from one
 // sender appearing in the order that sender returned them — a deterministic
-// total order at every worker count. Under fault injection (SetFaults)
-// delayed redeliveries precede the round's on-time messages, ordered by
-// (send round, sender, send order) — older traffic first, still a
-// deterministic total order. Step implementations must not retain
+// total order at every worker count. Step implementations must not retain
 // or mutate the inbox slice: its backing array is reused by a later round.
 // The returned outbox is only read until that node's next Step, so nodes
 // may reuse one backing slice across rounds.
@@ -73,46 +64,27 @@ type Network struct {
 	next     [][]Message // next-round inboxes under construction by routing
 	outboxes [][]Message
 
-	// faults, when non-nil, injects deterministic drops, delays and
-	// partitions into routing; pending holds each recipient's delayed
-	// messages awaiting their delivery round (single writer: the shard
-	// owner of that recipient).
-	faults  *faultState
-	pending [][]pendingMsg
-
 	curRound int // round number workers read during a phase
 	stats    Stats
 }
 
-// Stats aggregates execution counters. Topology filtering and fault
-// injection are accounted separately: Dropped counts messages the overlay
-// was never going to carry (topology restriction, out-of-range recipients)
-// while FaultDropped counts messages the fault layer destroyed — so a
-// faulty run's loss is auditable against its fault configuration.
+// Stats aggregates execution counters.
 type Stats struct {
 	Rounds    int
-	Delivered int64 // messages delivered to nodes (incl. delayed redeliveries)
+	Delivered int64 // messages delivered to nodes
 	Dropped   int64 // messages dropped by topology restriction / out-of-range
-	// FaultDropped counts messages destroyed by injected faults (drop
-	// draws and partition windows). Always zero without SetFaults.
-	FaultDropped int64
-	// Delayed counts messages deferred by the delay draw; each is counted
-	// in Delivered again when its round comes up.
-	Delayed int64
 }
 
 // routeTally is one routing worker's private counters, merged into Stats
 // after the phase so the hot loop shares nothing.
 type routeTally struct {
-	delivered, dropped, faultDropped, delayed int64
+	delivered, dropped int64
 }
 
 // add folds one tally into the cumulative stats.
 func (st *Stats) add(rc routeTally) {
 	st.Delivered += rc.delivered
 	st.Dropped += rc.dropped
-	st.FaultDropped += rc.faultDropped
-	st.Delayed += rc.delayed
 }
 
 // New creates a network over the given nodes with unrestricted topology.
@@ -170,41 +142,17 @@ func (nw *Network) allowed(u int, to NodeID) bool {
 //
 // Every shard scans all outbox headers and skips foreign recipients: the
 // cheap O(m) header scan is duplicated per worker so that the expensive
-// parts — topology checks, fault draws and inbox appends — divide across
-// workers while each inbox keeps a single writer (which is what makes the
-// delivery order schedule-independent without a sort or merge step).
-//
-// Under fault injection the shard owner of a recipient also owns its
-// delayed-message queue: due redeliveries are flushed into the inbox first
-// (they are the oldest traffic), then the round's surviving on-time
-// messages. Every fault fate is a pure function of the message coordinates
-// (see faultState), so shard boundaries — and therefore worker counts —
-// never leak into results.
+// parts — topology checks and inbox appends — divide across workers while
+// each inbox keeps a single writer (which is what makes the delivery order
+// schedule-independent without a sort or merge step).
 func (nw *Network) routeShard(s, shards int, rc *routeTally) {
 	n := len(nw.nodes)
 	lo, hi := s*n/shards, (s+1)*n/shards
-	fs := nw.faults
-	round := nw.curRound
 	for d := lo; d < hi; d++ {
 		nw.next[d] = nw.next[d][:0]
-		if fs == nil || len(nw.pending[d]) == 0 {
-			continue
-		}
-		// Flush redeliveries due this round; keep the rest (in-place
-		// filter — the queue stays in enqueue order).
-		q := nw.pending[d][:0]
-		for _, pm := range nw.pending[d] {
-			if pm.at == round+1 {
-				nw.next[d] = append(nw.next[d], pm.m)
-				rc.delivered++
-			} else {
-				q = append(q, pm)
-			}
-		}
-		nw.pending[d] = q
 	}
 	for u, out := range nw.outboxes {
-		for k, m := range out {
+		for _, m := range out {
 			d := int(m.To)
 			if d < 0 || d >= n {
 				if s == 0 {
@@ -220,22 +168,6 @@ func (nw *Network) routeShard(s, shards int, rc *routeTally) {
 				continue
 			}
 			m.From = NodeID(u) // senders cannot forge From
-			if fs != nil {
-				if fs.partitioned(round, m.From, m.To) {
-					rc.faultDropped++
-					continue
-				}
-				drop, delta := fs.fate(round, u, m.To, k)
-				if drop {
-					rc.faultDropped++
-					continue
-				}
-				if delta > 0 {
-					nw.pending[d] = append(nw.pending[d], pendingMsg{at: round + 1 + delta, m: m})
-					rc.delayed++
-					continue
-				}
-			}
 			nw.next[d] = append(nw.next[d], m)
 			rc.delivered++
 		}

@@ -18,9 +18,9 @@ import (
 // record (appends are single write calls into the page cache), and a torn
 // or corrupt tail fails either the length or the CRC check — ReadLog
 // returns everything before it and reports how many bytes were discarded.
-// Records are fsynced on Sync/Close, not per append: a kill loses nothing
-// (the page cache survives the process), only a power cut can lose the
-// unsynced tail, and then replay still stops at a clean record boundary.
+// Records are fsynced on Close, not per append: a kill loses nothing (the
+// page cache survives the process), only a power cut can lose the unsynced
+// tail, and then replay still stops at a clean record boundary.
 
 // logMagic opens every op-log file, followed by the format version and the
 // snapshot epoch the log extends.
@@ -70,7 +70,7 @@ func CreateLog(path string, epoch int) (*Log, error) {
 
 // Append frames and writes one op as a single write call. The record is
 // durable against process death immediately and against power loss after
-// the next Sync/Close.
+// Close.
 func (l *Log) Append(op Op) error {
 	var payload bytes.Buffer
 	writeString(&payload, op.Key)

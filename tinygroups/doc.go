@@ -82,9 +82,13 @@
 //
 // # Stability
 //
-// This package and tinygroups/scenario are the repository's stable
+// This package, tinygroups/cluster and tinygroups/scenario (the
+// experiment registry under public names) are the repository's stable
 // surface: exported symbols are only added, never renamed or removed
 // without a deprecation note, and the checked-in API.txt listing is
 // diffed in CI so any surface change is an explicit, reviewed artifact.
-// Packages under internal/ carry no such guarantee.
+// Packages under internal/ carry no such guarantee. The ablation settings
+// of the paper's experiments (request verification, spam, mid-epoch
+// departures, size drift) are not options: they run as experiments e12,
+// e15 and e20.
 package tinygroups

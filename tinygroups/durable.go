@@ -109,7 +109,9 @@ func (s *System) Durability() DurabilityInfo {
 // configKey echoes every determinism-relevant setting into the snapshot's
 // config guard. Workers, observers and retarget wiring are deliberately
 // absent: a snapshot must load identically at any worker count, and the
-// restore-equivalence gate checks exactly that.
+// restore-equivalence gate checks exactly that. The epoch layer's ablation
+// settings are echoed at the values every System runs with — verification
+// on; no spam, departures or size drift — which existing data dirs carry.
 func (c *config) configKey() disk.ConfigKey {
 	return disk.ConfigKey{
 		N:              c.n,
@@ -117,11 +119,8 @@ func (c *config) configKey() disk.ConfigKey {
 		BetaBits:       math.Float64bits(c.beta),
 		Overlay:        c.overlayName,
 		TwoGraphs:      !c.singleGraph,
-		VerifyRequests: !c.noVerify,
+		VerifyRequests: true,
 		Strategy:       int(c.strategy),
-		SpamFactor:     c.spamFactor,
-		DepartBits:     math.Float64bits(c.midEpochDepartures),
-		DriftBits:      math.Float64bits(c.sizeDrift),
 	}
 }
 
@@ -136,10 +135,6 @@ func (c *config) epochConfig() (epoch.Config, error) {
 	ecfg.Seed = c.seed
 	ecfg.Workers = c.workers
 	ecfg.TwoGraphs = !c.singleGraph
-	ecfg.VerifyRequests = !c.noVerify
-	ecfg.SpamFactor = c.spamFactor
-	ecfg.MidEpochDepartures = c.midEpochDepartures
-	ecfg.SizeDrift = c.sizeDrift
 	if err := ecfg.Params.Validate(); err != nil {
 		return epoch.Config{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}

@@ -313,25 +313,28 @@ func TestRecoveryRejectsConfigMismatch(t *testing.T) {
 		t.Fatal("worker-count change blocked recovery")
 	}
 	r.Close()
+}
 
-	// Request verification changes the epoch construction, so it is part
-	// of the key: a dir written without it is refused by the default.
-	noVerify := t.TempDir()
-	s, err = New(64, WithSeed(5), WithVerifyRequests(false), WithDataDir(noVerify))
+// TestCloseReportsOplogSyncFailure: Close is the op log's only fsync of
+// the puts acknowledged since the last snapshot, so its failure must reach
+// the caller; a second Close still returns nil.
+func TestCloseReportsOplogSyncFailure(t *testing.T) {
+	s, err := New(64, WithSeed(5), WithDataDir(t.TempDir()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	if _, err := New(64, WithSeed(5), WithDataDir(noVerify)); !errors.Is(err, disk.ErrConfigMismatch) {
-		t.Fatalf("verify-requests change: got %v, want ErrConfigMismatch", err)
-	}
-	r, err = New(64, WithSeed(5), WithVerifyRequests(false), WithDataDir(noVerify))
-	if err != nil {
+	if _, err := s.Put(context.Background(), "k", []byte("v")); err != nil && !errors.Is(err, ErrUnreachable) {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if !r.Durability().Recovered {
-		t.Fatal("WithVerifyRequests(false) dir not recovered under the same option")
+	// Closing the log underneath the System makes Close's sync fail.
+	if err := s.durable.oplog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close swallowed the op log's sync failure")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v, want nil", err)
 	}
 }
 

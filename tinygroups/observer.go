@@ -70,35 +70,3 @@ type Observer interface {
 	// minting telemetry of the generation just built.
 	ObserveMint(MintEvent)
 }
-
-// MultiObserver fans every event out to each observer in order; nil
-// entries are skipped.
-func MultiObserver(obs ...Observer) Observer {
-	kept := make([]Observer, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			kept = append(kept, o)
-		}
-	}
-	return multiObserver(kept)
-}
-
-type multiObserver []Observer
-
-func (m multiObserver) ObserveSearch(e SearchEvent) {
-	for _, o := range m {
-		o.ObserveSearch(e)
-	}
-}
-
-func (m multiObserver) ObserveEpoch(e EpochEvent) {
-	for _, o := range m {
-		o.ObserveEpoch(e)
-	}
-}
-
-func (m multiObserver) ObserveMint(e MintEvent) {
-	for _, o := range m {
-		o.ObserveMint(e)
-	}
-}

@@ -120,20 +120,3 @@ func TestObserverDoesNotChangeResults(t *testing.T) {
 		}
 	}
 }
-
-func TestMultiObserver(t *testing.T) {
-	ctx := context.Background()
-	a, b := &recorder{}, &recorder{}
-	s := newTest(t, 256, 0, WithObserver(MultiObserver(a, nil, b)))
-	if _, err := s.Lookup(ctx, "k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.AdvanceEpoch(ctx); err != nil {
-		t.Fatal(err)
-	}
-	for name, r := range map[string]*recorder{"a": a, "b": b} {
-		if len(r.searches) != 1 || len(r.epochs) != 1 || len(r.mints) != 1 {
-			t.Errorf("observer %s missed events: %d/%d/%d", name, len(r.searches), len(r.epochs), len(r.mints))
-		}
-	}
-}

@@ -27,22 +27,18 @@ func (s Strategy) String() string { return adversary.Strategy(s).String() }
 // config collects the options of New; the zero value is completed by
 // defaults() before options apply.
 type config struct {
-	n                  int
-	beta               float64
-	overlayName        string
-	strategy           Strategy
-	seed               int64
-	workers            int
-	singleGraph        bool
-	noVerify           bool
-	spamFactor         int
-	midEpochDepartures float64
-	sizeDrift          float64
-	observer           Observer
-	mintWork           float64
-	mintTarget         time.Duration
-	dataDir            string
-	snapshotKeep       int
+	n            int
+	beta         float64
+	overlayName  string
+	strategy     Strategy
+	seed         int64
+	workers      int
+	singleGraph  bool
+	observer     Observer
+	mintWork     float64
+	mintTarget   time.Duration
+	dataDir      string
+	snapshotKeep int
 }
 
 func defaults(n int) config {
@@ -82,27 +78,6 @@ func WithWorkers(workers int) Option { return func(c *config) { c.workers = work
 // epoch over epoch. The default is the §III two-graph construction.
 func WithSingleGraph() Option { return func(c *config) { c.singleGraph = true } }
 
-// WithVerifyRequests toggles the §III-A request-verification step.
-// Disabling it exposes the state-blowup spam attack of Lemma 10; it is on
-// by default.
-func WithVerifyRequests(on bool) Option { return func(c *config) { c.noVerify = !on } }
-
-// WithSpamFactor sets how many bogus group-membership requests each bad ID
-// issues per epoch (Lemma 10 / E12; default 0).
-func WithSpamFactor(requestsPerBadID int) Option {
-	return func(c *config) { c.spamFactor = requestsPerBadID }
-}
-
-// WithMidEpochDepartures sets the fraction of good IDs that go offline
-// during each epoch after construction (§III churn model; default 0).
-func WithMidEpochDepartures(frac float64) Option {
-	return func(c *config) { c.midEpochDepartures = frac }
-}
-
-// WithSizeDrift oscillates the population by ±frac per epoch (the §III
-// "system size is Θ(n)" remark; default 0 keeps it constant).
-func WithSizeDrift(frac float64) Option { return func(c *config) { c.sizeDrift = frac } }
-
 // WithObserver streams telemetry to obs; see Observer. A nil observer
 // (the default) is free: no events are constructed.
 func WithObserver(obs Observer) Option { return func(c *config) { c.observer = obs } }
@@ -139,15 +114,6 @@ func (c *config) validate() error {
 	}
 	if c.strategy < Uniform || c.strategy > NearKey {
 		return fmt.Errorf("%w: unknown strategy %d", ErrBadConfig, int(c.strategy))
-	}
-	if c.spamFactor < 0 {
-		return fmt.Errorf("%w: negative spam factor %d", ErrBadConfig, c.spamFactor)
-	}
-	if c.midEpochDepartures < 0 || c.midEpochDepartures >= 1 {
-		return fmt.Errorf("%w: mid-epoch departure fraction %v outside [0, 1)", ErrBadConfig, c.midEpochDepartures)
-	}
-	if c.sizeDrift < 0 || c.sizeDrift >= 1 {
-		return fmt.Errorf("%w: size drift %v outside [0, 1)", ErrBadConfig, c.sizeDrift)
 	}
 	if c.mintWork < 2 {
 		return fmt.Errorf("%w: mint work %v too low (need ≥ 2 expected attempts)", ErrBadConfig, c.mintWork)

@@ -61,8 +61,8 @@ type LookupInfo struct {
 // the epoch layer's statistics; see AdvanceEpoch).
 type Stats struct {
 	Epoch int
-	// N is the population size of the generation built this epoch
-	// (differs from the configured n only under WithSizeDrift).
+	// N is the population size of the generation built this epoch (the
+	// configured n: a System's population does not drift).
 	N int
 	// QfSingle / QfDual are the measured failure probabilities of a single
 	// old-graph search and of the both-graphs-fail event (≈ q_f and q_f²).
@@ -259,19 +259,27 @@ func New(n int, opts ...Option) (*System, error) {
 	return s, nil
 }
 
-// Close releases the system's construction worker pool. It is idempotent;
-// every other operation on a closed System fails with ErrClosed, except
-// reads through a Snapshot pinned before the close (immutable generation
-// data needs no pool).
+// Close releases the system's construction worker pool and, on a durable
+// System, syncs and closes the op log — the one fsync of the puts
+// acknowledged since the last snapshot, whose failure Close returns. It is
+// idempotent: a second Close returns nil. Every other operation on a
+// closed System fails with ErrClosed, except reads through a Snapshot
+// pinned before the close (immutable generation data needs no pool).
 func (s *System) Close() error {
 	s.wmu.lockWait()
 	defer s.wmu.unlock()
-	if s.closed.CompareAndSwap(false, true) {
-		s.dyn.Close()
-		if d := s.durable; d != nil && d.oplog != nil {
-			d.oplog.Close()
-			d.oplog = nil
-		}
+	if !s.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	s.dyn.Close()
+	d := s.durable
+	if d == nil || d.oplog == nil {
+		return nil
+	}
+	err := d.oplog.Close()
+	d.oplog = nil
+	if err != nil {
+		return fmt.Errorf("tinygroups: close op log: %w", err)
 	}
 	return nil
 }

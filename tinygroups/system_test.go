@@ -29,9 +29,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{"negative beta", 256, []Option{WithBeta(-0.1)}},
 		{"unknown overlay", 256, []Option{WithOverlay("nosuch")}},
 		{"unknown strategy", 256, []Option{WithStrategy(Strategy(42))}},
-		{"negative spam", 256, []Option{WithSpamFactor(-1)}},
-		{"departures ≥ 1", 256, []Option{WithMidEpochDepartures(1.5)}},
-		{"drift ≥ 1", 256, []Option{WithSizeDrift(1.0)}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
