@@ -128,37 +128,38 @@ func BenchmarkGroupsBuild(b *testing.B) {
 	}
 }
 
+// benchRoute times rank routes from random ring IDs to random keys, one
+// reused buffer across the loop.
+func benchRoute(b *testing.B, g overlay.Graph, rng *rand.Rand) {
+	r := g.Ring()
+	var route []int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := ring.Point(rng.Uint64())
+		route, _ = g.RouteRanks(route, rng.Intn(r.Len()), r.SuccessorIndex(key), key)
+	}
+}
+
 func BenchmarkChordRoute(b *testing.B) {
 	r := benchRing(1<<14, 3)
 	g := overlay.NewChord(r)
 	rng := rand.New(rand.NewSource(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := r.At(rng.Intn(r.Len()))
-		g.Route(src, ring.Point(rng.Uint64()))
-	}
+	benchRoute(b, g, rng)
 }
 
 func BenchmarkDeBruijnRoute(b *testing.B) {
 	r := benchRing(1<<14, 5)
 	g := overlay.NewDeBruijn(r, 2)
 	rng := rand.New(rand.NewSource(6))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := r.At(rng.Intn(r.Len()))
-		g.Route(src, ring.Point(rng.Uint64()))
-	}
+	benchRoute(b, g, rng)
 }
 
 func BenchmarkViceroyRoute(b *testing.B) {
 	r := benchRing(1<<14, 7)
 	g := overlay.NewViceroy(r, 7)
 	rng := rand.New(rand.NewSource(8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := r.At(rng.Intn(r.Len()))
-		g.Route(src, ring.Point(rng.Uint64()))
-	}
+	benchRoute(b, g, rng)
 }
 
 func BenchmarkGroupSearch(b *testing.B) {
@@ -168,11 +169,12 @@ func BenchmarkGroupSearch(b *testing.B) {
 	params := groups.DefaultParams()
 	params.Beta = 0.05
 	g := groups.Build(ov, pl.BadSet(), params, hashes.H1)
-	r := ov.Ring()
+	n := ov.Ring().Len()
+	var sc groups.SearchScratch
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src := r.At(rng.Intn(r.Len()))
-		g.Search(src, ring.Point(rng.Uint64()))
+		g.SearchOutcomeDualTo(nil, rng.Intn(n), -1, ring.Point(rng.Uint64()), &sc)
 	}
 }
 

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -38,18 +39,23 @@ var stableDirs = map[string]string{
 	"cluster":    "tinygroups/cluster",
 }
 
-// TestDocRefs fails when a document points at something missing: a
-// `make <target>` the Makefile does not define, a cmd/<name> that is not a
-// directory, or — named by a document or by any Go comment in this
-// module — a *.md file that does not exist or a name qualified by
-// tinygroups, scenario or cluster that is not an exported package-level
-// name of that package. A bare option name (With…) in a Go comment must be
-// a tinygroups option.
+// TestDocRefs fails when a stable package is undocumented — no package
+// comment, or an exported declaration without a doc comment — or when a
+// document points at something missing: a `make <target>` the Makefile
+// does not define, a cmd/<name> that is not a directory, or — named by a
+// document or by any Go comment in this module — a *.md file that does not
+// exist or a name qualified by tinygroups, scenario or cluster that is not
+// an exported package-level name of that package. A bare option name
+// (With…) in a Go comment must be a tinygroups option.
 func TestDocRefs(t *testing.T) {
-	fset := token.FileSet{}
+	fset := token.NewFileSet()
 	exports := map[string]map[string]bool{}
 	for name, dir := range stableDirs {
-		exports[name] = packageNames(t, &fset, dir)
+		var undocumented []string
+		exports[name], undocumented = stablePackage(t, fset, dir)
+		for _, u := range undocumented {
+			t.Error(u)
+		}
 	}
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -100,7 +106,7 @@ func TestDocRefs(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		f, err := parser.ParseFile(&fset, path, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 		if err != nil {
 			return err
 		}
@@ -145,45 +151,165 @@ func checkAPIRefs(t *testing.T, from, text string, exports map[string]map[string
 	}
 }
 
-// packageNames returns the package-level names declared by the non-test
-// Go files of dir. go doc -short would list only the first name of each
-// var/const group.
-func packageNames(t *testing.T, fset *token.FileSet, dir string) map[string]bool {
+// stablePackage parses the non-test Go files of dir. It returns the
+// package-level names they declare (go doc -short would list only the
+// first name of each var/const group) and one finding per missing doc
+// comment: a package comment on some file; a doc comment on every exported
+// function, and on every method of an exported type; and a doc comment on
+// every exported type, const and var, on its own spec or on its enclosing
+// grouped declaration (a documented const block covers its members, as
+// godoc renders it).
+func stablePackage(t *testing.T, fset *token.FileSet, dir string) (names map[string]bool, undocumented []string) {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
+	names = map[string]bool{}
+	hasPkgDoc := false
+	complain := func(pos token.Pos, name string) {
+		undocumented = append(undocumented, fmt.Sprintf("%s: exported %s is undocumented", fset.Position(pos), name))
+	}
 	for _, path := range files {
 		if strings.HasSuffix(path, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
+		hasPkgDoc = hasPkgDoc || f.Doc != nil
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
 				if d.Recv == nil {
 					names[d.Name.Name] = true
 				}
+				if d.Name.IsExported() && (d.Recv == nil || exportedRecv(d.Recv)) && d.Doc == nil {
+					complain(d.Pos(), d.Name.Name)
+				}
 			case *ast.GenDecl:
+				blockDoc := d.Doc != nil
 				for _, spec := range d.Specs {
 					switch spec := spec.(type) {
 					case *ast.TypeSpec:
 						names[spec.Name.Name] = true
+						if spec.Name.IsExported() && spec.Doc == nil && !blockDoc {
+							complain(spec.Pos(), spec.Name.Name)
+						}
 					case *ast.ValueSpec:
+						documented := blockDoc || spec.Doc != nil || spec.Comment != nil
 						for _, n := range spec.Names {
 							names[n.Name] = true
+							if n.IsExported() && !documented {
+								complain(n.Pos(), n.Name)
+							}
 						}
 					}
 				}
 			}
 		}
 	}
-	return names
+	if len(files) > 0 && !hasPkgDoc {
+		undocumented = append(undocumented, dir+": no package comment")
+	}
+	return names, undocumented
+}
+
+// exportedRecv reports whether a method's receiver names an exported type
+// (methods on unexported types are not part of the surface godoc renders).
+func exportedRecv(recv *ast.FieldList) bool {
+	if len(recv.List) == 0 {
+		return false
+	}
+	t := recv.List[0].Type
+	for {
+		switch tt := t.(type) {
+		case *ast.StarExpr:
+			t = tt.X
+		case *ast.IndexExpr: // generic receiver T[P]
+			t = tt.X
+		case *ast.IndexListExpr: // generic receiver T[P1, P2]
+			t = tt.X
+		case *ast.Ident:
+			return tt.IsExported()
+		default:
+			return false
+		}
+	}
+}
+
+// writePkg materializes a one-file package in a temp dir and returns the
+// dir.
+func writePkg(t *testing.T, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestDocCommentFindings pins what stablePackage reports as undocumented.
+func TestDocCommentFindings(t *testing.T) {
+	dir := writePkg(t, `package p
+
+func Undocumented() {}
+
+type AlsoUndocumented struct{}
+
+// Documented is fine.
+func Documented() {}
+
+// unexported needs nothing.
+func unexported() {}
+
+const Loose = 1
+`)
+	_, found := stablePackage(t, token.NewFileSet(), dir)
+	out := strings.Join(found, "\n")
+	for _, want := range []string{
+		"no package comment", "Undocumented", "AlsoUndocumented", "Loose",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("findings missing %q:\n%s", want, out)
+		}
+	}
+	if len(found) != 4 {
+		t.Errorf("%d findings, want 4:\n%s", len(found), out)
+	}
+}
+
+// TestDocCommentCleanPackage pins what stablePackage accepts as documented.
+func TestDocCommentCleanPackage(t *testing.T) {
+	dir := writePkg(t, `// Package p is documented.
+package p
+
+// Kind is documented.
+type Kind int
+
+// The kinds, documented as a block.
+const (
+	A Kind = iota
+	B
+)
+
+// F is documented.
+func F() {}
+
+// M is documented.
+func (Kind) M() {}
+
+// internal methods need nothing.
+type hidden int
+
+func (hidden) m() {}
+
+func (hidden) Exported() {}
+`)
+	if _, found := stablePackage(t, token.NewFileSet(), dir); len(found) != 0 {
+		t.Errorf("findings on a documented package:\n%s", strings.Join(found, "\n"))
+	}
 }
 
 func fileExists(path string) bool {

@@ -379,8 +379,9 @@ func (s *System) BadCount() int { return len(s.badList) }
 
 // tallyDual folds one dual-search outcome pair into the worker's tallies
 // and reports whether the step was corrupted (all searches failed).
-// lastRank is the old-ring rank of suc(p) when the route surfaced it for
-// free, else -1. In single-graph mode only the first outcome counts.
+// lastRank is the old-ring rank of suc(p); both outcomes share one route,
+// so it is valid whenever the step was not corrupted. In single-graph mode
+// only the first outcome counts.
 func (s *System) tallyDual(o1, o2 groups.Outcome, wk *workerScratch) (corrupted bool, lastRank int) {
 	if s.g[1] == nil {
 		wk.t.messages += o1.Messages
@@ -394,40 +395,30 @@ func (s *System) tallyDual(o1, o2 groups.Outcome, wk *workerScratch) (corrupted 
 	}
 	wk.t.messages += o1.Messages + o2.Messages
 	wk.t.searches += 2
-	lastRank = o1.LastRank
-	if lastRank < 0 {
-		lastRank = o2.LastRank
-	}
 	if !o1.OK {
 		wk.t.singles++
 		if !o2.OK {
 			wk.t.duals++
-			return true, lastRank
+			return true, o1.LastRank
 		}
 	}
-	return false, lastRank
+	return false, o1.LastRank
 }
 
-// dualSearchFrom runs the §III-A dual search for point p from the ring ID
-// of rank srcRank — one overlay-route walk classified against both old
-// graphs — updating the worker's tallies.
-func (s *System) dualSearchFrom(srcRank int, p ring.Point, wk *workerScratch) (corrupted bool, lastRank int) {
-	o1, o2 := s.g[0].SearchOutcomeDualFrom(s.g[1], srcRank, p, &wk.sc)
-	return s.tallyDual(o1, o2, wk)
-}
-
-// dualSearchTo is dualSearchFrom with the target's rank already known
-// (targetRank = rank of suc(p), or -1 to resolve it from p).
-func (s *System) dualSearchTo(srcRank, targetRank int, p ring.Point, wk *workerScratch) (corrupted bool, lastRank int) {
+// dualSearch runs the §III-A dual search for point p from the ring ID of
+// rank srcRank — one overlay-route walk classified against both old
+// graphs — updating the worker's tallies. targetRank is the rank of
+// suc(p) when already known, else -1.
+func (s *System) dualSearch(srcRank, targetRank int, p ring.Point, wk *workerScratch) (corrupted bool, lastRank int) {
 	o1, o2 := s.g[0].SearchOutcomeDualTo(s.g[1], srcRank, targetRank, p, &wk.sc)
 	return s.tallyDual(o1, o2, wk)
 }
 
-// dualFailsSelf is dualFails for the degenerate verification search a
+// dualFailsSelf is dualSearch for the degenerate verification search a
 // member-point target u runs for a point p it owns: the overlay route from
 // u to suc(p) = u is the single group G_u, so the dual search reduces to
 // red checks on G_u — no route walk, no messages. ui is u's old-ring rank.
-// Outcome and tallies are exactly those of dualFails(u, p, wk).
+// Outcome and tallies are exactly those of dualSearch(ui, ui, p, wk).
 func (s *System) dualFailsSelf(ui int, wk *workerScratch) bool {
 	red1 := s.g[0].GroupAt(ui).Red()
 	if s.g[1] == nil {
@@ -493,7 +484,7 @@ func (s *System) buildID(wk *workerScratch, wi int, w ring.Point, epochSeed int6
 		// rank-wi slot of the shared member arena.
 		mlist := s.memberArena[(l*n+wi)*size : (l*n+wi)*size : (l*n+wi+1)*size]
 		for _, p := range hashFns[l].PointsAt(w, size, wk.ptBuf) {
-			fail, ui := s.dualSearchFrom(boot, p, wk)
+			fail, ui := s.dualSearch(boot, -1, p, wk)
 			if fail {
 				// Both location searches failed: the adversary answers.
 				if id, ok := s.badOldID(&rng); ok {
@@ -501,9 +492,6 @@ func (s *System) buildID(wk *workerScratch, wi int, w ring.Point, epochSeed int6
 					wk.t.forcedBad++
 				}
 				continue
-			}
-			if ui < 0 {
-				ui = s.ids.SuccessorIndex(p)
 			}
 			u, uBad := s.ids.At(ui), s.badRank[ui]
 			if !uBad && s.cfg.VerifyRequests {
@@ -522,7 +510,7 @@ func (s *System) buildID(wk *workerScratch, wi int, w ring.Point, epochSeed int6
 		// Neighbor requests (§III-A): locate every element of L_w and have
 		// it verify; a failure on either side leaves G_w confused (Lemma 8).
 		for _, u := range newOv.Neighbors(w) {
-			fail, sucRank := s.dualSearchFrom(boot, u, wk)
+			fail, sucRank := s.dualSearch(boot, -1, u, wk)
 			if fail {
 				s.confused[l][wi] = true
 				continue
@@ -535,7 +523,7 @@ func (s *System) buildID(wk *workerScratch, wi int, w ring.Point, epochSeed int6
 			// its own bootstrap group while the new graphs are under
 			// construction). The location search above already resolved
 			// suc(u)'s rank, so the verification route reuses it.
-			if vfail, _ := s.dualSearchTo(s.bootRankFrom(&rng), sucRank, u, wk); vfail {
+			if vfail, _ := s.dualSearch(s.bootRankFrom(&rng), sucRank, u, wk); vfail {
 				wk.t.errReject++
 				s.confused[l][wi] = true
 			}
@@ -763,7 +751,7 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 				// A bogus request never hashes to u, so u accepts only if
 				// both of its verification searches fail.
 				p := ring.Point(rng.Uint64())
-				if fail, _ := s.dualSearchFrom(ui, p, wk); fail {
+				if fail, _ := s.dualSearch(ui, -1, p, wk); fail {
 					wk.t.spamAcc++
 				}
 			}
@@ -836,13 +824,17 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 		st.QfDual = float64(tot.duals) / float64(denom)
 	}
 
-	// Lemma 10: membership state of the serving (old) generation.
-	totalMemberships := 0
-	for _, id := range s.goodList {
-		totalMemberships += len(newG[0].MemberOf(id))
+	// Lemma 10: membership state of the serving (old) generation. A member
+	// slot is good exactly when it holds a good old ID (forced slots are
+	// bad), so the good slots of the first new graph are the memberships
+	// of goodList.
+	goodSlots := 0
+	for i := 0; i < newG[0].N(); i++ {
+		grp := newG[0].GroupAt(i)
+		goodSlots += grp.Size() - grp.BadCount()
 	}
 	if len(s.goodList) > 0 {
-		st.MeanMemberships = float64(totalMemberships) / float64(len(s.goodList))
+		st.MeanMemberships = float64(goodSlots) / float64(len(s.goodList))
 	}
 
 	// Post-construction robustness of the new generation. Last abort

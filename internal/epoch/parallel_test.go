@@ -111,40 +111,37 @@ func TestRunEpochWorkerCountInvarianceSingleGraph(t *testing.T) {
 	}
 }
 
-// TestSearchOutcomeAllocFree gates the dual-search inner loop at zero
-// allocations per operation once the scratch is warm.
+// TestSearchOutcomeAllocFree gates the search primitive — single and dual,
+// on every overlay — and its point-form wrapper at zero allocations per
+// operation once the scratch is warm.
 func TestSearchOutcomeAllocFree(t *testing.T) {
-	cfg := DefaultConfig(512)
-	cfg.Seed = 35
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	g := s.Graphs()
-	var sc groups.SearchScratch
-	r := s.Ring()
-	// Warm the scratch buffers.
-	g[0].SearchOutcome(r.At(0), 12345, &sc)
-	g[0].SearchOutcomeDual(g[1], r.At(1), 99999, &sc)
-	i := 0
-	if allocs := testing.AllocsPerRun(200, func() {
-		i++
-		g[0].SearchOutcome(r.At(i%r.Len()), ring_(i*7919), &sc)
-	}); allocs != 0 {
-		t.Errorf("SearchOutcome allocates %.1f/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		i++
-		g[0].SearchOutcomeDual(g[1], r.At(i%r.Len()), ring_(i*104729), &sc)
-	}); allocs != 0 {
-		t.Errorf("SearchOutcomeDual allocates %.1f/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		i++
-		g[0].SearchOutcomeDualFrom(g[1], i%r.Len(), ring_(i*31337), &sc)
-	}); allocs != 0 {
-		t.Errorf("SearchOutcomeDualFrom allocates %.1f/op, want 0", allocs)
+	for _, ov := range []string{"chord", "debruijn", "viceroy"} {
+		cfg := DefaultConfig(512)
+		cfg.Seed = 35
+		cfg.Overlay = ov
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		g := s.Graphs()
+		var sc groups.SearchScratch
+		r := s.Ring()
+		// Warm the scratch buffer.
+		g[0].SearchOutcomeDualTo(g[1], 1, -1, 99999, &sc)
+		i := 0
+		if allocs := testing.AllocsPerRun(200, func() {
+			i++
+			g[0].SearchOutcome(r.At(i%r.Len()), ring_(i*7919), &sc)
+		}); allocs != 0 {
+			t.Errorf("%s: SearchOutcome allocates %.1f/op, want 0", ov, allocs)
+		}
+		if allocs := testing.AllocsPerRun(200, func() {
+			i++
+			g[0].SearchOutcomeDualTo(g[1], i%r.Len(), -1, ring_(i*104729), &sc)
+		}); allocs != 0 {
+			t.Errorf("%s: dual SearchOutcomeDualTo allocates %.1f/op, want 0", ov, allocs)
+		}
 	}
 }
 

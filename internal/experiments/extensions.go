@@ -50,10 +50,10 @@ func E14SecureRouting(ctx context.Context, o Options, em Emitter) error {
 		delivered, agree, mixedIntact, mixedTotal := 0, 0, 0, 0
 		var msgs int64
 		for i := 0; i < trials; i++ {
-			src := r.At(rng.Intn(r.Len()))
+			si := rng.Intn(r.Len())
 			key := ring.Point(rng.Uint64())
-			proto := secroute.Route(g, src, key)
-			score := g.Search(src, key)
+			proto := secroute.Route(g, r.At(si), key)
+			score, _ := g.SearchOutcomeDualTo(nil, si, -1, key, nil)
 			if proto.Delivered {
 				delivered++
 			}

@@ -54,11 +54,5 @@ func (g *Graph) RemoveMembers(departed map[ring.Point]bool) DepartureReport {
 			rep.Undersized++
 		}
 	}
-	// Rebuild the membership index.
-	for id := range g.memberOf {
-		if departed[id] {
-			delete(g.memberOf, id)
-		}
-	}
 	return rep
 }

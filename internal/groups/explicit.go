@@ -1,9 +1,6 @@
 package groups
 
-import (
-	"repro/internal/overlay"
-	"repro/internal/ring"
-)
+import "repro/internal/overlay"
 
 // BuildExplicitRanked constructs a group graph from externally assembled
 // memberships — the dynamic case (§III), where the members of each new
@@ -18,17 +15,9 @@ import (
 // The member slices are retained by the graph, not copied; confused may be
 // nil.
 func BuildExplicitRanked(ov overlay.Graph, params Params, members [][]Member, confused []bool) *Graph {
-
 	r := ov.Ring()
 	n := r.Len()
-	g := &Graph{
-		ov:       ov,
-		params:   params,
-		byRank:   make([]*Group, n),
-		memberOf: make(map[ring.Point][]ring.Point, n),
-		size:     params.SizeFor(n),
-	}
-	g.buildRankIndex()
+	g := &Graph{ov: ov, params: params, byRank: make([]*Group, n), size: params.SizeFor(n)}
 	groupArena := make([]Group, n)
 	for wi, w := range r.Points() {
 		grp := &groupArena[wi]
@@ -41,9 +30,6 @@ func BuildExplicitRanked(ov overlay.Graph, params Params, members [][]Member, co
 		}
 		g.classify(grp)
 		g.byRank[wi] = grp
-		for _, m := range grp.Members {
-			g.memberOf[m.ID] = append(g.memberOf[m.ID], w)
-		}
 	}
 	return g
 }

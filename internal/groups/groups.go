@@ -9,7 +9,6 @@ package groups
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/hashes"
 	"repro/internal/overlay"
@@ -119,73 +118,11 @@ func (g *Group) BadCount() int {
 type Graph struct {
 	ov     overlay.Graph
 	params Params
-	hash   hashes.Func
 	// byRank indexes groups by their leader's rank on the ring — leaders
-	// are exactly the ring's points, so a leader resolves to its group by
-	// rank instead of hashing a map[ring.Point]*Group per search hop.
+	// are exactly the ring's points, and routes arrive as ranks, so a
+	// search hop resolves its group by direct index.
 	byRank []*Group
-	// pts/idxStart/idxShift form a radix bucket index over the (immutable
-	// post-build) leader set: bucket b holds the first rank whose point's
-	// top bits reach b. With u.a.r. IDs a lookup costs ~1 probe; see rankOf.
-	pts      []ring.Point
-	idxStart []int32
-	idxShift uint
-	// memberOf indexes which groups each ID belongs to (state accounting,
-	// Lemma 10).
-	memberOf map[ring.Point][]ring.Point
-	size     int // target group size used at build time
-	// rr is the overlay's rank-route extension, if it has one — the search
-	// fast path classifies rank routes without any per-hop rank lookup.
-	rr overlay.RankRouter
-}
-
-// buildRankIndex precomputes the radix bucket index over the leader points.
-func (g *Graph) buildRankIndex() {
-	g.rr, _ = g.ov.(overlay.RankRouter)
-	pts := g.ov.Ring().Points()
-	g.pts = pts
-	n := len(pts)
-	if n == 0 {
-		return
-	}
-	k := bits.Len(uint(n - 1)) // buckets = 2^k ≥ n, so density ≤ 1
-	buckets := 1 << k
-	g.idxShift = uint(64 - k)
-	start := make([]int32, buckets+1)
-	b := 0
-	for i, p := range pts {
-		pb := int(uint64(p) >> g.idxShift)
-		for b <= pb {
-			start[b] = int32(i)
-			b++
-		}
-	}
-	for ; b <= buckets; b++ {
-		start[b] = int32(n)
-	}
-	g.idxStart = start
-}
-
-// rankOf returns the rank of leader p, or ok=false if p leads no group.
-// Expected cost is one bucket probe plus ~1 comparison (u.a.r. leaders);
-// a clustered bucket falls back to the ring's O(log n) search after a
-// bounded scan, so adversarial placements cannot degrade it past that.
-func (g *Graph) rankOf(p ring.Point) (int, bool) {
-	if g.idxStart == nil {
-		return 0, false
-	}
-	i := int(g.idxStart[uint64(p)>>g.idxShift])
-	pts := g.pts
-	for scan := 0; scan < 16; scan++ {
-		if i >= len(pts) || pts[i] > p {
-			return 0, false
-		}
-		if pts[i] == p {
-			return i, true
-		}
-		i++
-	}
-	return g.ov.Ring().Index(p)
+	size   int // target group size used at build time
 }
 
 // Build constructs the group graph over ov. The i-th member of G_w is
@@ -200,86 +137,38 @@ func Build(ov overlay.Graph, badIDs map[ring.Point]bool, params Params, h hashes
 // BuildSized is Build with an explicit group size — used by the Θ(log n)
 // baseline construction and by group-size sweeps (experiment E8).
 //
-// The construction is a two-pass, arena-backed pipeline: pass 1 batch-hashes
-// every member point (hashes.PointsAt) and resolves it to a ring rank
-// (ring.SuccessorIndex), counting per-ID memberships; pass 2 carves all
-// groups, member lists and membership-index lists out of three shared
-// arenas. Group contents are bit-identical to the naive per-member loop —
-// only the allocation pattern changes (O(1) allocations instead of one per
-// group and per membership-list growth).
+// Every member point is batch-hashed (hashes.PointsAt) and resolved to a
+// ring rank (ring.SuccessorIndex); groups and member lists are carved out
+// of two shared arenas, so a build makes O(1) allocations instead of one
+// per group.
 func BuildSized(ov overlay.Graph, badIDs map[ring.Point]bool, params Params, h hashes.Func, size int) *Graph {
 	r := ov.Ring()
 	n := r.Len()
-	g := &Graph{
-		ov:       ov,
-		params:   params,
-		hash:     h,
-		byRank:   make([]*Group, n),
-		memberOf: make(map[ring.Point][]ring.Point, n),
-		size:     size,
-	}
+	g := &Graph{ov: ov, params: params, byRank: make([]*Group, n), size: size}
 	if n == 0 {
 		return g
 	}
-	g.buildRankIndex()
 	pts := r.Points()
-
 	badRank := make([]bool, n)
 	for id := range badIDs {
 		if i, ok := r.Index(id); ok {
 			badRank[i] = true
 		}
 	}
-
-	// Pass 1: member ranks and per-ID membership counts.
-	total := n * size
-	ranks := make([]int32, total)
-	counts := make([]int32, n)
-	ptBuf := make([]ring.Point, size)
-	for wi := range pts {
-		h.PointsAt(pts[wi], size, ptBuf)
-		row := ranks[wi*size : (wi+1)*size]
-		for i, p := range ptBuf {
-			mi := int32(r.SuccessorIndex(p))
-			row[i] = mi
-			counts[mi]++
-		}
-	}
-
-	// Pass 2a: groups and member lists from shared arenas.
 	groupArena := make([]Group, n)
-	memberArena := make([]Member, total)
-	for wi := range pts {
+	memberArena := make([]Member, n*size)
+	ptBuf := make([]ring.Point, size)
+	for wi, w := range pts {
 		ms := memberArena[wi*size : (wi+1)*size : (wi+1)*size]
-		for i, mi := range ranks[wi*size : (wi+1)*size] {
+		for i, p := range h.PointsAt(w, size, ptBuf) {
+			mi := r.SuccessorIndex(p)
 			ms[i] = Member{ID: pts[mi], Bad: badRank[mi]}
 		}
 		grp := &groupArena[wi]
-		grp.Leader = pts[wi]
+		grp.Leader = w
 		grp.Members = ms
 		g.classify(grp)
 		g.byRank[wi] = grp
-	}
-
-	// Pass 2b: membership index with exact-size lists from one arena, filled
-	// in ascending leader order (the order the naive loop appended in).
-	leaderArena := make([]ring.Point, total)
-	off := make([]int32, n+1)
-	for i, c := range counts {
-		off[i+1] = off[i] + c
-	}
-	fill := make([]int32, n)
-	for wi := range pts {
-		for _, mi := range ranks[wi*size : (wi+1)*size] {
-			leaderArena[off[mi]+fill[mi]] = pts[wi]
-			fill[mi]++
-		}
-	}
-	for mi, c := range counts {
-		if c == 0 {
-			continue
-		}
-		g.memberOf[pts[mi]] = leaderArena[off[mi]:off[mi+1]:off[mi+1]]
 	}
 	return g
 }
@@ -309,23 +198,19 @@ func (g *Graph) classify(grp *Group) {
 // Overlay returns the underlying input graph.
 func (g *Graph) Overlay() overlay.Graph { return g.ov }
 
-// Params returns the build parameters.
-func (g *Graph) Params() Params { return g.params }
-
 // GroupSize returns the target group size used at build time.
 func (g *Graph) GroupSize() int { return g.size }
 
 // Group returns G_w, or nil if w leads no group.
 func (g *Graph) Group(w ring.Point) *Group {
-	i, ok := g.rankOf(w)
-	if !ok {
-		return nil
+	if i, ok := g.ov.Ring().Index(w); ok {
+		return g.byRank[i]
 	}
-	return g.byRank[i]
+	return nil
 }
 
 // GroupAt returns the group led by the ring's i-th point — the search hot
-// path's lookup when the rank is already known.
+// path's lookup, since routes arrive as ranks.
 func (g *Graph) GroupAt(i int) *Group { return g.byRank[i] }
 
 // Groups iterates over all groups in ring order of their leaders.
@@ -341,17 +226,6 @@ func (g *Graph) Groups() []*Group {
 
 // N returns the number of groups.
 func (g *Graph) N() int { return len(g.byRank) }
-
-// MemberOf returns the leaders of all groups containing id.
-func (g *Graph) MemberOf(id ring.Point) []ring.Point { return g.memberOf[id] }
-
-// SetConfused marks G_w as confused (used by the dynamic construction when
-// a neighbor request fails, §III-B).
-func (g *Graph) SetConfused(w ring.Point, confused bool) {
-	if grp := g.Group(w); grp != nil {
-		grp.Confused = confused
-	}
-}
 
 // RedFraction returns the fraction of red groups — the empirical p_f of S2.
 func (g *Graph) RedFraction() float64 {

@@ -105,25 +105,6 @@ func TestMemberBadFlagsMatchPlacement(t *testing.T) {
 	}
 }
 
-func TestMemberOfIndexConsistent(t *testing.T) {
-	g, _ := buildTest(256, 0.1, 4)
-	// Forward check: every membership is indexed.
-	for _, grp := range g.Groups() {
-		for _, m := range grp.Members {
-			found := false
-			for _, l := range g.MemberOf(m.ID) {
-				if l == grp.Leader {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("memberOf index missing %v ∈ G_%v", m.ID, grp.Leader)
-			}
-		}
-	}
-}
-
 func TestMajorityClassification(t *testing.T) {
 	p := DefaultParams()
 	g := &Graph{params: p, ov: overlay.NewChord(ring.New([]ring.Point{1, 2, 3}))}
@@ -206,31 +187,35 @@ func TestSearchFailsExactlyOnRedGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	r := g.Overlay().Ring()
 	for i := 0; i < 300; i++ {
-		src := r.At(rng.Intn(r.Len()))
+		si := rng.Intn(r.Len())
 		key := ring.Point(rng.Uint64())
-		res := g.Search(src, key)
+		res, _ := g.SearchOutcomeDualTo(nil, si, -1, key, nil)
+		route, ok := g.Overlay().RouteRanks(nil, si, r.SuccessorIndex(key), key)
+		if !ok || res.Hops < 1 || res.Hops > len(route) {
+			t.Fatalf("search of %d hops over a route of %d (ok=%v)", res.Hops, len(route), ok)
+		}
+		path := route[:res.Hops]
 		if res.OK {
 			if res.FailedAt != -1 {
 				t.Fatal("OK search must have FailedAt = -1")
 			}
-			for _, w := range res.Path {
-				if g.Group(w).Red() {
+			for _, ri := range path {
+				if g.GroupAt(int(ri)).Red() {
 					t.Fatal("successful search traversed a red group")
 				}
 			}
-			if got, want := res.Path[len(res.Path)-1], r.Successor(key); got != want {
+			if got, want := r.At(res.LastRank), r.Successor(key); len(path) != len(route) || got != want {
 				t.Fatalf("search ended at %v, want %v", got, want)
 			}
 		} else {
-			if res.FailedAt < 0 || res.FailedAt >= len(res.Path) {
-				t.Fatalf("failed search FailedAt=%d out of range", res.FailedAt)
+			if res.FailedAt != len(path)-1 {
+				t.Fatalf("failed search FailedAt=%d, want its last hop %d", res.FailedAt, len(path)-1)
 			}
-			last := res.Path[len(res.Path)-1]
-			if !g.Group(last).Red() {
+			if !g.GroupAt(int(path[res.FailedAt])).Red() {
 				t.Fatal("failed search must end at its first red group")
 			}
-			for _, w := range res.Path[:len(res.Path)-1] {
-				if g.Group(w).Red() {
+			for _, ri := range path[:res.FailedAt] {
+				if g.GroupAt(int(ri)).Red() {
 					t.Fatal("search path contains a red group before FailedAt")
 				}
 			}
@@ -246,11 +231,11 @@ func TestSearchMessageAccounting(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		src := r.At(rng.Intn(r.Len()))
 		key := ring.Point(rng.Uint64())
-		res := g.Search(src, key)
+		res := g.SearchOutcome(src, key, nil)
 		if !res.OK {
 			t.Fatal("search must succeed with no adversary")
 		}
-		want := int64(len(res.Path)-1) * sz * sz
+		want := int64(res.Hops-1) * sz * sz
 		if res.Messages != want {
 			t.Fatalf("messages = %d, want %d (uniform group size)", res.Messages, want)
 		}
@@ -262,15 +247,14 @@ func TestConfusedGroupFailsSearches(t *testing.T) {
 	r := g.Overlay().Ring()
 	// Confuse one group and search directly for its leader's key space.
 	victim := r.At(100)
-	g.SetConfused(victim, true)
+	g.Group(victim).Confused = true
 	if !g.Group(victim).Red() {
 		t.Fatal("confused group must be red")
 	}
-	res := g.Search(victim, 0)
-	if res.OK {
-		t.Error("search initiated at a confused group must fail")
+	if res := g.SearchOutcome(victim, 0, nil); res.OK || res.FailedAt != 0 {
+		t.Errorf("search initiated at a confused group must fail at once, got %+v", res)
 	}
-	g.SetConfused(victim, false)
+	g.Group(victim).Confused = false
 	if g.Group(victim).Red() {
 		t.Fatal("unconfusing must clear red status")
 	}

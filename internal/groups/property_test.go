@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/hashes"
 	"repro/internal/ring"
 )
 
@@ -52,25 +53,21 @@ func TestSearchPathPrefixProperty(t *testing.T) {
 	g, _ := buildTest(512, 0.15, 52)
 	r := g.Overlay().Ring()
 	rng := rand.New(rand.NewSource(53))
+	var sc SearchScratch
 	for i := 0; i < 300; i++ {
-		src := r.At(rng.Intn(r.Len()))
+		si := rng.Intn(r.Len())
 		key := ring.Point(rng.Uint64())
-		res := g.Search(src, key)
-		route, ok := g.Overlay().Route(src, key)
+		res, _ := g.SearchOutcomeDualTo(nil, si, -1, key, &sc)
+		route, ok := g.Overlay().RouteRanks(nil, si, r.SuccessorIndex(key), key)
 		if !ok {
 			t.Fatal("overlay route failed")
 		}
-		if len(res.Path) > len(route) {
+		if res.Hops > len(route) {
 			t.Fatal("search path longer than overlay route")
 		}
 		var wantMsgs int64
-		for h, w := range res.Path {
-			if route[h] != w {
-				t.Fatal("search path diverged from overlay route")
-			}
-			if h > 0 {
-				wantMsgs += int64(g.Group(route[h-1]).Size()) * int64(g.Group(w).Size())
-			}
+		for h := 1; h < res.Hops; h++ {
+			wantMsgs += int64(g.GroupAt(int(route[h-1])).Size()) * int64(g.GroupAt(int(route[h])).Size())
 		}
 		if res.Messages != wantMsgs {
 			t.Fatalf("messages %d, want %d", res.Messages, wantMsgs)
@@ -91,8 +88,7 @@ func TestFractionConsistencyProperty(t *testing.T) {
 			t.Fatalf("seed %d: red fraction out of range", seed)
 		}
 		// Confuse a group: red must not decrease, bad must not change.
-		victim := g.Overlay().Ring().At(0)
-		g.SetConfused(victim, true)
+		g.GroupAt(0).Confused = true
 		if g.RedFraction() < red {
 			t.Fatal("confusing a group decreased red fraction")
 		}
@@ -107,8 +103,7 @@ func TestFractionConsistencyProperty(t *testing.T) {
 func TestBuildDeterministicProperty(t *testing.T) {
 	g1, pl := buildTest(256, 0.1, 54)
 	ov := g1.Overlay()
-	params := g1.Params()
-	g2 := Build(ov, pl.BadSet(), params, g1.hash)
+	g2 := Build(ov, pl.BadSet(), g1.params, hashes.H1)
 	for _, w := range ov.Ring().Points() {
 		a, b := g1.Group(w), g2.Group(w)
 		if a.Bad != b.Bad || a.Size() != b.Size() {

@@ -6,110 +6,95 @@ import (
 	"repro/internal/ring"
 )
 
-// SearchResult describes one search in the group graph.
-type SearchResult struct {
-	// Path is the search path: the prefix of the lifted overlay route up to
-	// and including the first red group (§II: responsibility is defined on
-	// search paths because the adversary controls routing after the first
-	// red group).
-	Path []ring.Point
+// Outcome is the result of one search in the group graph (§II): the
+// overlay route from the initiating group toward suc(key), lifted to
+// groups and walked with all-to-all exchange until it completes or hits
+// its first red group. The path itself never escapes; callers that need
+// it walk the overlay route themselves.
+type Outcome struct {
 	// OK is true iff the search traversed only blue groups and the overlay
 	// route terminated (the search succeeded).
 	OK bool
-	// FailedAt is the index into Path of the first red group, or -1.
+	// FailedAt is the hop index of the first red group, or -1.
 	FailedAt int
+	// Hops is the number of groups traversed — the search path: the full
+	// route on success, the prefix up to and including the first red group
+	// on failure (§II defines responsibility on search paths because the
+	// adversary controls routing after the first red group), and the whole
+	// attempted route when the overlay route itself failed.
+	Hops int
+	// LastRank is the ring rank of the route's terminal ID suc(key) when
+	// the overlay route terminated, else -1. Callers that need suc(key)
+	// anyway — the epoch pipeline resolves every member point's owner —
+	// read it instead of paying a second successor search.
+	LastRank int
 	// Messages counts the secure-routing cost actually incurred: |G_a|·|G_b|
 	// per traversed group-graph edge (all-to-all exchange), accumulated
 	// until success or first failure.
 	Messages int64
 }
 
-// Search runs a search initiated by the group G_src for key. It lifts the
-// overlay route src → suc(key) to groups and walks it, charging all-to-all
-// messages per hop, until it either completes (all blue) or hits the first
-// red group.
-func (g *Graph) Search(src, key ring.Point) SearchResult {
-	route, ok := g.ov.Route(src, key)
-	res := SearchResult{FailedAt: -1}
-	if !ok {
-		// The overlay itself failed to route (cannot happen on an honest
-		// ring; treated as failure).
-		res.Path = route
-		return res
-	}
-	var prev *Group
-	for i, w := range route {
-		var grp *Group
-		if wi, isLeader := g.rankOf(w); isLeader {
-			grp = g.byRank[wi]
-		}
-		if grp == nil {
-			// Route passed through an ID with no group (cannot happen when
-			// every ID leads a group); treat as red.
-			res.Path = append(res.Path, w)
-			res.FailedAt = i
-			return res
-		}
-		res.Path = append(res.Path, w)
-		if prev != nil {
-			res.Messages += int64(prev.Size()) * int64(grp.Size())
-		}
-		if grp.Red() {
-			res.FailedAt = i
-			return res
-		}
-		prev = grp
-	}
-	res.OK = true
-	return res
-}
-
-// Outcome is the path-free result of a search: everything SearchResult
-// reports except the path itself, which no construction-side caller reads.
-// It is the return shape of the 0 allocs/op fast path the epoch pipeline's
-// dual-search inner loop runs on.
-type Outcome struct {
-	// OK is true iff the search traversed only blue groups and the overlay
-	// route terminated.
-	OK bool
-	// FailedAt is the hop index of the first red group, or -1.
-	FailedAt int
-	// Hops is the number of groups traversed: the full route length on
-	// success, the prefix up to and including the first red group on
-	// failure (|Path| of the equivalent SearchResult).
-	Hops int
-	// LastRank is the ring rank of the route's terminal ID suc(key) when
-	// the overlay route terminated and the rank was available for free
-	// (rank-routed overlays), else -1. Callers that need suc(key) anyway —
-	// the epoch pipeline resolves every member point's owner — read it
-	// instead of paying a second successor search.
-	LastRank int
-	// Messages counts the secure-routing cost actually incurred, exactly as
-	// SearchResult.Messages.
-	Messages int64
-}
-
-// SearchScratch holds the reusable buffers of the path-free search fast
-// path. One scratch serves any number of sequential searches across any
-// graphs; concurrent searchers need one scratch each (the epoch pipeline
-// keeps one per worker). The zero value is ready to use.
+// SearchScratch holds the reusable route buffer of the search primitive.
+// One scratch serves any number of sequential searches across any graphs;
+// concurrent searchers need one scratch each (the epoch pipeline keeps one
+// per worker). The zero value is ready to use.
 type SearchScratch struct {
-	route []ring.Point
 	ranks []int32
 }
 
-// classifyRanks walks a rank route, accumulating message cost until
-// success or the first red group — the rank twin of Search's loop, minus
-// the per-hop rank lookup (ranks index byRank directly).
-func (g *Graph) classifyRanks(ranks []int32, ok bool) Outcome {
+// SearchOutcomeDualTo runs the search for key initiated by the group led
+// by the ring's srcRank-th ID. With a non-nil g2 it is the §III-A dual
+// search: the same search in a second group graph over the same overlay
+// (the two graphs of an epoch generation always share one), classified
+// from the one overlay route, so both outcomes cost a single walk. With a
+// nil g2 it is a single search and both outcomes are g's.
+//
+// targetRank is the ring rank of suc(key), or -1 to resolve it from key;
+// callers that verify a location they just searched — the epoch's
+// neighbor verification re-targets the suc it located one step earlier —
+// skip the second successor search this way. The route lives in sc's
+// buffer (a nil sc uses a transient one), so steady-state searches make
+// zero allocations.
+func (g *Graph) SearchOutcomeDualTo(g2 *Graph, srcRank, targetRank int, key ring.Point, sc *SearchScratch) (Outcome, Outcome) {
+	if sc == nil {
+		sc = &SearchScratch{}
+	}
+	if targetRank < 0 {
+		targetRank = g.ov.Ring().SuccessorIndex(key)
+	}
+	ranks, ok := g.ov.RouteRanks(sc.ranks, srcRank, targetRank, key)
+	sc.ranks = ranks[:0]
+	o := g.walk(ranks, ok)
+	if g2 == nil {
+		return o, o
+	}
+	return o, g2.walk(ranks, ok)
+}
+
+// SearchOutcome is the single search for key initiated by the group led
+// by src, in point form: the benchmark module's read ladder times it. A
+// src that leads no group fails at its first hop.
+func (g *Graph) SearchOutcome(src, key ring.Point, sc *SearchScratch) Outcome {
+	si, ok := g.ov.Ring().Index(src)
+	if !ok {
+		return Outcome{FailedAt: 0, Hops: 1, LastRank: -1}
+	}
+	o, _ := g.SearchOutcomeDualTo(nil, si, -1, key, sc)
+	return o
+}
+
+// walk classifies one overlay route against g: it charges all-to-all
+// messages per hop until the route completes or reaches its first red
+// group. ok is the route's termination flag.
+func (g *Graph) walk(ranks []int32, ok bool) Outcome {
 	res := Outcome{FailedAt: -1, LastRank: -1}
 	if !ok {
+		// The overlay itself failed to route (cannot happen on an honest
+		// ring; treated as failure).
 		res.Hops = len(ranks)
 		return res
 	}
-	if len(ranks) > 0 {
-		res.LastRank = int(ranks[len(ranks)-1])
-	}
+	res.LastRank = int(ranks[len(ranks)-1])
 	var prev *Group
 	for i, ri := range ranks {
 		grp := g.byRank[ri]
@@ -125,188 +110,6 @@ func (g *Graph) classifyRanks(ranks []int32, ok bool) Outcome {
 	}
 	res.OK = true
 	return res
-}
-
-// classifyRoute is classifyRanks for a point route (overlays without the
-// rank extension), resolving each hop through the radix rank index.
-func (g *Graph) classifyRoute(route []ring.Point, ok bool) Outcome {
-	res := Outcome{FailedAt: -1, LastRank: -1}
-	if !ok {
-		// The overlay itself failed to route (cannot happen on an honest
-		// ring; treated as failure). Search reports Path = route here, so
-		// Hops mirrors the full attempted route.
-		res.Hops = len(route)
-		return res
-	}
-	var prev *Group
-	for i, w := range route {
-		var grp *Group
-		wi, isLeader := g.rankOf(w)
-		if isLeader {
-			grp = g.byRank[wi]
-		}
-		res.Hops++
-		if grp == nil {
-			res.FailedAt = i
-			return res
-		}
-		if prev != nil {
-			res.Messages += int64(prev.Size()) * int64(grp.Size())
-		}
-		if grp.Red() {
-			res.FailedAt = i
-			return res
-		}
-		if i == len(route)-1 {
-			res.LastRank = wi
-		}
-		prev = grp
-	}
-	res.OK = true
-	return res
-}
-
-// SearchOutcome is Search without materializing the path: same traversal,
-// same classification, same message accounting, but the route lives in the
-// scratch buffer (as ranks, on rank-routed overlays) and only the Outcome
-// summary escapes — 0 allocs/op in steady state. A nil scratch uses a
-// transient buffer.
-func (g *Graph) SearchOutcome(src, key ring.Point, sc *SearchScratch) Outcome {
-	if sc == nil {
-		sc = &SearchScratch{}
-	}
-	if g.rr != nil {
-		if ranks, ok, handled := g.rr.RouteRanksInto(sc.ranks, src, key); handled {
-			sc.ranks = ranks[:0]
-			return g.classifyRanks(ranks, ok)
-		}
-	}
-	route, ok := g.ov.RouteInto(sc.route, src, key)
-	sc.route = route[:0]
-	return g.classifyRoute(route, ok)
-}
-
-// SearchOutcomeDual runs the §III-A dual search — the same (src, key)
-// search in two group graphs built over one shared overlay — walking the
-// overlay route once and classifying it against both graphs in a single
-// pass. The two graphs of an epoch generation always share their input
-// graph (New builds both from one overlay), which makes every hop's group
-// rank common to both; computing the route twice was nearly half the old
-// sequential RunEpoch's cost. Falls back to two independent searches if the
-// graphs do not share an overlay. Results are identical to calling
-// SearchOutcome on each graph separately.
-func (g *Graph) SearchOutcomeDual(g2 *Graph, src, key ring.Point, sc *SearchScratch) (Outcome, Outcome) {
-	if g2 == nil {
-		o := g.SearchOutcome(src, key, sc)
-		return o, o
-	}
-	if g2.ov != g.ov {
-		return g.SearchOutcome(src, key, sc), g2.SearchOutcome(src, key, sc)
-	}
-	if sc == nil {
-		sc = &SearchScratch{}
-	}
-	if g.rr != nil {
-		if ranks, ok, handled := g.rr.RouteRanksInto(sc.ranks, src, key); handled {
-			sc.ranks = ranks[:0]
-			if !ok {
-				o := Outcome{FailedAt: -1, LastRank: -1, Hops: len(ranks)}
-				return o, o
-			}
-			return g.classifyRanksDual(g2, ranks)
-		}
-	}
-	route, ok := g.ov.RouteInto(sc.route, src, key)
-	sc.route = route[:0]
-	return g.classifyRoute(route, ok), g2.classifyRoute(route, ok)
-}
-
-// SearchOutcomeDualFrom is SearchOutcomeDual with the source given as its
-// ring rank — the form the epoch pipeline uses for bootstrap leaders,
-// whose ranks it precomputes with the blue list. g2 may be nil (single
-// search; both outcomes equal).
-func (g *Graph) SearchOutcomeDualFrom(g2 *Graph, srcRank int, key ring.Point, sc *SearchScratch) (Outcome, Outcome) {
-	return g.SearchOutcomeDualTo(g2, srcRank, -1, key, sc)
-}
-
-// SearchOutcomeDualTo is SearchOutcomeDualFrom with the target's ring rank
-// precomputed as well (targetRank = rank of suc(key); pass -1 to resolve
-// it from key). Callers that verify a location they just searched — the
-// epoch's neighbor verification re-targets the suc it located one step
-// earlier — skip the second successor search this way. On overlays without
-// the rank extension it falls back to the point route for key.
-func (g *Graph) SearchOutcomeDualTo(g2 *Graph, srcRank, targetRank int, key ring.Point, sc *SearchScratch) (Outcome, Outcome) {
-	if g.rr == nil || (g2 != nil && g2.ov != g.ov) {
-		src := g.pts[srcRank]
-		if g2 == nil {
-			o := g.SearchOutcome(src, key, sc)
-			return o, o
-		}
-		return g.SearchOutcomeDual(g2, src, key, sc)
-	}
-	if sc == nil {
-		sc = &SearchScratch{}
-	}
-	ti := targetRank
-	if ti < 0 {
-		ti = g.ov.Ring().SuccessorIndex(key)
-	}
-	ranks, ok := g.rr.RouteRanksBetween(sc.ranks, srcRank, ti)
-	sc.ranks = ranks[:0]
-	if g2 == nil {
-		o := g.classifyRanks(ranks, ok)
-		return o, o
-	}
-	if !ok {
-		o := Outcome{FailedAt: -1, LastRank: -1, Hops: len(ranks)}
-		return o, o
-	}
-	return g.classifyRanksDual(g2, ranks)
-}
-
-// classifyRanksDual classifies one terminated rank route against two
-// graphs in a single pass, stopping early once both have failed.
-func (g *Graph) classifyRanksDual(g2 *Graph, ranks []int32) (Outcome, Outcome) {
-	last := -1
-	if len(ranks) > 0 {
-		last = int(ranks[len(ranks)-1])
-	}
-	o1 := Outcome{FailedAt: -1, LastRank: last}
-	o2 := Outcome{FailedAt: -1, LastRank: last}
-	var prev1, prev2 *Group
-	alive1, alive2 := true, true
-	for i, ri := range ranks {
-		if alive1 {
-			grp := g.byRank[ri]
-			o1.Hops++
-			if prev1 != nil {
-				o1.Messages += int64(prev1.Size()) * int64(grp.Size())
-			}
-			if grp.Red() {
-				o1.FailedAt = i
-				alive1 = false
-			}
-			prev1 = grp
-		}
-		if alive2 {
-			grp := g2.byRank[ri]
-			o2.Hops++
-			if prev2 != nil {
-				o2.Messages += int64(prev2.Size()) * int64(grp.Size())
-			}
-			if grp.Red() {
-				o2.FailedAt = i
-				alive2 = false
-			}
-			prev2 = grp
-		}
-		if !alive1 && !alive2 {
-			break
-		}
-	}
-	o1.OK = alive1
-	o2.OK = alive2
-	return o1, o2
 }
 
 // Robustness aggregates the ε-robustness measurements of Theorem 3.
@@ -334,9 +137,9 @@ func (g *Graph) MeasureRobustness(samples int, rng *rand.Rand) Robustness {
 	okCount := 0
 	var sc SearchScratch
 	for i := 0; i < samples; i++ {
-		src := r.At(rng.Intn(n))
+		si := rng.Intn(n)
 		key := ring.Point(rng.Uint64())
-		res := g.SearchOutcome(src, key, &sc)
+		res, _ := g.SearchOutcomeDualTo(nil, si, -1, key, &sc)
 		totalMsgs += res.Messages
 		if !res.OK {
 			fails++
@@ -372,18 +175,23 @@ func (g *Graph) MeasureCosts(sampleIDs int, rng *rand.Rand) Costs {
 	if sampleIDs > n {
 		sampleIDs = n
 	}
+	// Membership state of every ID, in one pass over the member slots.
+	memberState := make([]int, n)
+	for _, grp := range g.byRank {
+		for _, m := range grp.Members {
+			if mi, ok := r.Index(m.ID); ok {
+				memberState[mi] += grp.Size()
+			}
+		}
+	}
 	totalState := 0
 	var hopCost int64
 	hops := 0
 	for i := 0; i < sampleIDs; i++ {
 		ui := rng.Intn(n)
-		u := r.At(ui)
-		state := 0
-		for _, leader := range g.memberOf[u] {
-			state += g.Group(leader).Size()
-		}
+		state := memberState[ui]
 		uSize := g.byRank[ui].Size()
-		for _, nb := range g.ov.Neighbors(u) {
+		for _, nb := range g.ov.Neighbors(r.At(ui)) {
 			if grp := g.Group(nb); grp != nil {
 				state += grp.Size()
 				hopCost += int64(uSize) * int64(grp.Size())

@@ -13,7 +13,7 @@ import (
 // rank-indexed arenas (the ring is immutable once a Chord is built — epoch
 // churn builds a fresh graph), so all queries after NewChord are pure reads:
 // safe for concurrent searchers and allocation-free. The parallel neighbor
-// rank table lets RouteInto walk greedy hops without a single ring search.
+// rank table lets RouteRanks walk greedy hops without a single ring search.
 type Chord struct {
 	r       *ring.Ring
 	m       int // number of finger levels, ceil(log2 N) + fingerSlack
@@ -92,55 +92,23 @@ func (c *Chord) Ring() *ring.Ring { return c.r }
 // remaining distance every hop w.h.p., so this is generous.
 func (c *Chord) MaxHops() int { return c.maxHops }
 
-// neighborsOf computes S_w from scratch — the fallback for points that are
-// not on the ring (the precomputed tables cover every ring ID).
-func (c *Chord) neighborsOf(w ring.Point) []ring.Point {
-	s := make([]ring.Point, 0, c.m+2)
-	s = appendUnique(s, c.r.StrictSuccessor(w))
-	s = appendUnique(s, c.r.Predecessor(w))
-	for i := 1; i <= c.m; i++ {
-		delta := ring.Point(1) << (64 - uint(i))
-		f := c.r.Successor(w + delta)
-		if f != w {
-			s = appendUnique(s, f)
-		}
-	}
-	return s
-}
-
 // Neighbors returns S_w: ring successor, ring predecessor, and the finger
-// successors suc(w + 1/2^i) for i = 1..m. For ring IDs this is a
-// precomputed-table read, ordered by descending clockwise progress from w;
-// the caller must not modify the result.
+// successors suc(w + 1/2^i) for i = 1..m — a precomputed-table read,
+// ordered by descending clockwise progress from w, or nil when w is not a
+// ring ID. The caller must not modify the result.
 func (c *Chord) Neighbors(w ring.Point) []ring.Point {
 	if wi, ok := c.r.Index(w); ok {
 		return c.nbr[wi]
 	}
-	return c.neighborsOf(w)
+	return nil
 }
 
-// Route performs greedy Chord routing: at each step, hop to the neighbor
-// that makes the most clockwise progress toward the key's owner without
-// overshooting it.
-func (c *Chord) Route(src, key ring.Point) ([]ring.Point, bool) {
-	return c.RouteInto(nil, src, key)
-}
-
-// RouteRanksInto is the RankRouter form of RouteInto: the same greedy walk
-// emitting ring ranks. The neighbor tables carry ranks natively, so no
-// conversion happens anywhere on the path.
-func (c *Chord) RouteRanksInto(dst []int32, src, key ring.Point) ([]int32, bool, bool) {
-	curi, onRing := c.r.Index(src)
-	if !onRing {
-		return dst, false, false
-	}
-	ranks, ok := c.RouteRanksBetween(dst, curi, c.r.SuccessorIndex(key))
-	return ranks, ok, true
-}
-
-// RouteRanksBetween is the greedy walk between two ring IDs given by rank:
-// no endpoint searches at all.
-func (c *Chord) RouteRanksBetween(dst []int32, srcRank, targetRank int) ([]int32, bool) {
+// RouteRanks performs greedy Chord routing: at each step, hop to the
+// neighbor that makes the most clockwise progress toward the target
+// without overshooting it. The neighbor tables carry ranks natively, so a
+// route costs zero ring searches and zero allocations once dst has
+// capacity; key is not needed beyond its owner's rank.
+func (c *Chord) RouteRanks(dst []int32, srcRank, targetRank int, _ ring.Point) ([]int32, bool) {
 	pts := c.r.Points()
 	curi, ti := srcRank, targetRank
 	cur, target := pts[curi], pts[ti]
@@ -151,6 +119,8 @@ func (c *Chord) RouteRanksBetween(dst []int32, srcRank, targetRank int) ([]int32
 		}
 		goal := cur.Dist(target)
 		nbrs, ranks := c.nbr[curi], c.nbrRank[curi]
+		// The table is sorted by descending progress, so the first entry
+		// not overshooting the target is the greedy maximum.
 		best := -1
 		for k, nb := range nbrs {
 			prog := cur.Dist(nb)
@@ -160,6 +130,9 @@ func (c *Chord) RouteRanksBetween(dst []int32, srcRank, targetRank int) ([]int32
 			}
 		}
 		if best < 0 {
+			// No neighbor precedes the target: the strict successor is the
+			// target itself (it is always a neighbor), so this is
+			// unreachable on a consistent ring; fail defensively.
 			return dst, false
 		}
 		cur = nbrs[best]
@@ -169,62 +142,19 @@ func (c *Chord) RouteRanksBetween(dst []int32, srcRank, targetRank int) ([]int32
 	return dst, curi == ti
 }
 
-// RouteInto is Route into a reusable buffer. Hops between ring IDs walk the
-// precomputed neighbor/rank tables, so a route costs one successor search
-// for the target plus one rank lookup for src — zero searches per hop and
-// zero allocations once dst has capacity.
+// RouteInto is RouteRanks from the ring ID src toward key, written as
+// points into dst's backing array; it is the form the benchmark module's
+// read ladder times. A src that is not a ring ID yields [src], false.
 func (c *Chord) RouteInto(dst []ring.Point, src, key ring.Point) ([]ring.Point, bool) {
-	target := c.r.Successor(key)
-	dst = append(dst[:0], src)
-	cur := src
-	curi, onRing := c.r.Index(src)
-	if !onRing {
-		curi = -1
+	si, ok := c.r.Index(src)
+	if !ok {
+		return append(dst[:0], src), false
 	}
-	for hop := 0; hop < c.maxHops; hop++ {
-		if cur == target {
-			return dst, true
-		}
-		goal := cur.Dist(target)
-		var nbrs []ring.Point
-		var ranks []int32
-		best := -1
-		if curi >= 0 {
-			nbrs, ranks = c.nbr[curi], c.nbrRank[curi]
-			// The table is sorted by descending progress, so the first
-			// entry not overshooting the target is the greedy maximum.
-			for k, nb := range nbrs {
-				prog := cur.Dist(nb)
-				if prog != 0 && prog <= goal {
-					best = k
-					break
-				}
-			}
-		} else {
-			nbrs = c.neighborsOf(cur)
-			var bestProg ring.Point
-			for k, nb := range nbrs {
-				prog := cur.Dist(nb)
-				if prog != 0 && prog <= goal && prog > bestProg {
-					best, bestProg = k, prog
-				}
-			}
-		}
-		if best < 0 {
-			// No neighbor precedes the target: the strict successor is the
-			// target itself (it is always a neighbor), so this is
-			// unreachable on a consistent ring; fail defensively.
-			return dst, false
-		}
-		cur = nbrs[best]
-		if ranks != nil {
-			curi = int(ranks[best])
-		} else if i, ok := c.r.Index(cur); ok {
-			curi = i
-		} else {
-			curi = -1
-		}
-		dst = append(dst, cur)
+	var buf [128]int32 // holds any route on up to 2^27 IDs; longer ones spill to the heap
+	ranks, ok := c.RouteRanks(buf[:0], si, c.r.SuccessorIndex(key), key)
+	dst = dst[:0]
+	for _, ri := range ranks {
+		dst = append(dst, c.r.At(int(ri)))
 	}
-	return dst, cur == target
+	return dst, ok
 }

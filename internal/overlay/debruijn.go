@@ -58,8 +58,8 @@ func contraction(z ring.Point, j, base int) ring.Point {
 // Neighbors returns S_w: the owners of the images of w's owned arc under
 // each of the d contractions, plus ring successor and predecessor. By
 // construction, for any continuous point z owned by w and any digit j, the
-// owner of (z+j)/d appears in this set — which is exactly what Route hops
-// across.
+// owner of (z+j)/d appears in this set — which is exactly what RouteRanks
+// hops across.
 func (d *DeBruijn) Neighbors(w ring.Point) []ring.Point {
 	s := make([]ring.Point, 0, 2*d.base+2)
 	s = appendUnique(s, d.r.StrictSuccessor(w))
@@ -102,38 +102,31 @@ func (d *DeBruijn) digitsInto(key ring.Point, dst []int) {
 	}
 }
 
-// Route walks the continuous de Bruijn edges toward key: it prepends the
-// top m digits of key (least significant of the prefix first), resolving
-// each virtual point to its owner, then finishes with a ring walk. This is
-// the distance-halving route of [39] for d = 2: each prepend step halves
-// the distance between the virtual point and the target prefix.
-func (d *DeBruijn) Route(src, key ring.Point) ([]ring.Point, bool) {
-	return d.RouteInto(nil, src, key)
-}
-
-// RouteInto is Route into a reusable buffer: the digit scratch lives on the
-// stack and the path goes into dst, so steady-state routes are
+// RouteRanks walks the continuous de Bruijn edges toward key: it prepends
+// the top m digits of key (least significant of the prefix first),
+// resolving each virtual point to its owner, then finishes with a ring
+// walk. This is the distance-halving route of [39] for d = 2: each prepend
+// step halves the distance between the virtual point and the target
+// prefix. The digit scratch lives on the stack, so steady-state routes are
 // allocation-free.
-func (d *DeBruijn) RouteInto(dst []ring.Point, src, key ring.Point) ([]ring.Point, bool) {
-	target := d.r.Successor(key)
-	dst = append(dst[:0], src)
-	if src == target {
+func (d *DeBruijn) RouteRanks(dst []int32, srcRank, targetRank int, key ring.Point) ([]int32, bool) {
+	dst = append(dst[:0], int32(srcRank))
+	if srcRank == targetRank {
 		return dst, true
 	}
 	var digitBuf [maxDigits]int
 	digits := digitBuf[:d.m]
 	d.digitsInto(key, digits)
-	z := src
-	cur := src
+	z := d.r.At(srcRank)
+	cur := srcRank
 	for i := d.m - 1; i >= 0; i-- {
 		z = contraction(z, digits[i], d.base)
-		owner := d.r.Successor(z)
-		if owner != cur {
-			dst = append(dst, owner)
+		if owner := d.r.SuccessorIndex(z); owner != cur {
+			dst = append(dst, int32(owner))
 			cur = owner
 		}
 	}
 	// The virtual point is now within d^-m of key's prefix; close the gap
 	// along the ring.
-	return ringWalk(d.r, dst, target, d.MaxHops()-len(dst)+1)
+	return ringWalk(d.r, dst, targetRank, d.maxHops-len(dst)+1)
 }

@@ -1,8 +1,8 @@
 // Package overlay implements input graphs H satisfying the paper's
 // properties P1–P4 (§I-C):
 //
-//   - P1 search functionality: Route returns the path of IDs traversed from
-//     a source ID to suc(key), of length D = O(log N);
+//   - P1 search functionality: RouteRanks returns the ring ranks of the IDs
+//     traversed from a source ID to suc(key), a path of length D = O(log N);
 //   - P2 load balancing: a random ID owns at most a (1+δ”)/N fraction of
 //     the key space;
 //   - P3 linking rules: Neighbors(w) is the set S_w, computable (and
@@ -40,37 +40,19 @@ type Graph interface {
 	// Neighbors returns the neighbor set S_w of the ID w (property P3).
 	// w must be an ID on the ring. The caller must not modify the result.
 	Neighbors(w ring.Point) []ring.Point
-	// Route returns the sequence of IDs traversed by a search initiated at
-	// src for key, starting with src and ending with suc(key) (property
-	// P1). ok is false if the route failed to terminate within the hop
-	// bound (should not happen for honest rings).
-	Route(src, key ring.Point) (path []ring.Point, ok bool)
-	// RouteInto is Route writing into dst's backing array (reset to dst[:0]
-	// before use, grown only if capacity is short) and returning the filled
-	// slice — the allocation-free form the path-free search fast path loops
-	// on with one reused buffer per worker. A nil dst is allowed.
-	RouteInto(dst []ring.Point, src, key ring.Point) (path []ring.Point, ok bool)
-	// MaxHops is the bound used by Route before declaring failure.
+	// RouteRanks returns the ring ranks of the IDs traversed by a search
+	// initiated at the ring's srcRank-th ID for key, starting with srcRank
+	// and ending with targetRank, which must be the rank of suc(key)
+	// (property P1). Every hop is a P3 link. The walk may read key itself,
+	// not only its owner: de Bruijn prepends the key's digits and Viceroy
+	// descends by its distance. The ranks go into dst's backing array
+	// (reset to dst[:0], grown only if capacity is short), so a caller
+	// looping with one reused buffer routes without allocating. ok is false
+	// if the route failed to terminate within MaxHops (should not happen
+	// for honest rings).
+	RouteRanks(dst []int32, srcRank, targetRank int, key ring.Point) (ranks []int32, ok bool)
+	// MaxHops is the bound used by RouteRanks before declaring failure.
 	MaxHops() int
-}
-
-// RankRouter is an optional Graph extension for constructions that can
-// express a route as ring ranks instead of points. Rank routes let the
-// group-graph search classify hops by direct index instead of re-deriving
-// each hop's rank, which is the single hottest lookup of the dynamic
-// construction. Semantics mirror RouteInto exactly: ranks[i] is the ring
-// rank of the i-th routed ID.
-type RankRouter interface {
-	// RouteRanksInto routes src → suc(key) into dst's backing array.
-	// handled reports whether the rank form applies (false when src is not
-	// a ring ID — the caller must fall back to RouteInto); ok mirrors
-	// RouteInto's termination flag.
-	RouteRanksInto(dst []int32, src, key ring.Point) (ranks []int32, ok, handled bool)
-	// RouteRanksBetween routes between two ring IDs given directly by rank
-	// — the form callers with precomputed endpoints use (the epoch
-	// pipeline knows every bootstrap leader's and repeat target's rank),
-	// skipping both endpoint searches.
-	RouteRanksBetween(dst []int32, srcRank, targetRank int) (ranks []int32, ok bool)
 }
 
 // Builder constructs a graph over a ring. seed parameterizes any
@@ -113,23 +95,25 @@ func appendUnique(s []ring.Point, p ring.Point) []ring.Point {
 	return append(s, p)
 }
 
-// ringWalk extends path by walking along the ring from its last element
+// ringWalk extends ranks by walking along the ring from its last rank
 // until reaching target, or until budget hops are spent. It walks in
 // whichever direction (successor or predecessor — both are P3 links in
 // every construction here) is shorter, re-evaluated each hop. Returns the
-// extended path and whether target was reached.
-func ringWalk(r *ring.Ring, path []ring.Point, target ring.Point, budget int) ([]ring.Point, bool) {
-	cur := path[len(path)-1]
+// extended route and whether target was reached.
+func ringWalk(r *ring.Ring, ranks []int32, target, budget int) ([]int32, bool) {
+	pts := r.Points()
+	n := len(pts)
+	cur := int(ranks[len(ranks)-1])
 	for i := 0; i < budget; i++ {
 		if cur == target {
-			return path, true
+			return ranks, true
 		}
-		if cur.Dist(target) <= target.Dist(cur) {
-			cur = r.StrictSuccessor(cur)
+		if pts[cur].Dist(pts[target]) <= pts[target].Dist(pts[cur]) {
+			cur = (cur + 1) % n
 		} else {
-			cur = r.Predecessor(cur)
+			cur = (cur + n - 1) % n
 		}
-		path = append(path, cur)
+		ranks = append(ranks, int32(cur))
 	}
-	return path, cur == target
+	return ranks, cur == target
 }

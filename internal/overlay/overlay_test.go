@@ -21,21 +21,26 @@ func allGraphs(r *ring.Ring) []Graph {
 	return gs
 }
 
+// routeOf routes from the ring's si-th ID toward key.
+func routeOf(g Graph, si int, key ring.Point) ([]int32, bool) {
+	return g.RouteRanks(nil, si, g.Ring().SuccessorIndex(key), key)
+}
+
 func TestRouteTerminatesAtSuccessor(t *testing.T) {
 	r := testRing(1024, 1)
 	rng := rand.New(rand.NewSource(2))
 	for _, g := range allGraphs(r) {
 		for i := 0; i < 500; i++ {
-			src := r.At(rng.Intn(r.Len()))
+			si := rng.Intn(r.Len())
 			key := ring.Point(rng.Uint64())
-			path, ok := g.Route(src, key)
+			path, ok := routeOf(g, si, key)
 			if !ok {
 				t.Fatalf("%s: route %d failed to terminate", g.Name(), i)
 			}
-			if path[0] != src {
+			if int(path[0]) != si {
 				t.Fatalf("%s: path must start at src", g.Name())
 			}
-			if got, want := path[len(path)-1], r.Successor(key); got != want {
+			if got, want := r.At(int(path[len(path)-1])), r.Successor(key); got != want {
 				t.Fatalf("%s: route ended at %v, want suc(key)=%v", g.Name(), got, want)
 			}
 		}
@@ -45,10 +50,9 @@ func TestRouteTerminatesAtSuccessor(t *testing.T) {
 func TestRouteToOwnKeyIsTrivial(t *testing.T) {
 	r := testRing(256, 3)
 	for _, g := range allGraphs(r) {
-		src := r.At(7)
 		// A key owned by src: src itself.
-		path, ok := g.Route(src, src)
-		if !ok || len(path) != 1 || path[0] != src {
+		path, ok := routeOf(g, 7, r.At(7))
+		if !ok || len(path) != 1 || path[0] != 7 {
 			t.Errorf("%s: route to own key should be [src], got %v ok=%v", g.Name(), path, ok)
 		}
 	}
@@ -62,14 +66,12 @@ func TestRouteHopsAreNeighborEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, g := range allGraphs(r) {
 		for i := 0; i < 100; i++ {
-			src := r.At(rng.Intn(r.Len()))
-			key := ring.Point(rng.Uint64())
-			path, ok := g.Route(src, key)
+			path, ok := routeOf(g, rng.Intn(r.Len()), ring.Point(rng.Uint64()))
 			if !ok {
 				t.Fatalf("%s: route failed", g.Name())
 			}
 			for h := 0; h+1 < len(path); h++ {
-				u, v := path[h], path[h+1]
+				u, v := r.At(int(path[h])), r.At(int(path[h+1]))
 				found := false
 				for _, nb := range g.Neighbors(u) {
 					if nb == v {
@@ -219,9 +221,9 @@ func TestViceroyLevelsPartitionIDs(t *testing.T) {
 	if count != r.Len() {
 		t.Errorf("levels hold %d IDs, want %d", count, r.Len())
 	}
-	for _, p := range r.Points()[:64] {
-		if l := v.Level(p); l < 1 || l > v.levels {
-			t.Errorf("Level(%v) = %d out of range", p, l)
+	for i, l := range v.lvl {
+		if l < 1 || l > v.levels {
+			t.Errorf("level of ID %d = %d out of range", i, l)
 		}
 	}
 }
@@ -232,11 +234,11 @@ func TestViceroyDeterministicInSeed(t *testing.T) {
 	v2 := NewViceroy(r, 7).(*Viceroy)
 	v3 := NewViceroy(r, 8).(*Viceroy)
 	same, diff := true, false
-	for _, p := range r.Points() {
-		if v1.Level(p) != v2.Level(p) {
+	for i := range r.Points() {
+		if v1.lvl[i] != v2.lvl[i] {
 			same = false
 		}
-		if v1.Level(p) != v3.Level(p) {
+		if v1.lvl[i] != v3.lvl[i] {
 			diff = true
 		}
 	}
@@ -268,9 +270,7 @@ func TestTinyRings(t *testing.T) {
 		rng := rand.New(rand.NewSource(25))
 		for _, g := range allGraphs(r) {
 			for i := 0; i < 50; i++ {
-				src := r.At(rng.Intn(r.Len()))
-				key := ring.Point(rng.Uint64())
-				if _, ok := g.Route(src, key); !ok {
+				if _, ok := routeOf(g, rng.Intn(r.Len()), ring.Point(rng.Uint64())); !ok {
 					t.Errorf("%s n=%d: route failed", g.Name(), n)
 				}
 			}

@@ -28,22 +28,24 @@ func Measure(g Graph, samples int, rng *rand.Rand) Properties {
 	r := g.Ring()
 	n := r.Len()
 	p := Properties{N: n, Samples: samples}
-	traversed := make(map[ring.Point]int, n)
+	traversed := make([]int, n) // by ring rank
 	totalHops := 0
+	var route []int32
 	for i := 0; i < samples; i++ {
-		src := r.At(rng.Intn(n))
+		si := rng.Intn(n)
 		key := ring.Point(rng.Uint64())
-		path, ok := g.Route(src, key)
+		var ok bool
+		route, ok = g.RouteRanks(route, si, r.SuccessorIndex(key), key)
 		if !ok {
 			p.FailedRoutes++
 			continue
 		}
-		totalHops += len(path) - 1
-		if len(path)-1 > p.MaxHopsSeen {
-			p.MaxHopsSeen = len(path) - 1
+		totalHops += len(route) - 1
+		if len(route)-1 > p.MaxHopsSeen {
+			p.MaxHopsSeen = len(route) - 1
 		}
-		for _, id := range path {
-			traversed[id]++
+		for _, ri := range route {
+			traversed[ri]++
 		}
 	}
 	okRoutes := samples - p.FailedRoutes

@@ -8,16 +8,16 @@ import (
 	"repro/internal/ring"
 )
 
-// Property: for every construction, Route(src, key) is deterministic and
-// ends at suc(key), regardless of the key drawn.
+// Property: for every construction, a route from src toward key is
+// deterministic and ends at suc(key), regardless of the key drawn.
 func TestRouteDeterministicProperty(t *testing.T) {
 	r := testRing(512, 71)
 	for _, g := range allGraphs(r) {
 		g := g
 		f := func(srcIdx uint16, key uint64) bool {
-			src := r.At(int(srcIdx) % r.Len())
-			p1, ok1 := g.Route(src, ring.Point(key))
-			p2, ok2 := g.Route(src, ring.Point(key))
+			si := int(srcIdx) % r.Len()
+			p1, ok1 := routeOf(g, si, ring.Point(key))
+			p2, ok2 := routeOf(g, si, ring.Point(key))
 			if !ok1 || !ok2 || len(p1) != len(p2) {
 				return false
 			}
@@ -26,7 +26,7 @@ func TestRouteDeterministicProperty(t *testing.T) {
 					return false
 				}
 			}
-			return p1[len(p1)-1] == r.Successor(ring.Point(key))
+			return r.At(int(p1[len(p1)-1])) == r.Successor(ring.Point(key))
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 			t.Errorf("%s: %v", g.Name(), err)
@@ -78,8 +78,7 @@ func TestRouteBoundOnClusteredRings(t *testing.T) {
 	r := ring.New(pts)
 	for _, g := range allGraphs(r) {
 		for i := 0; i < 300; i++ {
-			src := r.At(rng.Intn(r.Len()))
-			path, ok := g.Route(src, ring.Point(rng.Uint64()))
+			path, ok := routeOf(g, rng.Intn(r.Len()), ring.Point(rng.Uint64()))
 			if !ok {
 				t.Errorf("%s: route failed on clustered ring", g.Name())
 				break

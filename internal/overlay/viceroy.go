@@ -26,8 +26,11 @@ type Viceroy struct {
 	r      *ring.Ring
 	seed   int64
 	levels int
-	byLvl  []*ring.Ring       // byLvl[ℓ-1] holds the level-ℓ IDs
-	lvl    map[ring.Point]int // ID → level
+	byLvl  []*ring.Ring // byLvl[ℓ-1] holds the level-ℓ IDs
+	// lvlRank[ℓ-1][j] is the ring rank of byLvl[ℓ-1]'s j-th ID and lvl[i]
+	// the level of the ring's i-th ID, so links resolve straight to ranks.
+	lvlRank [][]int32
+	lvl     []int
 }
 
 // NewViceroy builds a Viceroy graph over r with levels derived from seed.
@@ -38,17 +41,19 @@ func NewViceroy(r *ring.Ring, seed int64) Graph {
 		levels = 1
 	}
 	v := &Viceroy{
-		r:      r,
-		seed:   seed,
-		levels: levels,
-		byLvl:  make([]*ring.Ring, levels),
-		lvl:    make(map[ring.Point]int, n),
+		r:       r,
+		seed:    seed,
+		levels:  levels,
+		byLvl:   make([]*ring.Ring, levels),
+		lvlRank: make([][]int32, levels),
+		lvl:     make([]int, n),
 	}
 	perLvl := make([][]ring.Point, levels)
-	for _, p := range r.Points() {
+	for i, p := range r.Points() {
 		l := v.levelOf(p)
-		v.lvl[p] = l
+		v.lvl[i] = l
 		perLvl[l-1] = append(perLvl[l-1], p)
+		v.lvlRank[l-1] = append(v.lvlRank[l-1], int32(i))
 	}
 	for i := range v.byLvl {
 		v.byLvl[i] = ring.New(perLvl[i])
@@ -88,9 +93,6 @@ func (v *Viceroy) Ring() *ring.Ring { return v.r }
 // MaxHops: up phase ≤ L, down phase ≤ L, ring walk O(log N) w.h.p.
 func (v *Viceroy) MaxHops() int { return 6*v.levels + 32 }
 
-// Level returns the butterfly level of ID w (1-based).
-func (v *Viceroy) Level(w ring.Point) int { return v.lvl[w] }
-
 // lvlRing returns the ring of level-ℓ IDs, or nil if ℓ is out of range or
 // the level is empty.
 func (v *Viceroy) lvlRing(l int) *ring.Ring {
@@ -104,26 +106,28 @@ func (v *Viceroy) lvlRing(l int) *ring.Ring {
 	return lr
 }
 
-// up returns w's up-link (first level-(ℓ−1) ID clockwise), or w itself if
-// none exists.
-func (v *Viceroy) up(w ring.Point) ring.Point {
-	l := v.lvl[w]
-	for t := l - 1; t >= 1; t-- {
+// up returns the rank of the ring's wi-th ID's up-link (first
+// level-(ℓ−1) ID clockwise), or wi itself if none exists.
+func (v *Viceroy) up(wi int) int {
+	for t := v.lvl[wi] - 1; t >= 1; t-- {
 		if lr := v.lvlRing(t); lr != nil {
-			return lr.Successor(w)
+			return int(v.lvlRank[t-1][lr.SuccessorIndex(v.r.At(wi))])
 		}
 	}
-	return w
+	return wi
 }
 
-// down returns w's down-left and down-right links at the first non-empty
-// level below w's. ok is false at the bottom of the butterfly.
-func (v *Viceroy) down(w ring.Point) (left, right ring.Point, ok bool) {
-	l := v.lvl[w]
+// down returns the ranks of the ring's wi-th ID's down-left and down-right
+// links at the first non-empty level below its own. ok is false at the
+// bottom of the butterfly.
+func (v *Viceroy) down(wi int) (left, right int, ok bool) {
+	l := v.lvl[wi]
+	w := v.r.At(wi)
 	half := ring.Point(1) << (64 - uint(l)) // 1/2^ℓ of the ring
 	for t := l + 1; t <= v.levels; t++ {
 		if lr := v.lvlRing(t); lr != nil {
-			return lr.Successor(w), lr.Successor(w + half), true
+			ranks := v.lvlRank[t-1]
+			return int(ranks[lr.SuccessorIndex(w)]), int(ranks[lr.SuccessorIndex(w+half)]), true
 		}
 	}
 	return 0, 0, false
@@ -132,8 +136,12 @@ func (v *Viceroy) down(w ring.Point) (left, right ring.Point, ok bool) {
 // Neighbors returns S_w: ring neighbors, same-level ring neighbors, the up
 // link, and the two down links (property P3 — each is the successor of a
 // w-derived point on a public sub-ring, so any ID can verify membership by
-// search).
+// search). It is nil when w is not a ring ID.
 func (v *Viceroy) Neighbors(w ring.Point) []ring.Point {
+	wi, onRing := v.r.Index(w)
+	if !onRing {
+		return nil
+	}
 	s := make([]ring.Point, 0, 8)
 	add := func(p ring.Point) {
 		if p != w {
@@ -142,55 +150,49 @@ func (v *Viceroy) Neighbors(w ring.Point) []ring.Point {
 	}
 	add(v.r.StrictSuccessor(w))
 	add(v.r.Predecessor(w))
-	if lr := v.lvlRing(v.lvl[w]); lr != nil && lr.Len() > 1 {
+	if lr := v.lvlRing(v.lvl[wi]); lr != nil && lr.Len() > 1 {
 		add(lr.StrictSuccessor(w))
 		add(lr.Predecessor(w))
 	}
-	add(v.up(w))
-	if dl, dr, ok := v.down(w); ok {
-		add(dl)
-		add(dr)
+	add(v.r.At(v.up(wi)))
+	if dl, dr, ok := v.down(wi); ok {
+		add(v.r.At(dl))
+		add(v.r.At(dr))
 	}
 	return s
 }
 
-// Route ascends to level 1, descends the butterfly choosing down-right
-// whenever the remaining clockwise distance to the key exceeds the current
-// level width, then closes the residual gap along the ring.
-func (v *Viceroy) Route(src, key ring.Point) ([]ring.Point, bool) {
-	return v.RouteInto(nil, src, key)
-}
-
-// RouteInto is Route into a reusable buffer; steady-state routes are
-// allocation-free once dst has capacity.
-func (v *Viceroy) RouteInto(dst []ring.Point, src, key ring.Point) ([]ring.Point, bool) {
-	target := v.r.Successor(key)
-	path := append(dst[:0], src)
-	if src == target {
-		return path, true
+// RouteRanks ascends to level 1, descends the butterfly choosing
+// down-right whenever the remaining clockwise distance to the key exceeds
+// the current level width, then closes the residual gap along the ring.
+// Steady-state routes are allocation-free once dst has capacity.
+func (v *Viceroy) RouteRanks(dst []int32, srcRank, targetRank int, key ring.Point) ([]int32, bool) {
+	route := append(dst[:0], int32(srcRank))
+	if srcRank == targetRank {
+		return route, true
 	}
-	cur := src
+	cur := srcRank
 	budget := v.MaxHops()
 	// Up phase.
-	for v.lvl[cur] > 1 && len(path) < budget {
+	for v.lvl[cur] > 1 && len(route) < budget {
 		next := v.up(cur)
 		if next == cur {
 			break
 		}
 		cur = next
-		path = append(path, cur)
+		route = append(route, int32(cur))
 	}
 	// Down phase: at level ℓ the down-right link jumps ~1/2^ℓ clockwise;
 	// take it iff the remaining distance warrants, mirroring butterfly
 	// descent. All links are clockwise successors, so the distance to the
 	// key shrinks monotonically unless rounding carries us past it — in
 	// that case stop and let the bidirectional ring walk recover.
-	for len(path) < budget {
+	for len(route) < budget {
 		dl, dr, ok := v.down(cur)
 		if !ok {
 			break
 		}
-		before := cur.Dist(key)
+		before := v.r.At(cur).Dist(key)
 		width := ring.Point(1) << (64 - uint(v.lvl[cur]))
 		next := dl
 		if before >= width {
@@ -198,14 +200,14 @@ func (v *Viceroy) RouteInto(dst []ring.Point, src, key ring.Point) ([]ring.Point
 		}
 		if next != cur {
 			cur = next
-			path = append(path, cur)
+			route = append(route, int32(cur))
 		}
-		if cur == target {
-			return path, true
+		if cur == targetRank {
+			return route, true
 		}
-		if cur.Dist(key) > before {
+		if v.r.At(cur).Dist(key) > before {
 			break // passed the key
 		}
 	}
-	return ringWalk(v.r, path, target, budget-len(path)+1)
+	return ringWalk(v.r, route, targetRank, budget-len(route)+1)
 }

@@ -221,13 +221,6 @@ func (r *Ring) Remove(x Point) bool {
 	return true
 }
 
-// Clone returns an independent copy of the ring.
-func (r *Ring) Clone() *Ring {
-	pts := make([]Point, len(r.pts))
-	copy(pts, r.pts)
-	return &Ring{pts: pts}
-}
-
 // Index returns the rank of x on the ring and whether x is present.
 func (r *Ring) Index(x Point) (int, bool) {
 	i := r.search(x)
@@ -250,44 +243,4 @@ func (r *Ring) OwnedArc(p Point) float64 {
 	}
 	pred := r.Predecessor(p)
 	return pred.Dist(p).Float()
-}
-
-// MaxGap returns the largest clockwise gap between consecutive points as a
-// fraction of the ring; used for the paper's ln ln n estimation technique
-// and for load-balance (P2) checks.
-func (r *Ring) MaxGap() float64 {
-	if len(r.pts) < 2 {
-		return 1
-	}
-	var maxGap Point
-	for i := range r.pts {
-		next := r.pts[(i+1)%len(r.pts)]
-		if g := r.pts[i].Dist(next); g > maxGap {
-			maxGap = g
-		}
-	}
-	return maxGap.Float()
-}
-
-// EstimateLogN estimates ln(n) to within a constant factor from the distance
-// between a point and its successor, following the standard technique the
-// paper cites (§III-A and footnote 15): for u.a.r. IDs, the gap d(u, v)
-// between adjacent IDs satisfies α”/n² ≤ d ≤ α'·ln n/n w.h.p., so
-// ln(1/d) = Θ(ln n).
-func (r *Ring) EstimateLogN(at Point) float64 {
-	suc := r.StrictSuccessor(at)
-	d := at.Dist(suc).Float()
-	if d <= 0 {
-		d = 1.0 / (1 << 62)
-	}
-	return math.Log(1 / d)
-}
-
-// EstimateLogLogN estimates ln ln n the same way: ln ln (1/d) = ln ln n + O(1).
-func (r *Ring) EstimateLogLogN(at Point) float64 {
-	l := r.EstimateLogN(at)
-	if l < math.E {
-		l = math.E
-	}
-	return math.Log(l)
 }

@@ -141,15 +141,6 @@ func TestNewDedupes(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	r := mustRing(0.1, 0.2)
-	c := r.Clone()
-	c.Insert(FromFloat(0.9))
-	if r.Len() != 2 || c.Len() != 3 {
-		t.Errorf("clone not independent: r.Len=%d c.Len=%d", r.Len(), c.Len())
-	}
-}
-
 func TestOwnedArcSumsToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	pts := make([]Point, 100)
@@ -191,39 +182,6 @@ func TestEmptyRingPanics(t *testing.T) {
 		}
 	}()
 	New(nil).Successor(0)
-}
-
-func TestMaxGap(t *testing.T) {
-	r := mustRing(0.0, 0.5)
-	if g := r.MaxGap(); math.Abs(g-0.5) > 1e-9 {
-		t.Errorf("MaxGap = %v, want 0.5", g)
-	}
-	r2 := mustRing(0.0, 0.1)
-	if g := r2.MaxGap(); math.Abs(g-0.9) > 1e-9 {
-		t.Errorf("MaxGap = %v, want 0.9", g)
-	}
-}
-
-func TestEstimateLogN(t *testing.T) {
-	// With n u.a.r. points, ln(1/gap) should be ln n within a generous
-	// constant factor for most points.
-	const n = 1 << 12
-	rng := rand.New(rand.NewSource(3))
-	pts := make([]Point, n)
-	for i := range pts {
-		pts[i] = Point(rng.Uint64())
-	}
-	r := New(pts)
-	want := math.Log(n)
-	est := r.EstimateLogN(r.At(0))
-	if est < want/3 || est > want*3 {
-		t.Errorf("EstimateLogN = %v, want within 3x of %v", est, want)
-	}
-	ell := r.EstimateLogLogN(r.At(0))
-	wantLL := math.Log(want)
-	if ell < wantLL/3 || ell > wantLL*3 {
-		t.Errorf("EstimateLogLogN = %v, want within 3x of %v", ell, wantLL)
-	}
 }
 
 // Property: Successor is idempotent and returns a member of the ring.

@@ -52,28 +52,27 @@ type Result struct {
 // agree). Only the genuine/forged state of each copy matters, so the
 // payload itself is elided.
 func Route(g *groups.Graph, src, key ring.Point) Result {
-	path, ok := g.Overlay().Route(src, key)
 	res := Result{}
+	r := g.Overlay().Ring()
+	si, onRing := r.Index(src)
+	if !onRing {
+		return res
+	}
+	route, ok := g.Overlay().RouteRanks(nil, si, r.SuccessorIndex(key), key)
 	if !ok {
 		return res
 	}
 	// holdings[i] = true if good member i of the current group holds the
 	// original value (bad members never hold it honestly).
-	cur := g.Group(src)
-	if cur == nil {
-		return res
-	}
+	cur := g.GroupAt(si)
 	holdings := make([]bool, cur.Size())
 	for i, m := range cur.Members {
 		holdings[i] = !m.Bad // originator's good members all start with the value
 	}
 	res.Hops = append(res.Hops, report(cur, holdings))
 
-	for _, w := range path[1:] {
-		next := g.Group(w)
-		if next == nil {
-			return res
-		}
+	for _, ri := range route[1:] {
+		next := g.GroupAt(int(ri))
 		res.Messages += int64(cur.Size()) * int64(next.Size())
 		holdings = transferHop(cur, holdings, next)
 		res.Hops = append(res.Hops, report(next, holdings))

@@ -50,7 +50,7 @@ func TestDeliveryMatchesBluePathPrediction(t *testing.T) {
 		src := r.At(rng.Intn(r.Len()))
 		key := ring.Point(rng.Uint64())
 		proto := Route(g, src, key)
-		score := g.Search(src, key)
+		score := g.SearchOutcome(src, key, nil)
 		if proto.Delivered == score.OK {
 			agree++
 		}

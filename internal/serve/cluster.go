@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"strconv"
 
 	"repro/internal/wire"
 	"repro/tinygroups"
@@ -13,10 +12,6 @@ import (
 // (build / flip / abort) its coordinated advance drives. Everything here
 // also works on a standalone daemon — the batch endpoints are just the
 // amortized form of /v1/lookup and /v1/put, and build+flip equals advance.
-
-// maxBatchItems caps keys per batch call; a router splitting a client
-// batch across K shards sends at most this many per shard.
-const maxBatchItems = 4096
 
 // batchItemOf maps one BatchResult onto the wire shape.
 func batchItemOf(key string, br tinygroups.BatchResult) wire.BatchItem {
@@ -68,8 +63,8 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, `missing "keys"`)
 		return
 	}
-	if len(req.Keys) > maxBatchItems {
-		s.badRequest(w, "more than "+strconv.Itoa(maxBatchItems)+" keys")
+	if len(req.Keys) > wire.MaxBatchItems {
+		s.badRequest(w, wire.OverBatchLimit("keys"))
 		return
 	}
 	s.m.lookupBatchedOps.Add(int64(len(req.Keys)))
@@ -106,8 +101,8 @@ func (s *Server) handlePutBatch(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, `missing "pairs"`)
 		return
 	}
-	if len(req.Pairs) > maxBatchItems {
-		s.badRequest(w, "more than "+strconv.Itoa(maxBatchItems)+" pairs")
+	if len(req.Pairs) > wire.MaxBatchItems {
+		s.badRequest(w, wire.OverBatchLimit("pairs"))
 		return
 	}
 	keys := make([]string, len(req.Pairs))

@@ -5,6 +5,20 @@
 // against a standalone daemon's.
 package wire
 
+import "strconv"
+
+// MaxBatchItems caps the keys or pairs of one batch call. A shard daemon
+// and the router both refuse a larger batch with the same 400 bad_request
+// (message OverBatchLimit) before doing any work, so a router splitting a
+// valid batch across shards sends each at most this many.
+const MaxBatchItems = 4096
+
+// OverBatchLimit is the bad_request message for a batch of more than
+// MaxBatchItems items; noun names them ("keys" or "pairs").
+func OverBatchLimit(noun string) string {
+	return "more than " + strconv.Itoa(MaxBatchItems) + " " + noun
+}
+
 // Error is the envelope of every non-2xx response, from a shard or the
 // router: one taxonomy of machine-readable codes end to end.
 type Error struct {

@@ -60,6 +60,10 @@ func (rt *Router) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, wire.Error{Error: `missing "keys"`, Code: "bad_request"})
 		return
 	}
+	if len(req.Keys) > wire.MaxBatchItems {
+		writeJSON(w, http.StatusBadRequest, wire.Error{Error: wire.OverBatchLimit("keys"), Code: "bad_request"})
+		return
+	}
 	ctx := r.Context()
 	out := rt.scatter(req.Keys, func(shard int, idx []int) ([]wire.BatchItem, error) {
 		sub := make([]string, len(idx))
@@ -84,6 +88,10 @@ func (rt *Router) handlePutBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Pairs) == 0 {
 		writeJSON(w, http.StatusBadRequest, wire.Error{Error: `missing "pairs"`, Code: "bad_request"})
+		return
+	}
+	if len(req.Pairs) > wire.MaxBatchItems {
+		writeJSON(w, http.StatusBadRequest, wire.Error{Error: wire.OverBatchLimit("pairs"), Code: "bad_request"})
 		return
 	}
 	keys := make([]string, len(req.Pairs))

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/serve"
+	"repro/internal/wire"
 	"repro/tinygroups"
 	"repro/tinygroups/cluster"
 )
@@ -210,6 +211,36 @@ func TestClusterDeterminismGate(t *testing.T) {
 					epochR, fpR, statusC, epochC, fpC)
 			}
 		})
+	}
+}
+
+// TestRouterRejectsOversizedBatch pins the batch cap through the router: a
+// batch of wire.MaxBatchItems+1 items answers, at K = 1 and 2, exactly the
+// standalone daemon's 400 — not a scattered 200, and not per-item
+// shard_unreachable errors for a shard's own refusal.
+func TestRouterRejectsOversizedBatch(t *testing.T) {
+	keys := make([]string, wire.MaxBatchItems+1)
+	pairs := make([]wire.KV, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%05d", i)
+		pairs[i] = wire.KV{Key: keys[i]}
+	}
+	_, ref := newShard(t, 0, 1)
+	for _, k := range []int{1, 2} {
+		_, rts := newCluster(t, k)
+		for _, c := range []struct {
+			path string
+			body any
+		}{
+			{"/v1/lookup/batch", wire.LookupBatchRequest{Keys: keys}},
+			{"/v1/put/batch", wire.PutBatchRequest{Pairs: pairs}},
+		} {
+			stR, bodyR := post(t, ref.URL+c.path, c.body)
+			stC, bodyC := post(t, rts.URL+c.path, c.body)
+			if stR != http.StatusBadRequest || stC != stR || !bytes.Equal(bodyR, bodyC) {
+				t.Errorf("K=%d %s: standalone (%d) %s vs cluster (%d) %.200s", k, c.path, stR, bodyR, stC, bodyC)
+			}
+		}
 	}
 }
 

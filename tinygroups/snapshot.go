@@ -71,17 +71,12 @@ func (sn *snapshot) lookupAt(key string, sc *groups.SearchScratch) (LookupInfo, 
 	r := g.Overlay().Ring()
 	p := keyHash.PointString(key)
 	rng := engine.NewStream(engine.TrialSeed(sn.readSeed, "lookup", int(p)))
-	src := r.At(rng.Intn(r.Len()))
-	res := g.SearchOutcome(src, p, sc)
+	res, _ := g.SearchOutcomeDualTo(nil, rng.Intn(r.Len()), -1, p, sc)
 	info := LookupInfo{Hops: res.Hops, Messages: res.Messages}
 	if !res.OK {
 		return info, ErrUnreachable
 	}
-	oi := res.LastRank
-	if oi < 0 {
-		oi = r.SuccessorIndex(p)
-	}
-	info.Owner = Point(r.At(oi))
+	info.Owner = Point(r.At(res.LastRank))
 	return info, nil
 }
 
