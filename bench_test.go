@@ -252,9 +252,11 @@ func BenchmarkPhaseKingAgreement(b *testing.B) {
 }
 
 func BenchmarkCuckooEvent(b *testing.B) {
-	// Parameters that survive the attack (per E10), so all b.N events run.
+	// Parameters that survive the attack (per E10), so all b.N events run,
+	// at E10's n: at n = 1<<10 a per-event cost linear in n is too small to
+	// show next to the rest of the event.
 	res := baseline.RunCuckoo(baseline.CuckooConfig{
-		N: 1 << 10, Beta: 0.002, K: 4, GroupSize: 64,
+		N: 1 << 13, Beta: 0.002, K: 4, GroupSize: 64,
 		Events: b.N, Targeted: true, Seed: 13,
 	})
 	if !res.Survived && b.N > 1000 {

@@ -3,12 +3,14 @@ package baseline
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/groups"
 	"repro/internal/hashes"
 	"repro/internal/overlay"
+	"repro/internal/ring"
 )
 
 func TestLogGroupSize(t *testing.T) {
@@ -102,17 +104,93 @@ func TestCuckooZeroBetaNeverDies(t *testing.T) {
 	}
 }
 
-func TestCuckooPopulationConserved(t *testing.T) {
-	// Each event is a leave+rejoin: total node count must stay N.
-	cfg := CuckooConfig{N: 256, Beta: 0.05, K: 4, GroupSize: 16, Events: 500, Seed: 7}
-	s := &cuckooSim{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		ringSet: nil,
+// checkCuckooState fails t unless the sim's indexes agree: n occupants in
+// total and per group region, ⌊βn⌋ bad ones, every bucket sorted and inside
+// its k-region, and the bad list sorted with each point in its bucket.
+func checkCuckooState(t *testing.T, s *cuckooSim, event int) {
+	t.Helper()
+	n := s.cfg.N
+	occupants, tot, bad := 0, 0, 0
+	for k, b := range s.kreg {
+		occupants += len(b)
+		if !slices.IsSorted(b) {
+			t.Fatalf("event %d: bucket %d not sorted", event, k)
+		}
+		for _, p := range b {
+			if got := regionIndex(p, len(s.kreg)); got != k {
+				t.Fatalf("event %d: %v in bucket %d, belongs in %d", event, p, k, got)
+			}
+		}
 	}
-	_ = s
-	res := RunCuckoo(cfg)
-	_ = res // conservation is internal; exercised via survival runs
+	for r := range s.regTot {
+		tot += s.regTot[r]
+		bad += s.regBad[r]
+	}
+	wantBad := int(s.cfg.Beta * float64(n))
+	if occupants != n || tot != n {
+		t.Fatalf("event %d: %d occupants, %d by group region; want %d", event, occupants, tot, n)
+	}
+	if bad != wantBad || len(s.bad) != wantBad {
+		t.Fatalf("event %d: %d bad by group region, %d listed; want %d", event, bad, len(s.bad), wantBad)
+	}
+	if !slices.IsSorted(s.bad) {
+		t.Fatalf("event %d: bad list not sorted", event)
+	}
+	for _, p := range s.bad {
+		if _, ok := slices.BinarySearch(*s.bucket(p), p); !ok {
+			t.Fatalf("event %d: bad %v missing from its bucket", event, p)
+		}
+	}
+}
+
+func TestCuckooPopulationConserved(t *testing.T) {
+	// Each event is a leave+rejoin: every index must still count N nodes,
+	// ⌊βN⌋ of them bad. N/K = 62 is not a power of two, so the short top
+	// k-region is exercised too; K = |G| = N leaves one k-region and one
+	// group region, the whole ring.
+	for _, cfg := range []CuckooConfig{
+		{N: 256, Beta: 0.05, K: 4, GroupSize: 16, Targeted: true, Seed: 7},
+		{N: 250, Beta: 0.1, K: 4, GroupSize: 10, Seed: 8},
+		{N: 256, Beta: 0.05, K: 0, GroupSize: 16, Seed: 9},
+		{N: 16, Beta: 0.25, K: 16, GroupSize: 16, Targeted: true, Seed: 10},
+	} {
+		s := newCuckooSim(cfg)
+		checkCuckooState(t, s, 0)
+		for e := 1; e <= 500; e++ {
+			if !s.step() {
+				t.Fatalf("%+v: no bad node to churn at event %d", cfg, e)
+			}
+			checkCuckooState(t, s, e)
+		}
+	}
+}
+
+func TestCuckooTopKRegionEvicts(t *testing.T) {
+	// N/K = 250 k-regions: the top one is short and ends at 2⁶⁴ − 1. A join
+	// landing in it must evict its occupants like any other.
+	s := newCuckooSim(CuckooConfig{N: 1000, K: 4, GroupSize: 8, Seed: 10})
+	top := len(s.kreg) - 1
+	if top != 249 {
+		t.Fatalf("%d k-regions, want 250", top+1)
+	}
+	before := slices.Clone(s.kreg[top])
+	if len(before) == 0 {
+		t.Fatal("top k-region empty after bootstrap; pick another seed")
+	}
+	// Find a seed whose first draw (the joiner's position) is in the top
+	// k-region, and join with it.
+	for seed := int64(0); ; seed++ {
+		if regionIndex(ring.Point(rand.New(rand.NewSource(seed)).Uint64()), len(s.kreg)) == top {
+			s.rng = rand.New(rand.NewSource(seed))
+			break
+		}
+	}
+	s.join(false)
+	for _, p := range before {
+		if slices.Contains(s.kreg[top], p) {
+			t.Errorf("join in the top k-region left occupant %v in place", p)
+		}
+	}
 }
 
 func TestGroupSizeSurvivalMonotone(t *testing.T) {

@@ -2,7 +2,7 @@ package baseline
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/ring"
 )
@@ -41,75 +41,102 @@ type CuckooResult struct {
 
 // cuckooSim holds the mutable simulation state.
 type cuckooSim struct {
-	cfg     CuckooConfig
-	rng     *rand.Rand
-	ringSet *ring.Ring
-	bad     map[ring.Point]bool
+	cfg CuckooConfig
+	rng *rand.Rand
+	// kreg holds the occupants of each k-region, sorted ascending: about K
+	// points each, so a join or leave shifts a handful of points instead of
+	// N. With K = 0 (no eviction) the buckets are only storage, about one
+	// occupant each.
+	kreg    [][]ring.Point
+	bad     []ring.Point // adversarial occupants, sorted ascending
 	regions int
-	regBad  []int // bad occupants per group region
-	regTot  []int // occupants per group region
-	touched []int // regions modified during the current event
+	regBad  []int        // bad occupants per group region
+	regTot  []int        // occupants per group region
+	touched []int        // regions modified during the current event
+	evict   []ring.Point // the k-region a join is evicting
 }
 
-func (s *cuckooSim) regionOf(p ring.Point) int {
-	// Region index by top bits: idx = floor(p · regions / 2⁶⁴).
-	return int(uint64(p) / (^uint64(0)/uint64(s.regions) + 1))
+// newCuckooSim returns a simulation whose population is already placed by
+// the join rule itself (an honest bootstrap, adversary last).
+func newCuckooSim(cfg CuckooConfig) *cuckooSim {
+	if cfg.GroupSize < 1 {
+		cfg.GroupSize = 8
+	}
+	nBad := int(cfg.Beta * float64(cfg.N))
+	s := &cuckooSim{
+		cfg:     cfg,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		kreg:    make([][]ring.Point, max(cfg.N/max(cfg.K, 1), 1)),
+		bad:     make([]ring.Point, 0, nBad),
+		regions: max(cfg.N/cfg.GroupSize, 1),
+	}
+	// Carve the buckets from one array, twice the mean occupancy each; a
+	// bucket that outgrows its share moves to its own array.
+	c := 2 * max(cfg.K, 1)
+	backing := make([]ring.Point, c*len(s.kreg))
+	for i := range s.kreg {
+		s.kreg[i] = backing[i*c : i*c : (i+1)*c]
+	}
+	s.regBad = make([]int, s.regions)
+	s.regTot = make([]int, s.regions)
+	for i := 0; i < cfg.N; i++ {
+		s.join(i >= cfg.N-nBad)
+		s.touched = s.touched[:0] // the bootstrap check covers every region
+	}
+	return s
+}
+
+// regionIndex returns which of count aligned arcs holds p. The arcs are
+// ⌈2⁶⁴/count⌉ wide, so when count does not divide 2⁶⁴ the top arc is
+// shorter than the rest.
+func regionIndex(p ring.Point, count int) int {
+	width := ^uint64(0)/uint64(count) + 1
+	if width == 0 { // count == 1: the whole ring
+		return 0
+	}
+	return int(uint64(p) / width)
+}
+
+func (s *cuckooSim) regionOf(p ring.Point) int { return regionIndex(p, s.regions) }
+
+// bucket returns the occupants of the k-region containing p.
+func (s *cuckooSim) bucket(p ring.Point) *[]ring.Point {
+	return &s.kreg[regionIndex(p, len(s.kreg))]
 }
 
 func (s *cuckooSim) place(p ring.Point, isBad bool) {
-	for !s.ringSet.Insert(p) { // collision: nudge (probability ~0)
-		p++
-	}
-	if isBad {
-		s.bad[p] = true
+	for {
+		b := s.bucket(p)
+		i, taken := slices.BinarySearch(*b, p)
+		if !taken {
+			*b = slices.Insert(*b, i, p)
+			break
+		}
+		p++ // collision: nudge (probability ~0)
 	}
 	r := s.regionOf(p)
 	s.regTot[r]++
 	if isBad {
+		i, _ := slices.BinarySearch(s.bad, p)
+		s.bad = slices.Insert(s.bad, i, p)
 		s.regBad[r]++
 	}
 	s.touched = append(s.touched, r)
 }
 
+// remove takes the occupant at p off the ring.
 func (s *cuckooSim) remove(p ring.Point) (wasBad bool) {
-	wasBad = s.bad[p]
-	delete(s.bad, p)
-	s.ringSet.Remove(p)
+	b := s.bucket(p)
+	i, _ := slices.BinarySearch(*b, p)
+	*b = slices.Delete(*b, i, i+1)
 	r := s.regionOf(p)
 	s.regTot[r]--
-	if wasBad {
+	if i, wasBad = slices.BinarySearch(s.bad, p); wasBad {
+		s.bad = slices.Delete(s.bad, i, i+1)
 		s.regBad[r]--
 	}
 	s.touched = append(s.touched, r)
 	return wasBad
-}
-
-// kRegionMembers returns the occupants of the k-region containing x.
-func (s *cuckooSim) kRegionMembers(x ring.Point) []ring.Point {
-	if s.ringSet.Len() == 0 {
-		return nil
-	}
-	kRegions := s.cfg.N / s.cfg.K
-	if kRegions < 1 {
-		kRegions = 1
-	}
-	width := ^uint64(0)/uint64(kRegions) + 1
-	lo := ring.Point(uint64(x) / width * width)
-	hi := lo + ring.Point(width-1)
-	var out []ring.Point
-	cur := s.ringSet.Successor(lo)
-	for i := 0; i < s.ringSet.Len(); i++ {
-		if cur < lo || cur > hi { // no wrap: regions are aligned intervals
-			break
-		}
-		out = append(out, cur)
-		next := s.ringSet.StrictSuccessor(cur)
-		if next <= cur { // wrapped
-			break
-		}
-		cur = next
-	}
-	return out
 }
 
 // join places a new node of the given badness per the cuckoo rule:
@@ -117,7 +144,9 @@ func (s *cuckooSim) kRegionMembers(x ring.Point) []ring.Point {
 func (s *cuckooSim) join(isBad bool) {
 	x := ring.Point(s.rng.Uint64())
 	if s.cfg.K > 0 {
-		for _, p := range s.kRegionMembers(x) {
+		// Copy the bucket: its evictees may land back in it.
+		s.evict = append(s.evict[:0], *s.bucket(x)...)
+		for _, p := range s.evict {
 			evictedBad := s.remove(p)
 			s.place(ring.Point(s.rng.Uint64()), evictedBad)
 		}
@@ -155,34 +184,22 @@ func (s *cuckooSim) allRegions() []int {
 	return out
 }
 
+// step runs one adversarial event: a bad node leaves and rejoins. It
+// reports false when the adversary has no node to churn.
+func (s *cuckooSim) step() bool {
+	victim := s.pickChurnNode()
+	if victim == -1 {
+		return false
+	}
+	s.touched = s.touched[:0]
+	s.remove(s.bad[victim])
+	s.join(true)
+	return true
+}
+
 // RunCuckoo executes the join-leave attack and reports survival.
 func RunCuckoo(cfg CuckooConfig) CuckooResult {
-	if cfg.GroupSize < 1 {
-		cfg.GroupSize = 8
-	}
-	s := &cuckooSim{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		ringSet: ring.New(nil),
-		bad:     make(map[ring.Point]bool),
-		regions: cfg.N / cfg.GroupSize,
-	}
-	if s.regions < 1 {
-		s.regions = 1
-	}
-	s.regBad = make([]int, s.regions)
-	s.regTot = make([]int, s.regions)
-
-	// Initial population: place everyone by the join rule itself (an
-	// honest bootstrap), adversary last.
-	nBad := int(cfg.Beta * float64(cfg.N))
-	for i := 0; i < cfg.N-nBad; i++ {
-		s.join(false)
-	}
-	for i := 0; i < nBad; i++ {
-		s.join(true)
-	}
-
+	s := newCuckooSim(cfg)
 	res := CuckooResult{Survived: true, SurvivedEvents: cfg.Events}
 	comp, worst := s.compromised(s.allRegions())
 	res.MaxBadFraction = worst
@@ -192,31 +209,7 @@ func RunCuckoo(cfg CuckooConfig) CuckooResult {
 		res.SurvivedEvents = 0
 		return res
 	}
-
-	// Map iteration order is randomized, so the churn-victim list must be
-	// sorted for a seed to reproduce the same run.
-	badList := make([]ring.Point, 0, nBad)
-	for p := range s.bad {
-		badList = append(badList, p)
-	}
-	sortPoints(badList)
-
-	for e := 1; e <= cfg.Events; e++ {
-		// Adversary churns one of its nodes.
-		victim := s.pickChurnNode(badList)
-		if victim == -1 {
-			break
-		}
-		s.touched = s.touched[:0]
-		s.remove(badList[victim])
-		s.join(true)
-		// The join may have relocated bad evictees; rebuild the bad list
-		// (sorted — see above).
-		badList = badList[:0]
-		for p := range s.bad {
-			badList = append(badList, p)
-		}
-		sortPoints(badList)
+	for e := 1; e <= cfg.Events && s.step(); e++ {
 		comp, worst := s.compromised(s.touched)
 		if worst > res.MaxBadFraction {
 			res.MaxBadFraction = worst
@@ -230,19 +223,15 @@ func RunCuckoo(cfg CuckooConfig) CuckooResult {
 	return res
 }
 
-func sortPoints(pts []ring.Point) {
-	sort.Slice(pts, func(i, j int) bool { return pts[i] < pts[j] })
-}
-
-// pickChurnNode selects which bad node departs: under the targeted attack,
-// a bad node outside the currently most-infected region (preserving the
-// beachhead); otherwise u.a.r.
-func (s *cuckooSim) pickChurnNode(badList []ring.Point) int {
-	if len(badList) == 0 {
+// pickChurnNode selects the index in s.bad of the bad node that departs:
+// under the targeted attack, a bad node outside the currently most-infected
+// region (preserving the beachhead); otherwise u.a.r.
+func (s *cuckooSim) pickChurnNode() int {
+	if len(s.bad) == 0 {
 		return -1
 	}
 	if !s.cfg.Targeted {
-		return s.rng.Intn(len(badList))
+		return s.rng.Intn(len(s.bad))
 	}
 	best, bestFrac := -1, -1.0
 	for r := 0; r < s.regions; r++ {
@@ -253,10 +242,10 @@ func (s *cuckooSim) pickChurnNode(badList []ring.Point) int {
 		}
 	}
 	for tries := 0; tries < 32; tries++ {
-		i := s.rng.Intn(len(badList))
-		if s.regionOf(badList[i]) != best {
+		i := s.rng.Intn(len(s.bad))
+		if s.regionOf(s.bad[i]) != best {
 			return i
 		}
 	}
-	return s.rng.Intn(len(badList))
+	return s.rng.Intn(len(s.bad))
 }

@@ -121,8 +121,9 @@ func E10Cuckoo(ctx context.Context, o Options, em Emitter) error {
 		}
 	}
 	// One batch holds every cuckoo cell plus the tiny-groups arm (the last
-	// trial), so the expensive epoch simulation overlaps the cuckoo cells
-	// instead of waiting for them behind a barrier.
+	// trial). The epoch simulation is the most expensive trial, so it
+	// overlaps the cuckoo cells instead of waiting for them behind a
+	// barrier.
 	rows := engine.Map(o.cfg(), "e10", len(cells)+1, func(ci int, rng *rand.Rand) []string {
 		if ci < len(cells) {
 			c := cells[ci]

@@ -58,8 +58,8 @@ func (p Point) String() string {
 // fundamental operation of every DHT-style input graph (property P1's
 // "ID responsible for a key" is the key's successor).
 //
-// The zero value is an empty ring. Ring is not safe for concurrent mutation;
-// concurrent readers are fine.
+// The zero value is an empty ring. A Ring is immutable after New, so it is
+// safe for concurrent use.
 type Ring struct {
 	pts []Point // sorted ascending, no duplicates
 }
@@ -196,29 +196,6 @@ func (r *Ring) Predecessor(x Point) Point {
 func (r *Ring) Contains(x Point) bool {
 	i := r.search(x)
 	return i < len(r.pts) && r.pts[i] == x
-}
-
-// Insert adds x to the ring if not already present, returning whether it
-// was added.
-func (r *Ring) Insert(x Point) bool {
-	i := r.search(x)
-	if i < len(r.pts) && r.pts[i] == x {
-		return false
-	}
-	r.pts = append(r.pts, 0)
-	copy(r.pts[i+1:], r.pts[i:])
-	r.pts[i] = x
-	return true
-}
-
-// Remove deletes x from the ring, returning whether it was present.
-func (r *Ring) Remove(x Point) bool {
-	i := r.search(x)
-	if i == len(r.pts) || r.pts[i] != x {
-		return false
-	}
-	r.pts = append(r.pts[:i], r.pts[i+1:]...)
-	return true
 }
 
 // Index returns the rank of x on the ring and whether x is present.

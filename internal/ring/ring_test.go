@@ -105,35 +105,6 @@ func TestStrictSuccessorAndPredecessor(t *testing.T) {
 	}
 }
 
-func TestInsertRemoveContains(t *testing.T) {
-	r := New(nil)
-	p := FromFloat(0.3)
-	if r.Contains(p) {
-		t.Error("empty ring should not contain anything")
-	}
-	if !r.Insert(p) {
-		t.Error("first Insert should return true")
-	}
-	if r.Insert(p) {
-		t.Error("duplicate Insert should return false")
-	}
-	if !r.Contains(p) {
-		t.Error("ring should contain inserted point")
-	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d, want 1", r.Len())
-	}
-	if !r.Remove(p) {
-		t.Error("Remove of present point should return true")
-	}
-	if r.Remove(p) {
-		t.Error("Remove of absent point should return false")
-	}
-	if r.Len() != 0 {
-		t.Errorf("Len = %d, want 0", r.Len())
-	}
-}
-
 func TestNewDedupes(t *testing.T) {
 	r := mustRing(0.5, 0.5, 0.5, 0.2)
 	if r.Len() != 2 {
@@ -210,27 +181,6 @@ func TestDistCyclicAdditivity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: Insert keeps the ring sorted and Contains agrees with a map.
-func TestInsertMaintainsSortedInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	r := New(nil)
-	seen := map[Point]bool{}
-	for i := 0; i < 500; i++ {
-		p := Point(rng.Uint64() % 1000) // force collisions
-		added := r.Insert(p)
-		if added == seen[p] {
-			t.Fatalf("Insert(%v) returned %v but seen=%v", p, added, seen[p])
-		}
-		seen[p] = true
-	}
-	if !sort.SliceIsSorted(r.Points(), func(i, j int) bool { return r.At(i) < r.At(j) }) {
-		t.Fatal("ring points not sorted after inserts")
-	}
-	if r.Len() != len(seen) {
-		t.Fatalf("Len = %d, want %d", r.Len(), len(seen))
 	}
 }
 
