@@ -19,7 +19,7 @@ CLUSTER_ROUTER_ADDR = 127.0.0.1:$(CLUSTER_PORT)
 CLUSTER_SHARD0_ADDR = 127.0.0.1:$(shell expr $(CLUSTER_PORT) + 1)
 CLUSTER_SHARD1_ADDR = 127.0.0.1:$(shell expr $(CLUSTER_PORT) + 2)
 
-.PHONY: build test cover bench bench-smoke lint api apicheck smoke-examples chaos-smoke cluster-smoke fuzz-short ci
+.PHONY: build test cover bench bench-smoke lint api apicheck chaos-smoke cluster-smoke fuzz-short ci
 
 build:
 	$(GO) build ./...
@@ -84,13 +84,6 @@ apicheck:
 	fi; \
 	rm -f API.txt.tmp
 
-# smoke-examples builds and runs every example binary against the public
-# API (output discarded; a non-zero exit fails the gate).
-smoke-examples:
-	@set -e; for d in examples/*/; do \
-		echo "== $$d"; $(GO) run "./$$d" > /dev/null; \
-	done
-
 # chaos-smoke gates the daemon's whole life with the real binary: cmd/chaos
 # boots it on a data dir, drives the three adversarial workloads, SIGKILLs
 # it mid-epoch, restarts it on the same dir, requires a disk recovery
@@ -135,4 +128,4 @@ cluster-smoke:
 	wait $$rp; wait $$s0; wait $$s1; \
 	echo "cluster-smoke: clean router + 2-shard exit"
 
-ci: build lint apicheck test cover fuzz-short smoke-examples chaos-smoke cluster-smoke bench bench-smoke
+ci: build lint apicheck test cover fuzz-short chaos-smoke cluster-smoke bench bench-smoke

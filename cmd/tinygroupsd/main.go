@@ -6,7 +6,7 @@
 //
 //	tinygroupsd [-addr HOST:PORT] [-n N] [-beta B] [-overlay NAME]
 //	            [-seed S] [-workers W] [-epoch-interval D]
-//	            [-mint-work W] [-mint-target D]
+//	            [-mint-work W]
 //	            [-data-dir PATH] [-snapshot-keep K]
 //	            [-shard-index I -shard-count K] [-version]
 //
@@ -16,8 +16,9 @@
 // -data-dir restores the exact pre-crash state (byte-identical epoch
 // fingerprint, all acknowledged puts) instead of re-bootstrapping.
 // -snapshot-keep bounds the on-disk retention. Changing a
-// determinism-relevant flag (-n, -seed, -beta, -overlay, ...) against an
-// existing data dir fails at startup; wipe the directory to start over.
+// determinism-relevant flag (-n, -seed, -beta, -overlay, -mint-work, ...)
+// against an existing data dir fails at startup; wipe the directory to
+// start over.
 //
 // In cluster mode (-shard-count K > 1) the daemon serves only the keys
 // whose ring point falls in shard I's contiguous range, answering a typed
@@ -88,7 +89,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	workers := fs.Int("workers", 0, "construction/batch worker pool size (0 = GOMAXPROCS)")
 	epochEvery := fs.Duration("epoch-interval", 0, "advance the epoch on this period in the background (0 = only via /v1/epoch/advance)")
 	mintWork := fs.Float64("mint-work", 1<<14, "PoW difficulty of /v1/mint in expected hash attempts per ID")
-	mintTarget := fs.Duration("mint-target", 0, "retarget mint difficulty toward this mean solve time at each epoch advance (0 = fixed difficulty)")
 	dataDir := fs.String("data-dir", "", "durable state directory: snapshot each epoch boundary, op-log puts, restore on restart (empty = in-memory only)")
 	snapshotKeep := fs.Int("snapshot-keep", 3, "how many epoch snapshots to retain in -data-dir")
 	shardIndex := fs.Int("shard-index", 0, "this daemon's shard number in a cluster (0-based; requires -shard-count)")
@@ -116,7 +116,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		tinygroups.WithSeed(*seed),
 		tinygroups.WithWorkers(*workers),
 		tinygroups.WithMintWork(*mintWork),
-		tinygroups.WithMintRetarget(*mintTarget),
 	}
 	if *dataDir != "" {
 		opts = append(opts, tinygroups.WithDataDir(*dataDir), tinygroups.WithSnapshotKeep(*snapshotKeep))
@@ -143,8 +142,8 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 		Version:    buildinfo.String(),
 		Logf:       logf,
 	})
-	logf("tinygroupsd %s: n=%d beta=%v overlay=%s seed=%d workers=%d epoch-interval=%s mint-work=%v mint-target=%s shard=%d/%d data-dir=%q",
-		buildinfo.String(), *n, *beta, *overlay, *seed, *workers, *epochEvery, *mintWork, *mintTarget, *shardIndex, *shardCount, *dataDir)
+	logf("tinygroupsd %s: n=%d beta=%v overlay=%s seed=%d workers=%d epoch-interval=%s mint-work=%v shard=%d/%d data-dir=%q",
+		buildinfo.String(), *n, *beta, *overlay, *seed, *workers, *epochEvery, *mintWork, *shardIndex, *shardCount, *dataDir)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe(*addr) }()

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -52,7 +53,7 @@ func TestDocRefs(t *testing.T) {
 	exports := map[string]map[string]bool{}
 	for name, dir := range stableDirs {
 		var undocumented []string
-		exports[name], undocumented = stablePackage(t, fset, dir)
+		exports[name], _, undocumented = stablePackage(t, fset, dir)
 		for _, u := range undocumented {
 			t.Error(u)
 		}
@@ -127,6 +128,136 @@ func TestDocRefs(t *testing.T) {
 	}
 }
 
+// unusedPublic lists the public names of the stable packages that no
+// non-test code outside their own package uses yet, in the form
+// TestPublicNamesHaveCallers reports them. Each waits for ROADMAP item 14's
+// daemon observer, which will install an Observer and switch on the Op of
+// each SearchEvent. The test keeps the list exact, so it can only shrink: a
+// name that gains a caller, or goes away, must leave it.
+var unusedPublic = []string{
+	"tinygroups.OpCompute",
+	"tinygroups.OpGet",
+	"tinygroups.OpLookup",
+	"tinygroups.OpPut",
+	"tinygroups.WithObserver",
+}
+
+// TestPublicNamesHaveCallers fails when a public name of a stable package
+// has no caller: no non-test Go file outside the package's directory, in
+// this module or in bench/, selects it. A package-level func, var or const
+// counts as used when such a file selects pkg.Name through an import of the
+// package; a method counts as used when such a file selects .Method on
+// anything, which can over-count but never misses a caller. Type names and
+// fields are not audited: callers reach them through the functions that
+// return them. Names in unusedPublic are exempt, and the test also fails on
+// an entry that is used or no longer exists.
+func TestPublicNamesHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	public := map[string]bool{}
+	for name, dir := range stableDirs {
+		_, names, _ := stablePackage(t, fset, dir)
+		for _, n := range names {
+			public[name+"."+n] = true
+		}
+	}
+	used := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, key := range selectedNames(f, filepath.Dir(path)) {
+			used[key] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, miss := range uncalled(public, used, unusedPublic) {
+		t.Error(miss)
+	}
+}
+
+// selectedNames returns the public names a file in dir selects, in the
+// keys TestPublicNamesHaveCallers audits: "pkg.Name" for a selector on an
+// import of a stable package other than dir's own, and "*.Method" for any
+// other selector, whose receiver type the parse cannot know.
+func selectedNames(f *ast.File, dir string) []string {
+	imports := map[string]string{} // local name → stable package name
+	for _, imp := range f.Imports {
+		path := strings.Trim(imp.Path.Value, `"`)
+		for name, pkgDir := range stableDirs {
+			if path != "repro/"+pkgDir || pkgDir == dir {
+				continue
+			}
+			local := name
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+			imports[local] = name
+		}
+	}
+	var keys []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if id, ok := sel.X.(*ast.Ident); ok && imports[id.Name] != "" {
+			keys = append(keys, imports[id.Name]+"."+sel.Sel.Name)
+		} else {
+			keys = append(keys, "*."+sel.Sel.Name)
+		}
+		return true
+	})
+	return keys
+}
+
+// uncalled returns one finding per public name that nothing uses and the
+// allowlist does not exempt, and per allowlist entry that is used or not
+// public. public holds "pkg.Name" and "pkg.Type.Method"; used holds
+// "pkg.Name" and "*.Method" as selectedNames reports them.
+func uncalled(public, used map[string]bool, allow []string) []string {
+	isUsed := func(name string) bool {
+		parts := strings.Split(name, ".")
+		if len(parts) == 3 {
+			return used["*."+parts[2]]
+		}
+		return used[name]
+	}
+	allowed := map[string]bool{}
+	var out []string
+	for _, name := range allow {
+		allowed[name] = true
+		switch {
+		case !public[name]:
+			out = append(out, fmt.Sprintf("unusedPublic lists %s, which is no longer public: drop the entry", name))
+		case isUsed(name):
+			out = append(out, fmt.Sprintf("unusedPublic lists %s, which now has a caller: drop the entry", name))
+		}
+	}
+	for name := range public {
+		if !allowed[name] && !isUsed(name) {
+			out = append(out, fmt.Sprintf("public %s has no caller outside its package's tests: delete it", name))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
 // checkMarkdownRefs reports every *.md name in text that exists neither
 // relative to the repository root nor relative to the directory of from.
 func checkMarkdownRefs(t *testing.T, from, text string) {
@@ -153,13 +284,15 @@ func checkAPIRefs(t *testing.T, from, text string, exports map[string]map[string
 
 // stablePackage parses the non-test Go files of dir. It returns the
 // package-level names they declare (go doc -short would list only the
-// first name of each var/const group) and one finding per missing doc
-// comment: a package comment on some file; a doc comment on every exported
-// function, and on every method of an exported type; and a doc comment on
-// every exported type, const and var, on its own spec or on its enclosing
-// grouped declaration (a documented const block covers its members, as
-// godoc renders it).
-func stablePackage(t *testing.T, fset *token.FileSet, dir string) (names map[string]bool, undocumented []string) {
+// first name of each var/const group); the public names a caller can use,
+// each exported package-level func, var and const as "Name" and each
+// exported method of an exported type as "Type.Method"; and one finding per
+// missing doc comment: a package comment on some file; a doc comment on
+// every exported function, and on every method of an exported type; and a
+// doc comment on every exported type, const and var, on its own spec or on
+// its enclosing grouped declaration (a documented const block covers its
+// members, as godoc renders it).
+func stablePackage(t *testing.T, fset *token.FileSet, dir string) (names map[string]bool, public, undocumented []string) {
 	t.Helper()
 	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
@@ -182,10 +315,19 @@ func stablePackage(t *testing.T, fset *token.FileSet, dir string) (names map[str
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
+				recv := recvType(d.Recv)
 				if d.Recv == nil {
 					names[d.Name.Name] = true
 				}
-				if d.Name.IsExported() && (d.Recv == nil || exportedRecv(d.Recv)) && d.Doc == nil {
+				if !d.Name.IsExported() || (d.Recv != nil && !ast.IsExported(recv)) {
+					continue
+				}
+				if d.Recv == nil {
+					public = append(public, d.Name.Name)
+				} else {
+					public = append(public, recv+"."+d.Name.Name)
+				}
+				if d.Doc == nil {
 					complain(d.Pos(), d.Name.Name)
 				}
 			case *ast.GenDecl:
@@ -201,7 +343,11 @@ func stablePackage(t *testing.T, fset *token.FileSet, dir string) (names map[str
 						documented := blockDoc || spec.Doc != nil || spec.Comment != nil
 						for _, n := range spec.Names {
 							names[n.Name] = true
-							if n.IsExported() && !documented {
+							if !n.IsExported() {
+								continue
+							}
+							public = append(public, n.Name)
+							if !documented {
 								complain(n.Pos(), n.Name)
 							}
 						}
@@ -213,14 +359,15 @@ func stablePackage(t *testing.T, fset *token.FileSet, dir string) (names map[str
 	if len(files) > 0 && !hasPkgDoc {
 		undocumented = append(undocumented, dir+": no package comment")
 	}
-	return names, undocumented
+	return names, public, undocumented
 }
 
-// exportedRecv reports whether a method's receiver names an exported type
-// (methods on unexported types are not part of the surface godoc renders).
-func exportedRecv(recv *ast.FieldList) bool {
-	if len(recv.List) == 0 {
-		return false
+// recvType returns the type name of a method's receiver, or "" for a
+// function. Methods on unexported types are not part of the surface godoc
+// renders.
+func recvType(recv *ast.FieldList) string {
+	if recv == nil || len(recv.List) == 0 {
+		return ""
 	}
 	t := recv.List[0].Type
 	for {
@@ -232,9 +379,9 @@ func exportedRecv(recv *ast.FieldList) bool {
 		case *ast.IndexListExpr: // generic receiver T[P1, P2]
 			t = tt.X
 		case *ast.Ident:
-			return tt.IsExported()
+			return tt.Name
 		default:
-			return false
+			return ""
 		}
 	}
 }
@@ -266,7 +413,7 @@ func unexported() {}
 
 const Loose = 1
 `)
-	_, found := stablePackage(t, token.NewFileSet(), dir)
+	_, _, found := stablePackage(t, token.NewFileSet(), dir)
 	out := strings.Join(found, "\n")
 	for _, want := range []string{
 		"no package comment", "Undocumented", "AlsoUndocumented", "Loose",
@@ -307,7 +454,7 @@ func (hidden) m() {}
 
 func (hidden) Exported() {}
 `)
-	if _, found := stablePackage(t, token.NewFileSet(), dir); len(found) != 0 {
+	if _, _, found := stablePackage(t, token.NewFileSet(), dir); len(found) != 0 {
 		t.Errorf("findings on a documented package:\n%s", strings.Join(found, "\n"))
 	}
 }

@@ -69,16 +69,12 @@ func TestIntegrationAllStrategies(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sys.Close()
-			rob, err := sys.Robustness(400)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rob.SearchFailRate > 0.12 {
-				t.Errorf("%s: fail rate %.3f exceeds ε budget", strat, rob.SearchFailRate)
-			}
 			st, err := sys.AdvanceEpoch(ctx)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if st.SearchFailRate > 0.12 {
+				t.Errorf("%s: fail rate %.3f exceeds ε budget", strat, st.SearchFailRate)
 			}
 			if st.RedFraction[0] > 0.05 {
 				t.Errorf("%s: post-epoch red fraction %.3f", strat, st.RedFraction[0])

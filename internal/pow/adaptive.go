@@ -1,89 +1,6 @@
 package pow
 
-import (
-	"math/rand"
-	"time"
-)
-
-// RetargetConfig tunes a Retargeter. The zero value is completed by
-// defaults: 4× max step, work clamped to [2, 2^40].
-type RetargetConfig struct {
-	// TargetSolve is the solve time the controller steers toward.
-	TargetSolve time.Duration
-	// MaxStep bounds the per-observation work multiplier to
-	// [1/MaxStep, MaxStep], so one noisy epoch cannot swing the difficulty
-	// arbitrarily (the same clamp discipline as Bitcoin's retarget).
-	// Must be > 1; 0 means 4.
-	MaxStep float64
-	// MinWork / MaxWork clamp the absolute difficulty, in expected attempts
-	// per solution. 0 means 2 and 2^40 respectively.
-	MinWork, MaxWork float64
-}
-
-func (c RetargetConfig) withDefaults() RetargetConfig {
-	if c.MaxStep <= 1 {
-		c.MaxStep = 4
-	}
-	if c.MinWork < 2 {
-		c.MinWork = 2
-	}
-	if c.MaxWork <= c.MinWork {
-		c.MaxWork = 1 << 40
-	}
-	return c
-}
-
-// Retargeter adjusts puzzle difficulty from observed solve times: each
-// epoch's mean solve duration is compared against the target, and the
-// expected-attempts work factor is scaled by the (clamped) ratio, so spam
-// cost tracks the compute actually being thrown at the mint path. The
-// trajectory is a pure function of the initial work and the observation
-// sequence — no randomness, no wall-clock reads — so deterministic tests
-// and replays hold. Not goroutine-safe; callers serialize observations
-// (the daemon drives it from the epoch ticker under the write lock).
-type Retargeter struct {
-	cfg  RetargetConfig
-	work float64
-}
-
-// NewRetargeter returns a controller starting at initialWork expected
-// attempts per solution, clamped into the configured bounds.
-func NewRetargeter(initialWork float64, cfg RetargetConfig) *Retargeter {
-	cfg = cfg.withDefaults()
-	rt := &Retargeter{cfg: cfg, work: clampWork(initialWork, cfg)}
-	return rt
-}
-
-func clampWork(w float64, cfg RetargetConfig) float64 {
-	if w < cfg.MinWork {
-		return cfg.MinWork
-	}
-	if w > cfg.MaxWork {
-		return cfg.MaxWork
-	}
-	return w
-}
-
-// Observe feeds one epoch's mean solve duration and returns the updated
-// work factor. Solves faster than target raise the work (puzzles were too
-// cheap for the available compute); slower solves lower it. Non-positive
-// observations are ignored.
-func (rt *Retargeter) Observe(meanSolve time.Duration) float64 {
-	if meanSolve <= 0 || rt.cfg.TargetSolve <= 0 {
-		return rt.work
-	}
-	ratio := float64(rt.cfg.TargetSolve) / float64(meanSolve)
-	if ratio > rt.cfg.MaxStep {
-		ratio = rt.cfg.MaxStep
-	} else if ratio < 1/rt.cfg.MaxStep {
-		ratio = 1 / rt.cfg.MaxStep
-	}
-	rt.work = clampWork(rt.work*ratio, rt.cfg)
-	return rt.work
-}
-
-// Work returns the current difficulty in expected attempts per solution.
-func (rt *Retargeter) Work() float64 { return rt.work }
+import "math/rand"
 
 // This file explores the paper's concluding open question — "Might there
 // be a way to avoid the continual solving of puzzles? Is there an approach

@@ -2,97 +2,9 @@ package pow
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/ring"
 )
-
-// observe runs the retargeter against a simulated solver of fixed power:
-// at hashRate attempts/sec, a puzzle of the current work takes work/rate
-// seconds in expectation. Returns the work trajectory.
-func observe(rt *Retargeter, hashRate float64, steps int) []float64 {
-	out := make([]float64, 0, steps)
-	for i := 0; i < steps; i++ {
-		mean := time.Duration(rt.Work() / hashRate * float64(time.Second))
-		out = append(out, rt.Observe(mean))
-	}
-	return out
-}
-
-// TestRetargeterConvergence: under a step-change in solve power the work
-// factor converges to target·rate — the fixed point where puzzles take
-// exactly the target duration — and tracks the change when power shifts.
-func TestRetargeterConvergence(t *testing.T) {
-	cfg := RetargetConfig{TargetSolve: 100 * time.Millisecond, MaxStep: 4}
-	rt := NewRetargeter(1<<10, cfg)
-
-	const rate1 = 1e6 // attempts/sec
-	observe(rt, rate1, 20)
-	want := cfg.TargetSolve.Seconds() * rate1 // 1e5
-	if got := rt.Work(); got < want*0.99 || got > want*1.01 {
-		t.Fatalf("work after convergence = %g, want ≈ %g", got, want)
-	}
-
-	// Solver power quadruples (e.g. an attacker brings hardware): work must
-	// follow to 4× within a few clamped steps.
-	const rate2 = 4e6
-	observe(rt, rate2, 20)
-	want = cfg.TargetSolve.Seconds() * rate2
-	if got := rt.Work(); got < want*0.99 || got > want*1.01 {
-		t.Fatalf("work after power step = %g, want ≈ %g", got, want)
-	}
-}
-
-// TestRetargeterStepClamp: one observation can move the work by at most the
-// MaxStep factor in either direction, however extreme the measurement.
-func TestRetargeterStepClamp(t *testing.T) {
-	cfg := RetargetConfig{TargetSolve: time.Hour, MaxStep: 4, MaxWork: 1 << 50}
-	rt := NewRetargeter(1<<20, cfg)
-	if got := rt.Observe(time.Nanosecond); got != 1<<22 { // instant solve → raise, clamped to ×4
-		t.Fatalf("up-step = %g, want %d", got, 1<<22)
-	}
-	rt2 := NewRetargeter(1<<20, RetargetConfig{TargetSolve: time.Nanosecond, MaxStep: 4})
-	if got := rt2.Observe(time.Hour); got != 1<<18 { // glacial solve → lower, clamped to ÷4
-		t.Fatalf("down-step = %g, want %d", got, 1<<18)
-	}
-}
-
-// TestRetargeterWorkBounds: the absolute clamp wins over the step.
-func TestRetargeterWorkBounds(t *testing.T) {
-	cfg := RetargetConfig{TargetSolve: time.Second, MaxStep: 1 << 20, MinWork: 64, MaxWork: 4096}
-	rt := NewRetargeter(1<<30, cfg) // initial above MaxWork → clamped at construction
-	if got := rt.Work(); got != 4096 {
-		t.Fatalf("initial work = %g, want 4096", got)
-	}
-	if got := rt.Observe(time.Nanosecond); got != 4096 { // push up: stays at ceiling
-		t.Fatalf("work above ceiling = %g, want 4096", got)
-	}
-	for i := 0; i < 8; i++ {
-		rt.Observe(100 * time.Hour) // push down hard
-	}
-	if got := rt.Work(); got != 64 {
-		t.Fatalf("work below floor = %g, want 64", got)
-	}
-	// Degenerate observations leave the state untouched.
-	if got := rt.Observe(0); got != 64 {
-		t.Fatalf("zero observation moved work to %g", got)
-	}
-}
-
-// TestRetargeterDeterminism: the trajectory is a pure function of the
-// initial work and observation sequence.
-func TestRetargeterDeterminism(t *testing.T) {
-	cfg := RetargetConfig{TargetSolve: 50 * time.Millisecond, MaxStep: 3}
-	a := NewRetargeter(1<<14, cfg)
-	b := NewRetargeter(1<<14, cfg)
-	obs := []time.Duration{time.Millisecond, time.Second, 20 * time.Millisecond, 80 * time.Millisecond, 50 * time.Millisecond}
-	for _, o := range obs {
-		wa, wb := a.Observe(o), b.Observe(o)
-		if wa != wb {
-			t.Fatalf("trajectories diverged: %g vs %g after %v", wa, wb, o)
-		}
-	}
-}
 
 // TestTauForWork pins the work→threshold mapping and its consistency with
 // the epoch-sized variant.

@@ -88,9 +88,8 @@ func Verify(id ring.Point, sigma, r []byte, p Params) bool {
 }
 
 // TauForWork returns the threshold at which one solution takes `work`
-// attempts in expectation: τ = 2^64 / work of the output space. It is the
-// inverse of the difficulty knob the Retargeter turns — work doubles, τ
-// halves. work < 2 means every attempt solves.
+// attempts in expectation: τ = 2^64 / work of the output space. Work
+// doubles, τ halves. work < 2 means every attempt solves.
 func TauForWork(work float64) ring.Point {
 	if work < 2 {
 		return ^ring.Point(0)

@@ -48,8 +48,8 @@ type MetricsSnapshot struct {
 	} `json:"requests"`
 
 	// Mint reports the identity layer: IDs minted and claims verified
-	// across all calls, plus the difficulty currently in force (expected
-	// attempts per ID; moves only under retargeting).
+	// across all calls, plus the configured difficulty (expected attempts
+	// per ID).
 	Mint struct {
 		MintedIDs      int64   `json:"minted_ids"`
 		VerifiedClaims int64   `json:"verified_claims"`

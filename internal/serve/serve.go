@@ -199,10 +199,7 @@ func (s *Server) tick(ctx context.Context) {
 				s.logf("tinygroupsd: epoch advance failed: %v", err)
 				continue
 			}
-			// Mint difficulty can move at each advance under retargeting;
-			// the ticker line is where operators watch it drift.
-			s.logf("tinygroupsd: epoch %d built (n=%d, qf=%.4f, mint-work=%.0f)",
-				st.Epoch, st.N, st.QfSingle, s.sys.MintWork())
+			s.logf("tinygroupsd: epoch %d built (n=%d, qf=%.4f)", st.Epoch, st.N, st.QfSingle)
 		}
 	}
 }

@@ -88,10 +88,9 @@ type Snapshot struct {
 	Config   ConfigKey
 	Epoch    int
 	RNGCount uint64
-	// MintWork is the difficulty serving at the boundary; RetargetWork the
-	// retargeting controller's internal state (0 when retargeting is off).
-	MintWork     float64
-	RetargetWork float64
+	// MintWork is the mint difficulty the System serves, in expected
+	// attempts per ID.
+	MintWork float64
 	// Fingerprint is the generation digest the saver computed; the loader
 	// verifies the rebuilt generation against it before serving.
 	Fingerprint string
@@ -120,7 +119,9 @@ func Encode(s *Snapshot) []byte {
 	writeUint(&b, uint64(s.Epoch))
 	writeUint(&b, s.RNGCount)
 	writeUint(&b, math.Float64bits(s.MintWork))
-	writeUint(&b, math.Float64bits(s.RetargetWork))
+	// A retired slot, always written as 0; it goes at ROADMAP item 10's
+	// version bump.
+	writeUint(&b, 0)
 	writeString(&b, s.Fingerprint)
 
 	writeUint(&b, uint64(len(s.Ring)))
@@ -193,7 +194,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 	s.RNGCount = d.uint()
 	s.MintWork = math.Float64frombits(d.uint())
-	s.RetargetWork = math.Float64frombits(d.uint())
+	d.uint() // the retired slot Encode writes as 0
 	s.Fingerprint = d.string(maxNameLen)
 
 	s.Ring = d.points()

@@ -1,7 +1,10 @@
 package snapshot
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,13 +19,12 @@ func sampleSnapshot(epoch int) *Snapshot {
 			N: 64, Seed: 1, BetaBits: 0x3FA999999999999A, Overlay: "chord",
 			TwoGraphs: true, VerifyRequests: true, Strategy: 0, SpamFactor: 0,
 		},
-		Epoch:        epoch,
-		RNGCount:     12345,
-		MintWork:     16384,
-		RetargetWork: 0,
-		Fingerprint:  "feedface",
-		Ring:         []uint64{1, 5, 9, 200},
-		BadList:      []uint64{9},
+		Epoch:       epoch,
+		RNGCount:    12345,
+		MintWork:    16384,
+		Fingerprint: "feedface",
+		Ring:        []uint64{1, 5, 9, 200},
+		BadList:     []uint64{9},
 		Graphs: [][]Group{
 			{
 				{Members: []Member{{ID: 1}, {ID: 9, Bad: true}}, Bad: true},
@@ -48,6 +50,47 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSnapshotRetiredSlotCompat: a v1 image whose retired slot after
+// MintWork is non-zero — what a data dir written while the slot still held
+// mint-retargeting state carries — decodes to the same snapshot, and
+// re-encodes (slot 0) to an image that decodes to it again.
+func TestSnapshotRetiredSlotCompat(t *testing.T) {
+	want := sampleSnapshot(7)
+	data := Encode(want)
+	body := data[:len(data)-sha256.Size]
+	// The slot sits between the MintWork varint and the fingerprint string.
+	var mark bytes.Buffer
+	writeUint(&mark, math.Float64bits(want.MintWork))
+	before := mark.Len()
+	writeUint(&mark, 0)
+	writeString(&mark, want.Fingerprint)
+	if n := bytes.Count(body, mark.Bytes()); n != 1 {
+		t.Fatalf("retired slot located %d times, want 1", n)
+	}
+	at := bytes.Index(body, mark.Bytes()) + before
+	var legacy bytes.Buffer
+	legacy.Write(body[:at])
+	writeUint(&legacy, math.Float64bits(4096))
+	legacy.Write(body[at+1:]) // the 0 slot is one varint byte
+	sum := sha256.Sum256(legacy.Bytes())
+	legacy.Write(sum[:])
+
+	got, err := Decode(legacy.Bytes())
+	if err != nil {
+		t.Fatalf("decode legacy image: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy image decoded to\n %+v\nwant %+v", got, want)
+	}
+	re := Encode(got)
+	if !bytes.Equal(re, data) {
+		t.Fatal("re-encoded legacy snapshot differs from the canonical encoding")
+	}
+	if again, err := Decode(re); err != nil || !reflect.DeepEqual(again, want) {
+		t.Fatalf("re-decode: %v", err)
 	}
 }
 

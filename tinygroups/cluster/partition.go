@@ -50,29 +50,3 @@ func ShardOf(p tinygroups.Point, shards int) int {
 func OwnerOf(key string, shards int) int {
 	return ShardOf(tinygroups.KeyPoint(key), shards)
 }
-
-// RangeOf returns the inclusive point range [lo, hi] owned by shard in a
-// cluster of `shards` shards. It inverts ShardOf: ShardOf(p, shards) ==
-// shard exactly when lo <= p <= hi.
-func RangeOf(shard, shards int) (lo, hi tinygroups.Point) {
-	if shards <= 1 {
-		return 0, tinygroups.Point(^uint64(0))
-	}
-	lo = rangeStart(shard, shards)
-	if shard == shards-1 {
-		hi = tinygroups.Point(^uint64(0))
-	} else {
-		hi = rangeStart(shard+1, shards) - 1
-	}
-	return lo, hi
-}
-
-// rangeStart returns the smallest point of shard's range:
-// ceil(shard·2^64 / shards).
-func rangeStart(shard, shards int) tinygroups.Point {
-	q, r := bits.Div64(uint64(shard), 0, uint64(shards))
-	if r > 0 {
-		q++
-	}
-	return tinygroups.Point(q)
-}

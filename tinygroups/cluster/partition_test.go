@@ -1,13 +1,28 @@
 package cluster
 
 import (
+	"math/bits"
 	"testing"
 
 	"repro/tinygroups"
 )
 
+// rangeLo returns the smallest point shard s owns among k shards,
+// ceil(s·2^64 / k), derived from the partition's definition rather than
+// from ShardOf. rangeLo(k, k) is 2^64, which wraps to 0.
+func rangeLo(s, k int) uint64 {
+	if s == k {
+		return 0
+	}
+	q, r := bits.Div64(uint64(s), 0, uint64(k))
+	if r > 0 {
+		q++
+	}
+	return q
+}
+
 // TestShardOfPartitions pins that ShardOf is a total partition into K
-// contiguous ranges and that RangeOf inverts it exactly at the borders.
+// contiguous ranges whose borders sit exactly at ceil(s·2^64 / K).
 func TestShardOfPartitions(t *testing.T) {
 	max := tinygroups.Point(^uint64(0))
 	for _, k := range []int{1, 2, 3, 4, 7, 16} {
@@ -17,26 +32,14 @@ func TestShardOfPartitions(t *testing.T) {
 		if got := ShardOf(max, k); got != k-1 {
 			t.Fatalf("ShardOf(max, %d) = %d; want %d", k, got, k-1)
 		}
-		for s := 0; s < k; s++ {
-			lo, hi := RangeOf(s, k)
-			if ShardOf(lo, k) != s || ShardOf(hi, k) != s {
-				t.Fatalf("k=%d shard %d: range [%d,%d] not owned by itself", k, s, lo, hi)
+		for s := 1; s < k; s++ {
+			lo := tinygroups.Point(rangeLo(s, k))
+			if got := ShardOf(lo, k); got != s {
+				t.Fatalf("k=%d: border point %d owned by %d, want %d", k, lo, got, s)
 			}
-			if lo > 0 && ShardOf(lo-1, k) != s-1 {
-				t.Fatalf("k=%d shard %d: point below lo owned by %d", k, s, ShardOf(lo-1, k))
+			if got := ShardOf(lo-1, k); got != s-1 {
+				t.Fatalf("k=%d: point below border %d owned by %d, want %d", k, lo, got, s-1)
 			}
-			if hi < max && ShardOf(hi+1, k) != s+1 {
-				t.Fatalf("k=%d shard %d: point above hi owned by %d", k, s, ShardOf(hi+1, k))
-			}
-		}
-		// Ranges tile the whole ring with no gaps.
-		var covered uint64
-		for s := 0; s < k; s++ {
-			lo, hi := RangeOf(s, k)
-			covered += uint64(hi) - uint64(lo) + 1
-		}
-		if covered != 0 { // 2^64 wraps to 0
-			t.Fatalf("k=%d: ranges cover %d points, want 2^64", k, covered)
 		}
 	}
 }
@@ -47,8 +50,7 @@ func TestShardOfBalance(t *testing.T) {
 	for _, k := range []int{2, 3, 5, 8} {
 		var minSz, maxSz uint64
 		for s := 0; s < k; s++ {
-			lo, hi := RangeOf(s, k)
-			sz := uint64(hi) - uint64(lo) + 1
+			sz := rangeLo(s+1, k) - rangeLo(s, k)
 			if s == 0 || sz < minSz {
 				minSz = sz
 			}

@@ -15,22 +15,23 @@ import (
 	"repro/tinygroups"
 )
 
-// Typed errors of the coordinated epoch advance; Advance returns errors
-// wrapping one of these, and the router's HTTP surface maps them onto the
-// same machine-readable codes the shard daemons use.
+// Errors of the coordinated epoch advance. The router's HTTP surface maps
+// them onto the machine-readable codes clients branch on —
+// shard_unreachable, epoch_build_failed and epoch_flip_failed — the same
+// codes the shard daemons use.
 var (
-	// ErrShardUnreachable is returned when a shard cannot be reached (or
+	// errShardUnreachable is returned when a shard cannot be reached (or
 	// answers with a non-JSON failure) for a forwarded or coordinated call.
-	ErrShardUnreachable = errors.New("cluster: shard unreachable")
-	// ErrBuildFailed is returned by Advance when phase 1 failed on at
+	errShardUnreachable = errors.New("cluster: shard unreachable")
+	// errBuildFailed is returned by Advance when phase 1 failed on at
 	// least one shard: every shard was told to abort and NO shard flipped —
 	// the old generation is still serving everywhere.
-	ErrBuildFailed = errors.New("cluster: epoch build failed; no shard flipped")
-	// ErrFlipFailed is returned by Advance when phase 2 failed on at least
+	errBuildFailed = errors.New("cluster: epoch build failed; no shard flipped")
+	// errFlipFailed is returned by Advance when phase 2 failed on at least
 	// one shard after every build succeeded. Shards that flipped serve the
 	// new epoch; a shard that missed the flip still holds its built
 	// generation and catches up on the next advance.
-	ErrFlipFailed = errors.New("cluster: epoch flip failed on a shard")
+	errFlipFailed = errors.New("cluster: epoch flip failed on a shard")
 )
 
 // maxRouterBody bounds forwarded request bodies, mirroring the shard
@@ -245,7 +246,7 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard int, body 
 
 // postShard POSTs a JSON body to one shard and decodes the response into
 // out. Non-2xx answers decode the shard's error envelope and surface as
-// an error wrapping ErrShardUnreachable (transport) or carrying the
+// an error wrapping errShardUnreachable (transport) or carrying the
 // shard's code (typed refusal).
 func (rt *Router) postShard(ctx context.Context, shard int, path string, in, out any) error {
 	var rd io.Reader
@@ -258,28 +259,28 @@ func (rt *Router) postShard(ctx context.Context, shard int, path string, in, out
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rt.cfg.Shards[shard]+path, rd)
 	if err != nil {
-		return fmt.Errorf("%w: shard %d: %v", ErrShardUnreachable, shard, err)
+		return fmt.Errorf("%w: shard %d: %v", errShardUnreachable, shard, err)
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return fmt.Errorf("%w: shard %d: %v", ErrShardUnreachable, shard, err)
+		return fmt.Errorf("%w: shard %d: %v", errShardUnreachable, shard, err)
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRouterBody))
 	if err != nil {
-		return fmt.Errorf("%w: shard %d: %v", ErrShardUnreachable, shard, err)
+		return fmt.Errorf("%w: shard %d: %v", errShardUnreachable, shard, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e wire.Error
 		if json.Unmarshal(data, &e) == nil && e.Code != "" {
 			return fmt.Errorf("shard %d: %s (%s)", shard, e.Error, e.Code)
 		}
-		return fmt.Errorf("%w: shard %d: status %d", ErrShardUnreachable, shard, resp.StatusCode)
+		return fmt.Errorf("%w: shard %d: status %d", errShardUnreachable, shard, resp.StatusCode)
 	}
 	if out != nil {
 		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("%w: shard %d: bad response: %v", ErrShardUnreachable, shard, err)
+			return fmt.Errorf("%w: shard %d: bad response: %v", errShardUnreachable, shard, err)
 		}
 	}
 	return nil
@@ -307,7 +308,7 @@ func (rt *Router) eachShard(fn func(shard int) error) []error {
 // if every build succeeds does phase 2 flip all shards together. On any
 // phase-1 failure every shard is told to abort (rewinding its build
 // randomness, so the retried round replays identically) and Advance
-// returns an error wrapping ErrBuildFailed: no shard flipped, the old
+// returns an epoch_build_failed error: no shard flipped, the old
 // generation is live everywhere. Each per-shard phase call is bounded by
 // Config.AdvanceTimeout.
 //
@@ -347,7 +348,7 @@ func (rt *Router) Advance(ctx context.Context) (tinygroups.Stats, error) {
 		if aerr := anyErr(abortErrs); aerr != nil {
 			rt.logf("cluster: abort incomplete: %v", aerr)
 		}
-		return tinygroups.Stats{}, fmt.Errorf("%w: %v", ErrBuildFailed, first)
+		return tinygroups.Stats{}, fmt.Errorf("%w: %v", errBuildFailed, first)
 	}
 
 	// Phase 2: flip everywhere.
@@ -355,7 +356,7 @@ func (rt *Router) Advance(ctx context.Context) (tinygroups.Stats, error) {
 	if errs := phase("/v1/epoch/flip", stats); anyErr(errs) != nil {
 		first := anyErr(errs)
 		rt.logf("cluster: epoch flip failed: %v", first)
-		return tinygroups.Stats{}, fmt.Errorf("%w: %v", ErrFlipFailed, first)
+		return tinygroups.Stats{}, fmt.Errorf("%w: %v", errFlipFailed, first)
 	}
 	rt.logf("cluster: epoch %d flipped on %d shards (n=%d)", stats[0].Epoch, rt.Shards(), stats[0].N)
 	return stats[0], nil
@@ -372,9 +373,9 @@ func (rt *Router) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	st, err := rt.Advance(r.Context())
 	if err != nil {
 		code := "shard_unreachable"
-		if errors.Is(err, ErrBuildFailed) {
+		if errors.Is(err, errBuildFailed) {
 			code = "epoch_build_failed"
-		} else if errors.Is(err, ErrFlipFailed) {
+		} else if errors.Is(err, errFlipFailed) {
 			code = "epoch_flip_failed"
 		}
 		writeJSON(w, http.StatusBadGateway, wire.Error{Error: err.Error(), Code: code})

@@ -48,7 +48,7 @@
 //     rank tables) and resolves entirely against it, so reads scale
 //     linearly with reader goroutines and never block behind a write.
 //   - Writes — Put, PutBatch, Compute, AdvanceEpoch, BuildEpoch,
-//     CommitEpoch, AbortEpoch, Robustness, Close — serialize on an
+//     CommitEpoch, AbortEpoch, Close — serialize on an
 //     internal writer lock. Concurrent calls are safe; they queue in
 //     arrival order. The writes that take a context honour it while they
 //     wait: a Put queued behind a long epoch build returns ctx.Err() the
@@ -84,11 +84,11 @@
 //
 // This package, tinygroups/cluster and tinygroups/scenario (the
 // experiment registry under public names) are the repository's stable
-// surface: exported symbols are only added, never renamed or removed
-// without a deprecation note, and the checked-in API.txt listing is
-// diffed in CI so any surface change is an explicit, reviewed artifact.
+// surface: the checked-in API.txt listing is diffed in CI so any surface
+// change is an explicit, reviewed artifact, and a test requires every
+// exported name to have a caller outside the package's own tests.
 // Packages under internal/ carry no such guarantee. The ablation settings
-// of the paper's experiments (request verification, spam, mid-epoch
-// departures, size drift) are not options: they run as experiments e12,
-// e15 and e20.
+// of the paper's experiments (a single group graph, request verification,
+// spam, mid-epoch departures, size drift) are not options: they run as
+// experiments e5, e12, e15 and e20.
 package tinygroups

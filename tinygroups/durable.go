@@ -9,7 +9,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/epoch"
 	"repro/internal/groups"
-	"repro/internal/pow"
 	"repro/internal/ring"
 	disk "repro/internal/snapshot"
 )
@@ -107,18 +106,19 @@ func (s *System) Durability() DurabilityInfo {
 }
 
 // configKey echoes every determinism-relevant setting into the snapshot's
-// config guard. Workers, observers and retarget wiring are deliberately
-// absent: a snapshot must load identically at any worker count, and the
-// restore-equivalence gate checks exactly that. The epoch layer's ablation
-// settings are echoed at the values every System runs with — verification
-// on; no spam, departures or size drift — which existing data dirs carry.
+// config guard. Workers and observers are deliberately absent: a snapshot
+// must load identically at any worker count, and the restore-equivalence
+// gate checks exactly that. The epoch layer's ablation settings are echoed
+// at the values every System runs with — two graphs and verification on;
+// no spam, departures or size drift — which existing data dirs carry. The
+// mint work is checked from the snapshot's own MintWork field.
 func (c *config) configKey() disk.ConfigKey {
 	return disk.ConfigKey{
 		N:              c.n,
 		Seed:           c.seed,
 		BetaBits:       math.Float64bits(c.beta),
 		Overlay:        c.overlayName,
-		TwoGraphs:      !c.singleGraph,
+		TwoGraphs:      true,
 		VerifyRequests: true,
 		Strategy:       int(c.strategy),
 	}
@@ -134,7 +134,6 @@ func (c *config) epochConfig() (epoch.Config, error) {
 	ecfg.Strategy = adversary.Strategy(c.strategy)
 	ecfg.Seed = c.seed
 	ecfg.Workers = c.workers
-	ecfg.TwoGraphs = !c.singleGraph
 	if err := ecfg.Params.Validate(); err != nil {
 		return epoch.Config{}, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
@@ -149,13 +148,10 @@ func (s *System) buildSnapshot() *disk.Snapshot {
 		Config:      s.cfg.configKey(),
 		Epoch:       st.Epoch,
 		RNGCount:    st.RNGCount,
-		MintWork:    s.snap.Load().mint.work,
+		MintWork:    s.cfg.mintWork,
 		Fingerprint: s.Fingerprint(),
 		Ring:        pointsToU64(st.Ring),
 		BadList:     pointsToU64(st.BadList),
-	}
-	if s.retarget != nil {
-		sn.RetargetWork = s.retarget.Work()
 	}
 	for _, pg := range st.Graphs {
 		g := make([]disk.Group, len(pg))
@@ -217,28 +213,6 @@ func (s *System) persistBoundaryLocked() {
 	d.lastErr.Store("")
 }
 
-// SaveSnapshot forces a durable snapshot of the current serving state —
-// the same write an epoch boundary performs, on demand (operational
-// checkpoint before shutdown, tests). It fails with ErrClosed after Close
-// and with ErrBadConfig when the System has no data directory.
-func (s *System) SaveSnapshot() error {
-	s.wmu.lockWait()
-	defer s.wmu.unlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	if s.durable == nil {
-		return fmt.Errorf("%w: SaveSnapshot needs WithDataDir", ErrBadConfig)
-	}
-	if err := s.persistLocked(); err != nil {
-		s.durable.snapshotFailures.Add(1)
-		s.durable.lastErr.Store(err.Error())
-		return err
-	}
-	s.durable.lastErr.Store("")
-	return nil
-}
-
 // appendOpLocked logs one acknowledged put. Callers hold wmu. An append
 // failure is returned to the writer — a durable System must not
 // acknowledge a write it cannot replay.
@@ -278,10 +252,16 @@ func openDurable(c *config) (*durableState, *disk.LoadResult, error) {
 	return d, res, nil
 }
 
-// restoreSystem rebuilds the epoch layer from a loaded snapshot.
+// restoreSystem rebuilds the epoch layer from a loaded snapshot. Mint
+// claims are a function of the work as much as of (seed, epoch, miner), so
+// a snapshot written under another WithMintWork is a mismatch like any
+// other determinism-relevant setting.
 func restoreSystem(c *config, sn *disk.Snapshot) (*epoch.System, error) {
 	if sn.Config != c.configKey() {
 		return nil, fmt.Errorf("%w: snapshot was written under a different configuration", disk.ErrConfigMismatch)
+	}
+	if sn.MintWork != c.mintWork {
+		return nil, fmt.Errorf("%w: snapshot was written at mint work %g, configured %g", disk.ErrConfigMismatch, sn.MintWork, c.mintWork)
 	}
 	ecfg, err := c.epochConfig()
 	if err != nil {
@@ -312,9 +292,9 @@ func restoreSystem(c *config, sn *disk.Snapshot) (*epoch.System, error) {
 }
 
 // finishRecovery populates the restored System's read state: the store
-// from the snapshot's keys plus the replayed op log, the mint surface from
-// the persisted work, and the end-to-end fingerprint check. Called from
-// New before the System is published anywhere.
+// from the snapshot's keys plus the replayed op log, the epoch snapshot,
+// and the end-to-end fingerprint check. Called from New before the System
+// is published anywhere.
 func (s *System) finishRecovery(res *disk.LoadResult) error {
 	sn := res.Snapshot
 	for _, kv := range sn.Keys {
@@ -327,10 +307,7 @@ func (s *System) finishRecovery(res *disk.LoadResult) error {
 		copy(v, op.Value)
 		s.store.Store(op.Key, v)
 	}
-	if s.retarget != nil && sn.RetargetWork > 0 {
-		s.retarget = pow.NewRetargeter(sn.RetargetWork, pow.RetargetConfig{TargetSolve: s.cfg.mintTarget})
-	}
-	s.snap.Store(newSnapshot(s.cfg.seed, s.dyn.Generation(), sn.MintWork))
+	s.snap.Store(s.newSnapshot())
 	if got := s.Fingerprint(); got != sn.Fingerprint {
 		return fmt.Errorf("%w: restored generation fingerprint %s != saved %s", disk.ErrCorrupt, got, sn.Fingerprint)
 	}

@@ -315,6 +315,41 @@ func TestRecoveryRejectsConfigMismatch(t *testing.T) {
 	r.Close()
 }
 
+// TestRecoveryRejectsMintWorkChange: mint claims depend on the work, so a
+// data dir written at one WithMintWork must refuse to restore at another,
+// not keep serving the old difficulty behind the new configuration.
+func TestRecoveryRejectsMintWorkChange(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	s, err := New(256, WithDataDir(dir), WithMintWork(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AdvanceEpoch(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := New(256, WithDataDir(dir), WithMintWork(4096)); !errors.Is(err, disk.ErrConfigMismatch) {
+		if err == nil {
+			r.Close()
+		}
+		t.Fatalf("mint work change: got %v, want ErrConfigMismatch", err)
+	}
+	r, err := New(256, WithDataDir(dir), WithMintWork(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.AdvanceEpoch(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !r.Durability().Recovered || r.MintWork() != 1024 {
+		t.Fatalf("same-work restart: recovered=%v work=%g", r.Durability().Recovered, r.MintWork())
+	}
+}
+
 // TestCloseReportsOplogSyncFailure: Close is the op log's only fsync of
 // the puts acknowledged since the last snapshot, so its failure must reach
 // the caller; a second Close still returns nil.
@@ -338,7 +373,7 @@ func TestCloseReportsOplogSyncFailure(t *testing.T) {
 	}
 }
 
-// SaveSnapshot is the on-demand checkpoint; retention prunes old epochs.
+// Every epoch boundary writes a snapshot; retention prunes old epochs.
 func TestSaveSnapshotAndRetention(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -352,9 +387,6 @@ func TestSaveSnapshotAndRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SaveSnapshot(); err != nil {
-		t.Fatal(err)
-	}
 	snaps := 0
 	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
@@ -366,18 +398,14 @@ func TestSaveSnapshotAndRetention(t *testing.T) {
 		t.Fatalf("retention kept %d snapshots, want 2", snaps)
 	}
 	d := s.Durability()
-	if d.SnapshotEpoch != 4 || d.SnapshotsWritten != 6 { // boot + 4 boundaries + explicit save
+	if d.SnapshotEpoch != 4 || d.SnapshotsWritten != 5 { // boot + 4 boundaries
 		t.Fatalf("unexpected durability counters: %+v", d)
 	}
-	// Durability off: SaveSnapshot is a config error.
 	plain, err := New(64, WithSeed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	if err := plain.SaveSnapshot(); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("got %v, want ErrBadConfig", err)
-	}
 	if plain.Durability().Enabled {
 		t.Fatal("durability reported enabled without a data dir")
 	}

@@ -3,7 +3,6 @@ package tinygroups
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/pow"
@@ -39,8 +38,8 @@ type MintClaim struct {
 // epoch that started it (verification against the new string then fails —
 // exactly the expiry the paper wants).
 //
-// With retargeting disabled (the default), the result is a pure function
-// of (system seed, epoch, miner): byte-identical at every worker count.
+// The result is a pure function of (system seed, epoch, miner):
+// byte-identical at every worker count.
 // ctx cancellation aborts the solve at chunk granularity.
 func (s *System) Mint(ctx context.Context, miner string) (MintResult, error) {
 	out, err := s.MintBatch(ctx, miner, 1)
@@ -67,30 +66,24 @@ func (s *System) MintBatch(ctx context.Context, miner string, count int) ([]Mint
 	// Budget: 64× the expected attempts per solution leaves a no-solution
 	// probability of e^-64 per item; floor it so tiny difficulties still
 	// get a real search space.
-	budget := int(m.work * 64)
+	budget := int(s.cfg.mintWork * 64)
 	if budget < 1<<16 {
 		budget = 1 << 16
 	}
 	minerSeed := engine.TrialSeed(m.seed, miner, 0)
 	out := make([]MintResult, 0, count)
-	start := time.Now()
 	for k := 0; k < count; k++ {
 		sol, ok, err := pow.SolveShardedContext(ctx, m.r, m.p, engine.TrialSeed(minerSeed, "item", k), budget, s.cfg.workers)
-		s.mintAttempts.Add(int64(sol.Attempts))
 		if err != nil {
 			return out, err
 		}
 		if !ok {
-			return out, fmt.Errorf("%w: no solution in %d attempts at work %g", ErrMintFailed, budget, m.work)
+			return out, fmt.Errorf("%w: no solution in %d attempts at work %g", ErrMintFailed, budget, s.cfg.mintWork)
 		}
 		out = append(out, MintResult{
 			ID: Point(sol.ID), Sigma: sol.Sigma, Epoch: snap.gen.Epoch, Attempts: sol.Attempts,
 		})
 	}
-	// One batch = count solves for the retargeting telemetry; recording
-	// after the loop keeps the mean solve time exact per item.
-	s.mintSolves.Add(int64(count))
-	s.mintNanos.Add(int64(time.Since(start)))
 	return out, nil
 }
 
@@ -113,7 +106,6 @@ func (s *System) VerifyMints(ctx context.Context, claims []MintClaim) ([]bool, e
 	return pow.VerifyBatch(pc, snap.mint.r, snap.mint.p, s.cfg.workers), nil
 }
 
-// MintWork returns the current mint difficulty in expected hash attempts
-// per ID — fixed at WithMintWork, or the retargeted value once
-// WithMintRetarget is enabled. Lock-free.
-func (s *System) MintWork() float64 { return s.snap.Load().mint.work }
+// MintWork returns the mint difficulty in expected hash attempts per ID,
+// as set by WithMintWork.
+func (s *System) MintWork() float64 { return s.cfg.mintWork }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 )
 
 func newMintSystem(t *testing.T, opts ...Option) *System {
@@ -18,8 +17,8 @@ func newMintSystem(t *testing.T, opts ...Option) *System {
 	return sys
 }
 
-// TestMintDeterministicAcrossWorkers: with retargeting off, a minted ID is
-// a pure function of (seed, epoch, miner) at every worker count.
+// TestMintDeterministicAcrossWorkers: a minted ID is a pure function of
+// (seed, epoch, miner) at every worker count.
 func TestMintDeterministicAcrossWorkers(t *testing.T) {
 	ctx := context.Background()
 	var ref MintResult
@@ -120,48 +119,5 @@ func TestMintErrors(t *testing.T) {
 	}
 	if _, err := sys.VerifyMints(ctx, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed verify: got %v, want ErrClosed", err)
-	}
-}
-
-// TestMintRetargetWiring exercises the deterministic edges of the epoch
-// retarget: an unreachably long target steps the work down by exactly the
-// 4× clamp, an instant target steps it up, and without retargeting the
-// work never moves.
-func TestMintRetargetWiring(t *testing.T) {
-	ctx := context.Background()
-
-	down := newMintSystem(t, WithMintRetarget(time.Nanosecond))
-	if _, err := down.Mint(ctx, "erin"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := down.AdvanceEpoch(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Any real solve takes far longer than 1ns, so the ratio clamps at
-	// 1/MaxStep: work = 256/4 exactly.
-	if got := down.MintWork(); got != 64 {
-		t.Fatalf("retargeted work = %g, want 64", got)
-	}
-
-	up := newMintSystem(t, WithMintRetarget(time.Hour))
-	if _, err := up.Mint(ctx, "erin"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := up.AdvanceEpoch(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := up.MintWork(); got != 1024 {
-		t.Fatalf("retargeted work = %g, want 1024", got)
-	}
-
-	fixed := newMintSystem(t)
-	if _, err := fixed.Mint(ctx, "erin"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fixed.AdvanceEpoch(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := fixed.MintWork(); got != 256 {
-		t.Fatalf("fixed work moved to %g", got)
 	}
 }

@@ -4,7 +4,8 @@ package tinygroups
 type Op uint8
 
 // The keyed operations a SearchEvent can report: every routed search is
-// triggered by one of these four.
+// triggered by one of these four. No caller outside the package's tests
+// branches on them yet: they wait for ROADMAP item 14's daemon observer.
 const (
 	OpLookup Op = iota
 	OpPut

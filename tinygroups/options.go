@@ -2,7 +2,6 @@ package tinygroups
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/overlay"
@@ -33,10 +32,8 @@ type config struct {
 	strategy     Strategy
 	seed         int64
 	workers      int
-	singleGraph  bool
 	observer     Observer
 	mintWork     float64
-	mintTarget   time.Duration
 	dataDir      string
 	snapshotKeep int
 }
@@ -73,29 +70,17 @@ func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 // setting.
 func WithWorkers(workers int) Option { return func(c *config) { c.workers = workers } }
 
-// WithSingleGraph switches to the naive single-group-graph protocol the
-// paper argues against (the E5 ablation): per-step corruption compounds
-// epoch over epoch. The default is the §III two-graph construction.
-func WithSingleGraph() Option { return func(c *config) { c.singleGraph = true } }
-
 // WithObserver streams telemetry to obs; see Observer. A nil observer
-// (the default) is free: no events are constructed.
+// (the default) is free: no events are constructed. Nothing outside the
+// package's tests installs one yet: it waits for ROADMAP item 14's daemon
+// observer.
 func WithObserver(obs Observer) Option { return func(c *config) { c.observer = obs } }
 
 // WithMintWork sets the PoW difficulty of the Mint path in expected hash
-// attempts per minted ID (default 2^14; must be ≥ 2). With retargeting
-// enabled this is the starting point of the controller.
+// attempts per minted ID (default 2^14; must be ≥ 2). The difficulty is
+// fixed for the System's lifetime and echoed into its snapshots: a data dir
+// restores only under the work it was written with.
 func WithMintWork(work float64) Option { return func(c *config) { c.mintWork = work } }
-
-// WithMintRetarget enables adaptive difficulty: after each epoch advance
-// the mint difficulty is retargeted so the mean observed solve time tracks
-// target (clamped to a 4× step per epoch). The zero default keeps the
-// difficulty fixed at WithMintWork — and keeps minted IDs a pure function
-// of (seed, epoch, miner), which retargeting necessarily trades away since
-// it feeds wall-clock measurements back into τ.
-func WithMintRetarget(target time.Duration) Option {
-	return func(c *config) { c.mintTarget = target }
-}
 
 // validate checks everything the epoch layer does not, wrapping each
 // failure in ErrBadConfig.
@@ -117,9 +102,6 @@ func (c *config) validate() error {
 	}
 	if c.mintWork < 2 {
 		return fmt.Errorf("%w: mint work %v too low (need ≥ 2 expected attempts)", ErrBadConfig, c.mintWork)
-	}
-	if c.mintTarget < 0 {
-		return fmt.Errorf("%w: negative mint retarget %v", ErrBadConfig, c.mintTarget)
 	}
 	if c.snapshotKeep < 1 {
 		return fmt.Errorf("%w: snapshot retention %d too low (need ≥ 1)", ErrBadConfig, c.snapshotKeep)

@@ -26,8 +26,8 @@ type snapshot struct {
 	// mint is the epoch's PoW surface: the puzzle parameters and epoch
 	// string every Mint and VerifyMints of this generation resolve against.
 	// Like the rest of the snapshot it is immutable — an epoch flip swaps
-	// in a fresh one (rotating the string and, under retargeting, τ), which
-	// is exactly how the paper expires minted IDs.
+	// in a fresh one, rotating the string, which is exactly how the paper
+	// expires minted IDs.
 	mint mintState
 	// fp memoises System.Fingerprint for this generation; the snapshot is
 	// immutable, so the digest is computed at most once.
@@ -41,16 +41,14 @@ type mintState struct {
 	r []byte
 	// seed roots the per-(miner, index) solver streams of this epoch.
 	seed int64
-	// work is p.Tau expressed as expected attempts per solution — the
-	// retargeting currency.
-	work float64
 }
 
-// newSnapshot captures gen as the system's read state, deriving the
-// epoch's read-randomness root and mint puzzle from the configured seed
-// and the current mint difficulty.
-func newSnapshot(seed int64, gen *epoch.Generation, mintWork float64) *snapshot {
-	p := pow.Params{Tau: pow.TauForWork(mintWork), StringLen: 32}
+// newSnapshot captures the epoch layer's current generation as the
+// system's read state, deriving the epoch's read-randomness root and mint
+// puzzle from the configured seed and mint difficulty.
+func (s *System) newSnapshot() *snapshot {
+	gen, seed := s.dyn.Generation(), s.cfg.seed
+	p := pow.Params{Tau: pow.TauForWork(s.cfg.mintWork), StringLen: 32}
 	return &snapshot{
 		gen:      gen,
 		readSeed: engine.TrialSeed(seed, "tinygroups/read-epoch", gen.Epoch),
@@ -58,7 +56,6 @@ func newSnapshot(seed int64, gen *epoch.Generation, mintWork float64) *snapshot 
 			p:    p,
 			r:    pow.EpochString(seed, gen.Epoch, p.StringLen),
 			seed: engine.TrialSeed(seed, "tinygroups/mint-epoch", gen.Epoch),
-			work: mintWork,
 		},
 	}
 }

@@ -3,16 +3,13 @@ package tinygroups
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ba"
 	"repro/internal/epoch"
 	"repro/internal/groups"
 	"repro/internal/hashes"
-	"repro/internal/pow"
 	"repro/internal/ring"
 	disk "repro/internal/snapshot"
 )
@@ -110,17 +107,6 @@ func statsFrom(st epoch.Stats) Stats {
 	}
 }
 
-// Robustness aggregates the ε-robustness measurements of Theorem 3.
-type Robustness struct {
-	N              int
-	GroupSize      int
-	RedFraction    float64 // fraction of red groups (1 − first bullet of Thm 3)
-	SearchFailRate float64 // fraction of failed searches (1 − second bullet)
-	MeanRouteLen   float64 // groups traversed per successful search
-	MeanMessages   float64 // messages per search (secure-routing cost)
-	Samples        int
-}
-
 // ComputeResult reports one group-simulated computation (BA execution).
 type ComputeResult struct {
 	Group    Point // leader of the executing group
@@ -138,7 +124,7 @@ type ComputeResult struct {
 // Snapshot, Epoch, N, GroupSize — are lock-free: they resolve against the
 // current epoch snapshot (an immutable generation view swapped atomically
 // by AdvanceEpoch) and scale with reader goroutines. Writes — Put,
-// PutBatch, Compute, AdvanceEpoch, Robustness, Close — serialize on an
+// PutBatch, Compute, AdvanceEpoch, Close — serialize on an
 // internal writer lock, and the ones that take a context give up waiting
 // for it when the context ends; see the package documentation for the
 // full contract.
@@ -161,27 +147,12 @@ type System struct {
 	// pending publishes whether a BuildEpoch result is parked, so
 	// HasPendingEpoch never waits behind a running build. Written under wmu.
 	pending atomic.Bool
-	// rng is the writer-side randomness (Robustness sampling); guarded by
-	// wmu. Reads never touch it — their randomness is hash-derived per
-	// (epoch, key), which is what makes results independent of reader
-	// interleaving.
-	rng *rand.Rand
 	// store replicates values at the group of each key's owner, keyed
 	// string → []byte. Values survive churn (they are re-homed when the
 	// ring turns over, exactly like resources in a DHT). Writers replace
 	// whole value slices under wmu and never mutate one in place, so
 	// lock-free readers always observe a complete value.
 	store sync.Map
-
-	// retarget adapts the mint difficulty from observed solve times; nil
-	// unless WithMintRetarget. Guarded by wmu (AdvanceEpoch is its only
-	// caller). mintSolves/mintNanos/mintAttempts are the lock-free
-	// telemetry Mint feeds it: solve count, summed solve wall-clock, and
-	// summed hash attempts since the last epoch advance.
-	retarget     *pow.Retargeter
-	mintSolves   atomic.Int64
-	mintNanos    atomic.Int64
-	mintAttempts atomic.Int64
 
 	// durable is the data-directory handle when WithDataDir is set; nil
 	// otherwise. Its op log is guarded by wmu like every other write.
@@ -231,11 +202,7 @@ func New(n int, opts ...Option) (*System, error) {
 		cfg:     c,
 		dyn:     dyn,
 		wmu:     make(writerLock, 1),
-		rng:     rand.New(rand.NewSource(c.seed + 0x5eed)),
 		durable: durable,
-	}
-	if c.mintTarget > 0 {
-		s.retarget = pow.NewRetargeter(c.mintWork, pow.RetargetConfig{TargetSolve: c.mintTarget})
 	}
 	if loaded != nil {
 		if err := s.finishRecovery(loaded); err != nil {
@@ -244,7 +211,7 @@ func New(n int, opts ...Option) (*System, error) {
 		}
 		return s, nil
 	}
-	s.snap.Store(newSnapshot(c.seed, dyn.Generation(), c.mintWork))
+	s.snap.Store(s.newSnapshot())
 	if durable != nil {
 		// Persist the bootstrap state immediately so a crash before the
 		// first epoch flip still restarts from disk.
@@ -463,22 +430,9 @@ func (s *System) AdvanceEpoch(ctx context.Context) (Stats, error) {
 }
 
 // publishLocked flips the read snapshot to the generation the epoch layer
-// just committed and fires the epoch observers. It owns the mint-difficulty
-// retarget: the closing epoch's observed solve times feed the retargeter
-// before the epoch string rotates, and the telemetry counters reset either
-// way so a later enablement never sees stale history. Callers hold wmu.
+// just committed and fires the epoch observers. Callers hold wmu.
 func (s *System) publishLocked(est epoch.Stats) Stats {
-	work := s.snap.Load().mint.work
-	solves, nanos := s.mintSolves.Swap(0), s.mintNanos.Swap(0)
-	s.mintAttempts.Store(0)
-	if s.retarget != nil {
-		if solves > 0 {
-			work = s.retarget.Observe(time.Duration(nanos / solves))
-		} else {
-			work = s.retarget.Work()
-		}
-	}
-	s.snap.Store(newSnapshot(s.cfg.seed, s.dyn.Generation(), work))
+	s.snap.Store(s.newSnapshot())
 	s.pending.Store(false)
 	s.persistBoundaryLocked()
 	st := statsFrom(est)
@@ -487,26 +441,4 @@ func (s *System) publishLocked(est epoch.Stats) Stats {
 		obs.ObserveEpoch(EpochEvent{Stats: st})
 	}
 	return st
-}
-
-// Robustness measures Theorem 3's two bullets on the current graphs over
-// the given number of sampled searches. It consumes the system's writer
-// rng, so it counts as a write: concurrent calls are safe but serialize
-// on the writer lock.
-func (s *System) Robustness(samples int) (Robustness, error) {
-	s.wmu.lockWait()
-	defer s.wmu.unlock()
-	if s.closed.Load() {
-		return Robustness{}, ErrClosed
-	}
-	rob := s.snap.Load().gen.Graphs[0].MeasureRobustness(samples, s.rng)
-	return Robustness{
-		N:              rob.N,
-		GroupSize:      rob.GroupSize,
-		RedFraction:    rob.RedFraction,
-		SearchFailRate: rob.SearchFailRate,
-		MeanRouteLen:   rob.MeanRouteLen,
-		MeanMessages:   rob.MeanMessages,
-		Samples:        rob.Samples,
-	}, nil
 }

@@ -197,20 +197,6 @@ func TestGroupSizeIsTiny(t *testing.T) {
 	}
 }
 
-func TestRobustnessReport(t *testing.T) {
-	s := newTest(t, 512, 0.05)
-	rob, err := s.Robustness(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rob.Samples != 200 || rob.N != 512 {
-		t.Error("metadata wrong")
-	}
-	if rob.SearchFailRate > 0.15 {
-		t.Errorf("fail rate %.3f too high at β=0.05", rob.SearchFailRate)
-	}
-}
-
 // TestClosedSystem: every operation on a closed System fails with
 // ErrClosed, and Close is idempotent.
 func TestClosedSystem(t *testing.T) {
@@ -239,9 +225,6 @@ func TestClosedSystem(t *testing.T) {
 	}
 	if _, err := s.AdvanceEpoch(ctx); !errors.Is(err, ErrClosed) {
 		t.Errorf("AdvanceEpoch on closed system: %v", err)
-	}
-	if _, err := s.Robustness(10); !errors.Is(err, ErrClosed) {
-		t.Errorf("Robustness on closed system: %v", err)
 	}
 	if _, err := s.LookupBatch(ctx, []string{"k"}); !errors.Is(err, ErrClosed) {
 		t.Errorf("LookupBatch on closed system: %v", err)
@@ -278,29 +261,5 @@ func TestDeterministicAcrossInstances(t *testing.T) {
 		if a[i] != c[i] {
 			t.Fatalf("worker count leaked into results at step %d: %s vs %s", i, a[i], c[i])
 		}
-	}
-}
-
-// TestSingleGraphAblationDrifts: the WithSingleGraph arm must accumulate
-// error across epochs while the default two-graph arm stays flat — the
-// paper's §III argument, through the public API.
-func TestSingleGraphAblationDrifts(t *testing.T) {
-	ctx := context.Background()
-	last := func(opts ...Option) float64 {
-		s := newTest(t, 512, 0.05, opts...)
-		var fail float64
-		for e := 0; e < 4; e++ {
-			st, err := s.AdvanceEpoch(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fail = st.SearchFailRate
-		}
-		return fail
-	}
-	two := last(WithSeed(5))
-	one := last(WithSeed(5), WithSingleGraph())
-	if one < two {
-		t.Errorf("ablation inverted: single-graph fail %.4f < two-graph %.4f", one, two)
 	}
 }
