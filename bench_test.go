@@ -148,6 +148,17 @@ func BenchmarkChordRoute(b *testing.B) {
 	benchRoute(b, g, rng)
 }
 
+// BenchmarkNewChord measures the neighbor-table build, which runs
+// serially once per epoch before the per-ID construction fans out.
+func BenchmarkNewChord(b *testing.B) {
+	r := benchRing(1<<14, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		overlay.NewChord(r)
+	}
+}
+
 func BenchmarkDeBruijnRoute(b *testing.B) {
 	r := benchRing(1<<14, 5)
 	g := overlay.NewDeBruijn(r, 2)
@@ -279,41 +290,38 @@ func BenchmarkSecureRouteProtocol(b *testing.B) {
 	}
 }
 
-// BenchmarkRunEpoch measures one steady-state epoch (n = 1024, defaults)
-// at a single worker — the sequential-pipeline cost. The pre-pipeline
-// sequential implementation measured 83.6 ms/op and 1,036,614 allocs/op on
-// the same workload.
+// BenchmarkRunEpoch measures one steady-state epoch (defaults) at a single
+// worker — the sequential-pipeline cost — at n = 1024, where the whole
+// construction fits in L2, and at the served size n = 16384, where the
+// route walk's working set decides the cost.
 func BenchmarkRunEpoch(b *testing.B) {
-	cfg := epoch.DefaultConfig(1024)
-	cfg.Seed = 1
-	cfg.Workers = 1
-	s, err := epoch.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunEpoch()
-	}
+	benchRunEpochSizes(b, 1)
 }
 
 // BenchmarkRunEpochParallel is BenchmarkRunEpoch on the default worker
 // pool (GOMAXPROCS) — results are byte-identical to the 1-worker run; only
 // wall-clock moves.
 func BenchmarkRunEpochParallel(b *testing.B) {
-	cfg := epoch.DefaultConfig(1024)
-	cfg.Seed = 1
-	s, err := epoch.New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunEpoch()
+	benchRunEpochSizes(b, 0)
+}
+
+func benchRunEpochSizes(b *testing.B, workers int) {
+	for _, n := range []int{1024, 16384} {
+		b.Run("n="+strconv.Itoa(n), func(b *testing.B) {
+			cfg := epoch.DefaultConfig(n)
+			cfg.Seed = 1
+			cfg.Workers = workers
+			s, err := epoch.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.RunEpoch()
+			}
+		})
 	}
 }
 

@@ -24,7 +24,8 @@ type DepartureReport struct {
 // no longer guarantee the d₁·ln ln n floor).
 func (g *Graph) RemoveMembers(departed map[ring.Point]bool) DepartureReport {
 	var rep DepartureReport
-	for _, grp := range g.byRank {
+	for i := range g.byRank {
+		grp := &g.byRank[i]
 		kept := grp.Members[:0]
 		removed := 0
 		for _, m := range grp.Members {

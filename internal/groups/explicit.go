@@ -17,10 +17,9 @@ import "repro/internal/overlay"
 func BuildExplicitRanked(ov overlay.Graph, params Params, members [][]Member, confused []bool) *Graph {
 	r := ov.Ring()
 	n := r.Len()
-	g := &Graph{ov: ov, params: params, byRank: make([]*Group, n), size: params.SizeFor(n)}
-	groupArena := make([]Group, n)
+	g := &Graph{ov: ov, params: params, byRank: make([]Group, n), size: params.SizeFor(n)}
 	for wi, w := range r.Points() {
-		grp := &groupArena[wi]
+		grp := &g.byRank[wi]
 		grp.Leader = w
 		if wi < len(members) {
 			grp.Members = members[wi]
@@ -29,7 +28,6 @@ func BuildExplicitRanked(ov overlay.Graph, params Params, members [][]Member, co
 			grp.Confused = confused[wi]
 		}
 		g.classify(grp)
-		g.byRank[wi] = grp
 	}
 	return g
 }

@@ -118,10 +118,11 @@ func (g *Group) BadCount() int {
 type Graph struct {
 	ov     overlay.Graph
 	params Params
-	// byRank indexes groups by their leader's rank on the ring — leaders
-	// are exactly the ring's points, and routes arrive as ranks, so a
-	// search hop resolves its group by direct index.
-	byRank []*Group
+	// byRank holds the groups by value, indexed by their leader's rank on
+	// the ring — leaders are exactly the ring's points, and routes arrive
+	// as ranks, so a search hop reads its group's size and color straight
+	// from one array, with no pointer to chase.
+	byRank []Group
 	size   int // target group size used at build time
 }
 
@@ -138,13 +139,13 @@ func Build(ov overlay.Graph, badIDs map[ring.Point]bool, params Params, h hashes
 // baseline construction and by group-size sweeps (experiment E8).
 //
 // Every member point is batch-hashed (hashes.PointsAt) and resolved to a
-// ring rank (ring.SuccessorIndex); groups and member lists are carved out
-// of two shared arenas, so a build makes O(1) allocations instead of one
-// per group.
+// ring rank (ring.SuccessorIndex); groups live in one array and member
+// lists are carved out of one shared arena, so a build makes O(1)
+// allocations instead of one per group.
 func BuildSized(ov overlay.Graph, badIDs map[ring.Point]bool, params Params, h hashes.Func, size int) *Graph {
 	r := ov.Ring()
 	n := r.Len()
-	g := &Graph{ov: ov, params: params, byRank: make([]*Group, n), size: size}
+	g := &Graph{ov: ov, params: params, byRank: make([]Group, n), size: size}
 	if n == 0 {
 		return g
 	}
@@ -155,7 +156,6 @@ func BuildSized(ov overlay.Graph, badIDs map[ring.Point]bool, params Params, h h
 			badRank[i] = true
 		}
 	}
-	groupArena := make([]Group, n)
 	memberArena := make([]Member, n*size)
 	ptBuf := make([]ring.Point, size)
 	for wi, w := range pts {
@@ -164,11 +164,10 @@ func BuildSized(ov overlay.Graph, badIDs map[ring.Point]bool, params Params, h h
 			mi := r.SuccessorIndex(p)
 			ms[i] = Member{ID: pts[mi], Bad: badRank[mi]}
 		}
-		grp := &groupArena[wi]
+		grp := &g.byRank[wi]
 		grp.Leader = w
 		grp.Members = ms
 		g.classify(grp)
-		g.byRank[wi] = grp
 	}
 	return g
 }
@@ -204,22 +203,20 @@ func (g *Graph) GroupSize() int { return g.size }
 // Group returns G_w, or nil if w leads no group.
 func (g *Graph) Group(w ring.Point) *Group {
 	if i, ok := g.ov.Ring().Index(w); ok {
-		return g.byRank[i]
+		return &g.byRank[i]
 	}
 	return nil
 }
 
 // GroupAt returns the group led by the ring's i-th point — the search hot
 // path's lookup, since routes arrive as ranks.
-func (g *Graph) GroupAt(i int) *Group { return g.byRank[i] }
+func (g *Graph) GroupAt(i int) *Group { return &g.byRank[i] }
 
 // Groups iterates over all groups in ring order of their leaders.
 func (g *Graph) Groups() []*Group {
-	out := make([]*Group, 0, len(g.byRank))
-	for _, grp := range g.byRank {
-		if grp != nil {
-			out = append(out, grp)
-		}
+	out := make([]*Group, len(g.byRank))
+	for i := range g.byRank {
+		out[i] = &g.byRank[i]
 	}
 	return out
 }
@@ -230,8 +227,8 @@ func (g *Graph) N() int { return len(g.byRank) }
 // RedFraction returns the fraction of red groups — the empirical p_f of S2.
 func (g *Graph) RedFraction() float64 {
 	red := 0
-	for _, grp := range g.byRank {
-		if grp.Red() {
+	for i := range g.byRank {
+		if g.byRank[i].Red() {
 			red++
 		}
 	}
@@ -241,8 +238,8 @@ func (g *Graph) RedFraction() float64 {
 // BadFraction returns the fraction of bad (not merely confused) groups.
 func (g *Graph) BadFraction() float64 {
 	bad := 0
-	for _, grp := range g.byRank {
-		if grp.Bad {
+	for i := range g.byRank {
+		if g.byRank[i].Bad {
 			bad++
 		}
 	}

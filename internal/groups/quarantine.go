@@ -86,7 +86,8 @@ func (q *Quarantine) Sweep(pMis float64, rng *rand.Rand) int {
 // blue groups — the quantity quarantine drives down.
 func (g *Graph) ResidentBadInBlue() int {
 	count := 0
-	for _, grp := range g.byRank {
+	for i := range g.byRank {
+		grp := &g.byRank[i]
 		if grp.Red() {
 			continue
 		}

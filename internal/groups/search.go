@@ -97,7 +97,7 @@ func (g *Graph) walk(ranks []int32, ok bool) Outcome {
 	res.LastRank = int(ranks[len(ranks)-1])
 	var prev *Group
 	for i, ri := range ranks {
-		grp := g.byRank[ri]
+		grp := &g.byRank[ri]
 		res.Hops++
 		if prev != nil {
 			res.Messages += int64(prev.Size()) * int64(grp.Size())
@@ -177,7 +177,8 @@ func (g *Graph) MeasureCosts(sampleIDs int, rng *rand.Rand) Costs {
 	}
 	// Membership state of every ID, in one pass over the member slots.
 	memberState := make([]int, n)
-	for _, grp := range g.byRank {
+	for i := range g.byRank {
+		grp := &g.byRank[i]
 		for _, m := range grp.Members {
 			if mi, ok := r.Index(m.ID); ok {
 				memberState[mi] += grp.Size()

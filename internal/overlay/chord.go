@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"math/bits"
+
 	"repro/internal/ring"
 )
 
@@ -9,22 +11,24 @@ import (
 // are its ring successor and predecessor plus the successors of the points
 // w + Δ(i) for exponentially increasing distances Δ(i) = 1/2^i.
 //
-// Neighbor tables for every ID are precomputed at construction into
-// rank-indexed arenas (the ring is immutable once a Chord is built — epoch
-// churn builds a fresh graph), so all queries after NewChord are pure reads:
-// safe for concurrent searchers and allocation-free. The parallel neighbor
-// rank table lets RouteRanks walk greedy hops without a single ring search.
+// Neighbor tables for every ID are precomputed at construction (the ring is
+// immutable once a Chord is built — epoch churn builds a fresh graph), so
+// all queries after NewChord are pure reads: safe for concurrent searchers
+// and allocation-free. The tables are one CSR layout: off[i]:off[i+1] is
+// the i-th ring point's slice of two flat arenas, its neighbor points (read
+// only by Neighbors) and their ring ranks. Each slice is sorted by strictly
+// decreasing clockwise progress from its point — predecessor, fingers by
+// level, successor — so a greedy hop is the first entry not overshooting
+// the target, and a guess from the remaining distance's magnitude finds it
+// in a probe or two. RouteRanks reads only off, the rank arena and the
+// ring's point array: at n = 2^14 that is about 1.2 MB, small enough to stay
+// in a core's L2 cache across the millions of searches of an epoch build.
 type Chord struct {
 	r       *ring.Ring
-	m       int // number of finger levels, ceil(log2 N) + fingerSlack
 	maxHops int // cached MaxHops (log2Ceil does float math)
-	// nbr[i] is the neighbor set of the i-th ring point, sorted by
-	// descending clockwise progress from the point — so greedy routing
-	// takes the first entry not overshooting the target instead of
-	// scanning the whole set. nbrRank[i][k] is the ring rank of nbr[i][k].
-	// Both are views into shared arenas.
-	nbr     [][]ring.Point
-	nbrRank [][]int32
+	off     []int32
+	nbr     []ring.Point
+	rank    []int32 // rank[k] is the ring rank of nbr[k]
 }
 
 // fingerSlack adds levels beyond log2 N so the densest finger reaches the
@@ -33,55 +37,54 @@ const fingerSlack = 2
 
 // NewChord builds a Chord graph over the IDs on r. The ring must not be
 // mutated afterwards (build a new graph instead).
+//
+// As w walks the ring in order, every finger target w + Δ(i) moves
+// clockwise and wraps past 2^64 at most once, so each level keeps one
+// successor cursor that only advances: the whole table costs O(n·m) steps
+// and no ring search. Emitted as predecessor, f_1..f_m, successor, the
+// entries already come in non-increasing progress order, so duplicates are
+// adjacent and deduplication compares with the previous entry only.
 func NewChord(r *ring.Ring) *Chord {
-	c := &Chord{r: r, m: log2Ceil(r.Len()) + fingerSlack}
-	c.maxHops = 4*log2Ceil(r.Len()) + 16
 	n := r.Len()
-	c.nbr = make([][]ring.Point, n)
-	c.nbrRank = make([][]int32, n)
+	m := log2Ceil(n) + fingerSlack // finger levels
+	c := &Chord{r: r, maxHops: 4*log2Ceil(n) + 16}
+	c.off = make([]int32, n+1)
 	if n == 0 {
 		return c
 	}
 	pts := r.Points()
-	// Worst case degree is m+2; ranks are appended in lock-step with points
-	// so both arenas stay aligned.
-	ptArena := make([]ring.Point, 0, n*(c.m+2))
-	rkArena := make([]int32, 0, n*(c.m+2))
-	for wi, w := range pts {
-		start := len(ptArena)
-		add := func(p ring.Point, rank int) {
-			for _, q := range ptArena[start:] {
-				if q == p {
-					return
-				}
-			}
-			ptArena = append(ptArena, p)
-			rkArena = append(rkArena, int32(rank))
+	c.nbr = make([]ring.Point, 0, n*(m+2))
+	c.rank = make([]int32, 0, n*(m+2))
+	// cur[i-1] is level i's cursor on the ring lifted to two turns: a value
+	// j ≥ n stands for pts[j-n] + 2^64. It is the first lifted point at or
+	// past w + Δ(i), so SuccessorIndex(w + Δ(i)) is cur % n. It never
+	// passes 2n-1, because pts[n-1] + 2^64 exceeds every target.
+	cur := make([]int, m)
+	add := func(wi, fi int) {
+		if k := len(c.rank); k > int(c.off[wi]) && c.rank[k-1] == int32(fi) {
+			return
 		}
-		add(pts[(wi+1)%n], (wi+1)%n) // strict successor
-		add(pts[(wi+n-1)%n], (wi+n-1)%n)
-		for i := 1; i <= c.m; i++ {
-			delta := ring.Point(1) << (64 - uint(i)) // 1/2^i of the ring
-			fi := r.SuccessorIndex(w + delta)
-			if pts[fi] != w {
-				add(pts[fi], fi)
-			}
-		}
-		set, rks := ptArena[start:], rkArena[start:]
-		// Sort by descending clockwise progress from w (insertion sort: the
-		// set is m+2 small). Progress values are distinct, so the greedy
-		// route picks the same neighbor the full max-scan would.
-		for i := 1; i < len(set); i++ {
-			p, rk := set[i], rks[i]
-			j := i
-			for ; j > 0 && w.Dist(set[j-1]) < w.Dist(p); j-- {
-				set[j], rks[j] = set[j-1], rks[j-1]
-			}
-			set[j], rks[j] = p, rk
-		}
-		c.nbr[wi] = ptArena[start:len(ptArena):len(ptArena)]
-		c.nbrRank[wi] = rkArena[start:len(rkArena):len(rkArena)]
+		c.nbr = append(c.nbr, pts[fi])
+		c.rank = append(c.rank, int32(fi))
 	}
+	for wi, w := range pts {
+		c.off[wi] = int32(len(c.rank))
+		add(wi, (wi+n-1)%n) // predecessor: the most progress
+		for i := 1; i <= m; i++ {
+			x := w + ring.Point(1)<<(64-uint(i)) // w + 1/2^i of the ring
+			wrapped := x < w
+			j := cur[i-1]
+			for (j < n && (wrapped || pts[j] < x)) || (j >= n && wrapped && pts[j-n] < x) {
+				j++
+			}
+			cur[i-1] = j
+			if fi := j % n; fi != wi {
+				add(wi, fi)
+			}
+		}
+		add(wi, (wi+1)%n) // strict successor: the least progress
+	}
+	c.off[n] = int32(len(c.rank))
 	return c
 }
 
@@ -98,7 +101,8 @@ func (c *Chord) MaxHops() int { return c.maxHops }
 // ring ID. The caller must not modify the result.
 func (c *Chord) Neighbors(w ring.Point) []ring.Point {
 	if wi, ok := c.r.Index(w); ok {
-		return c.nbr[wi]
+		lo, hi := c.off[wi], c.off[wi+1]
+		return c.nbr[lo:hi:hi]
 	}
 	return nil
 }
@@ -108,35 +112,39 @@ func (c *Chord) Neighbors(w ring.Point) []ring.Point {
 // without overshooting it. The neighbor tables carry ranks natively, so a
 // route costs zero ring searches and zero allocations once dst has
 // capacity; key is not needed beyond its owner's rank.
+//
+// The hop is the first table entry not overshooting the remaining distance
+// goal. Entry 1+lz, lz the leading zeros of goal, is finger level lz+1,
+// whose Δ = 2^(63-lz) is the largest finger distance ≤ goal; deduplication
+// only moves entries earlier. The walk starts there and steps forward
+// while the entry overshoots or back while its predecessor does not — the
+// same answer as a scan from the front, in a probe or two.
 func (c *Chord) RouteRanks(dst []int32, srcRank, targetRank int, _ ring.Point) ([]int32, bool) {
 	pts := c.r.Points()
 	curi, ti := srcRank, targetRank
-	cur, target := pts[curi], pts[ti]
+	target := pts[ti]
 	dst = append(dst[:0], int32(curi))
 	for hop := 0; hop < c.maxHops; hop++ {
 		if curi == ti {
 			return dst, true
 		}
+		cur := pts[curi]
 		goal := cur.Dist(target)
-		nbrs, ranks := c.nbr[curi], c.nbrRank[curi]
-		// The table is sorted by descending progress, so the first entry
-		// not overshooting the target is the greedy maximum.
-		best := -1
-		for k, nb := range nbrs {
-			prog := cur.Dist(nb)
-			if prog != 0 && prog <= goal {
-				best = k
-				break
-			}
+		nbrs := c.rank[c.off[curi]:c.off[curi+1]]
+		k := min(bits.LeadingZeros64(uint64(goal))+1, len(nbrs)-1)
+		for k < len(nbrs) && cur.Dist(pts[nbrs[k]]) > goal {
+			k++
 		}
-		if best < 0 {
+		for k > 0 && cur.Dist(pts[nbrs[k-1]]) <= goal {
+			k--
+		}
+		if k == len(nbrs) {
 			// No neighbor precedes the target: the strict successor is the
 			// target itself (it is always a neighbor), so this is
 			// unreachable on a consistent ring; fail defensively.
 			return dst, false
 		}
-		cur = nbrs[best]
-		curi = int(ranks[best])
+		curi = int(nbrs[k])
 		dst = append(dst, int32(curi))
 	}
 	return dst, curi == ti

@@ -63,11 +63,9 @@ func TestNeighborVerifiabilityProperty(t *testing.T) {
 	}
 }
 
-// Property: route length is bounded by MaxHops for arbitrary adversarial
-// (clustered) rings, not just uniform ones.
-func TestRouteBoundOnClusteredRings(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	// Half the IDs crammed into 1/16 of the ring.
+// clusteredRing crams half of 512 IDs into 1/16 of the ring, drawing from
+// rng.
+func clusteredRing(rng *rand.Rand) *ring.Ring {
 	pts := make([]ring.Point, 0, 512)
 	for i := 0; i < 256; i++ {
 		pts = append(pts, ring.Point(rng.Uint64()))
@@ -75,7 +73,14 @@ func TestRouteBoundOnClusteredRings(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		pts = append(pts, ring.Point(rng.Uint64()>>4))
 	}
-	r := ring.New(pts)
+	return ring.New(pts)
+}
+
+// Property: route length is bounded by MaxHops for arbitrary adversarial
+// (clustered) rings, not just uniform ones.
+func TestRouteBoundOnClusteredRings(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	r := clusteredRing(rng)
 	for _, g := range allGraphs(r) {
 		for i := 0; i < 300; i++ {
 			path, ok := routeOf(g, rng.Intn(r.Len()), ring.Point(rng.Uint64()))
