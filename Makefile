@@ -5,7 +5,9 @@ GO ?= go
 
 # The packages whose exported surface is pinned in API.txt and guarded in
 # CI (make apicheck); TestDocRefs requires a doc comment on each of their
-# exported symbols. Everything under internal/ is explicitly unstable.
+# exported symbols. Packages under internal/ are not pinned in API.txt, but
+# TestPublicNamesHaveCallers audits them for callers: an exported internal
+# name must be used outside its own package.
 API_PKGS = ./tinygroups ./tinygroups/scenario ./tinygroups/cluster
 
 # The port chaos-smoke tortures its daemon on, clear of the daemon's

@@ -39,13 +39,6 @@ func BenchmarkRingSuccessor(b *testing.B) {
 	}
 }
 
-func BenchmarkHashPointAt(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		hashes.H1.PointAt(ring.Point(i), i&7)
-	}
-}
-
 func BenchmarkHashPoint(b *testing.B) {
 	data := []byte("0123456789abcdef0123456789abcdef")
 	b.ReportAllocs()
@@ -240,13 +233,6 @@ func BenchmarkEngineMapOverhead(b *testing.B) {
 		engine.Map(cfg, "bench", 64, func(_ int, rng *rand.Rand) float64 {
 			return rng.Float64()
 		})
-	}
-}
-
-func BenchmarkMintCount(b *testing.B) {
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < b.N; i++ {
-		pow.MintCount(1<<20, 1e-4, rng)
 	}
 }
 

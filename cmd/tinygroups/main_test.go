@@ -13,7 +13,7 @@ import (
 // the Options each run received.
 func stubApp(t *testing.T, got *[]experiments.Options) *app {
 	t.Helper()
-	reg := experiments.NewRegistry()
+	reg := &experiments.Registry{}
 	mk := func(id, title string) experiments.Experiment {
 		return experiments.Experiment{
 			ID: id, Title: title,
@@ -142,7 +142,7 @@ func TestStreamMode(t *testing.T) {
 func TestCancelledContextExits(t *testing.T) {
 	var got []experiments.Options
 	a := stubApp(t, &got)
-	reg := experiments.NewRegistry()
+	reg := &experiments.Registry{}
 	if err := reg.Register(experiments.Experiment{
 		ID: "slow", Title: "ctx-aware stub",
 		Stream: func(ctx context.Context, _ experiments.Options, _ experiments.Emitter) error {

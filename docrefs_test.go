@@ -142,25 +142,41 @@ var unusedPublic = []string{
 	"tinygroups.WithObserver",
 }
 
-// TestPublicNamesHaveCallers fails when a public name of a stable package
-// has no caller: no non-test Go file outside the package's directory, in
-// this module or in bench/, selects it. A package-level func, var or const
-// counts as used when such a file selects pkg.Name through an import of the
-// package; a method counts as used when such a file selects .Method on
-// anything, which can over-count but never misses a caller. Type names and
-// fields are not audited: callers reach them through the functions that
-// return them. Names in unusedPublic are exempt, and the test also fails on
-// an entry that is used or no longer exists.
+// homeOnlyInternal lists the exported names of the packages under internal/
+// that no non-test code outside their own package selects, each with the
+// reason it stays exported. The test keeps the list exact, so it can only
+// shrink.
+var homeOnlyInternal = []string{
+	// -ldflags "-X repro/internal/buildinfo.Version=..." sets it by its
+	// import path, without a selector.
+	"buildinfo.Version",
+	// cmd/tinygroups' tests register stub experiments through it; the
+	// binary itself only runs Default().
+	"experiments.Registry.Register",
+}
+
+// TestPublicNamesHaveCallers fails when an exported name of an audited
+// package has no caller: no non-test Go file outside the package's
+// directory, in this module or in bench/, selects it. It audits the stable
+// packages against unusedPublic and every package under internal/ against
+// homeOnlyInternal, so an internal name exported but used only at home
+// fails too. A package-level func, var or const counts as used when such a
+// file selects pkg.Name through an import of the package; a method counts
+// as used when such a file selects .Method on anything, which can
+// over-count but never misses a caller. Type names and fields are not
+// audited: callers reach them through the functions that return them.
+// Names on a pass's allowlist are exempt, and the test also fails on an
+// entry that is used or no longer exists.
 func TestPublicNamesHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
-	public := map[string]bool{}
-	for name, dir := range stableDirs {
-		_, names, _ := stablePackage(t, fset, dir)
-		for _, n := range names {
-			public[name+"."+n] = true
+	internal := internalDirs(t)
+	audited := map[string]string{}
+	for _, dirs := range []map[string]string{stableDirs, internal} {
+		for name, dir := range dirs {
+			audited[name] = dir
 		}
 	}
-	used := map[string]bool{}
+	used := map[string]map[string]bool{} // selected key → dirs of the files selecting it
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -178,29 +194,66 @@ func TestPublicNamesHaveCallers(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, key := range selectedNames(f, filepath.Dir(path)) {
-			used[key] = true
+		dir := filepath.Dir(path)
+		for _, key := range selectedNames(f, audited) {
+			if used[key] == nil {
+				used[key] = map[string]bool{}
+			}
+			used[key][dir] = true
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, miss := range uncalled(public, used, unusedPublic) {
-		t.Error(miss)
+	for _, pass := range []struct {
+		dirs  map[string]string
+		allow []string
+		list  string
+	}{
+		{stableDirs, unusedPublic, "unusedPublic"},
+		{internal, homeOnlyInternal, "homeOnlyInternal"},
+	} {
+		public := map[string]string{}
+		for name, dir := range pass.dirs {
+			_, names, _ := stablePackage(t, fset, dir)
+			for _, n := range names {
+				public[name+"."+n] = dir
+			}
+		}
+		for _, miss := range uncalled(public, used, pass.allow, pass.list) {
+			t.Error(miss)
+		}
 	}
 }
 
-// selectedNames returns the public names a file in dir selects, in the
-// keys TestPublicNamesHaveCallers audits: "pkg.Name" for a selector on an
-// import of a stable package other than dir's own, and "*.Method" for any
-// other selector, whose receiver type the parse cannot know.
-func selectedNames(f *ast.File, dir string) []string {
-	imports := map[string]string{} // local name → stable package name
+// internalDirs maps the name of each package under internal/ to its
+// directory.
+func internalDirs(t *testing.T) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := map[string]string{}
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs[e.Name()] = filepath.Join("internal", e.Name())
+		}
+	}
+	return dirs
+}
+
+// selectedNames returns the names a file selects, in the keys
+// TestPublicNamesHaveCallers audits: "pkg.Name" for a selector on an import
+// of a package of pkgs (name → dir), and "*.Method" for any other selector,
+// whose receiver type the parse cannot know.
+func selectedNames(f *ast.File, pkgs map[string]string) []string {
+	imports := map[string]string{} // local name → audited package name
 	for _, imp := range f.Imports {
 		path := strings.Trim(imp.Path.Value, `"`)
-		for name, pkgDir := range stableDirs {
-			if path != "repro/"+pkgDir || pkgDir == dir {
+		for name, pkgDir := range pkgs {
+			if path != "repro/"+pkgDir {
 				continue
 			}
 			local := name
@@ -226,32 +279,39 @@ func selectedNames(f *ast.File, dir string) []string {
 	return keys
 }
 
-// uncalled returns one finding per public name that nothing uses and the
-// allowlist does not exempt, and per allowlist entry that is used or not
-// public. public holds "pkg.Name" and "pkg.Type.Method"; used holds
-// "pkg.Name" and "*.Method" as selectedNames reports them.
-func uncalled(public, used map[string]bool, allow []string) []string {
+// uncalled returns one finding per public name that no file outside its
+// package uses and the allowlist named list does not exempt, and per
+// allowlist entry that is used or not public. public maps "pkg.Name" and
+// "pkg.Type.Method" to the package's dir; used maps "pkg.Name" and
+// "*.Method", as selectedNames reports them, to the dirs of the files that
+// select them.
+func uncalled(public map[string]string, used map[string]map[string]bool, allow []string, list string) []string {
 	isUsed := func(name string) bool {
-		parts := strings.Split(name, ".")
-		if len(parts) == 3 {
-			return used["*."+parts[2]]
+		key := name
+		if parts := strings.Split(name, "."); len(parts) == 3 {
+			key = "*." + parts[2]
 		}
-		return used[name]
+		for dir := range used[key] {
+			if dir != public[name] {
+				return true
+			}
+		}
+		return false
 	}
 	allowed := map[string]bool{}
 	var out []string
 	for _, name := range allow {
 		allowed[name] = true
-		switch {
-		case !public[name]:
-			out = append(out, fmt.Sprintf("unusedPublic lists %s, which is no longer public: drop the entry", name))
+		switch _, ok := public[name]; {
+		case !ok:
+			out = append(out, fmt.Sprintf("%s lists %s, which is no longer public: drop the entry", list, name))
 		case isUsed(name):
-			out = append(out, fmt.Sprintf("unusedPublic lists %s, which now has a caller: drop the entry", name))
+			out = append(out, fmt.Sprintf("%s lists %s, which now has a caller: drop the entry", list, name))
 		}
 	}
 	for name := range public {
 		if !allowed[name] && !isUsed(name) {
-			out = append(out, fmt.Sprintf("public %s has no caller outside its package's tests: delete it", name))
+			out = append(out, fmt.Sprintf("exported %s has no non-test caller outside its package: delete or unexport it", name))
 		}
 	}
 	sort.Strings(out)

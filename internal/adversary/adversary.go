@@ -54,9 +54,9 @@ const (
 	// its presence there (the §III-B example: "maybe only bad IDs in
 	// [0, ½) are added").
 	Clustered
-	// NearKey injects the IDs closest to a victim key, attacking the
+	// nearKey injects the IDs closest to a victim key, attacking the
 	// groups responsible for one resource.
-	NearKey
+	nearKey
 )
 
 // String returns the strategy name.
@@ -66,7 +66,7 @@ func (s Strategy) String() string {
 		return "uniform"
 	case Clustered:
 		return "clustered"
-	case NearKey:
+	case nearKey:
 		return "nearkey"
 	}
 	return "unknown"
@@ -78,10 +78,10 @@ type Config struct {
 	Beta     float64    // adversary fraction: ⌊βN⌋ bad IDs are injected
 	Strategy Strategy   //
 	Span     float64    // Clustered: arc [0, Span) that bad IDs must land in
-	Key      ring.Point // NearKey: the victim key
+	Key      ring.Point // nearKey: the victim key
 	// PoolFactor scales the u.a.r. pool the adversary selects its subset
 	// from; the paper's model lets it discard IDs it mined but dislikes.
-	// Defaults to 4 when zero (only relevant to Clustered/NearKey).
+	// Defaults to 4 when zero (only relevant to Clustered/nearKey).
 	PoolFactor int
 }
 
@@ -116,7 +116,7 @@ func Place(cfg Config, rng *rand.Rand) Placement {
 		// If the arc was too small to supply nBad IDs from the pool, the
 		// adversary simply fields fewer IDs — strictly weaker, never
 		// stronger, and faithful to the subset rule.
-	case NearKey:
+	case nearKey:
 		pool := drawUniform(pf*nBad, rng)
 		sort.Slice(pool, func(i, j int) bool {
 			return cfg.Key.Dist(pool[i]) < cfg.Key.Dist(pool[j])

@@ -41,7 +41,7 @@ func TestClusteredPlacementRespectsSpan(t *testing.T) {
 func TestNearKeyPlacementConcentrates(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	key := ring.FromFloat(0.7)
-	p := Place(Config{N: 2000, Beta: 0.1, Strategy: NearKey, Key: key}, rng)
+	p := Place(Config{N: 2000, Beta: 0.1, Strategy: nearKey, Key: key}, rng)
 	if len(p.Bad) != 200 {
 		t.Fatalf("bad = %d, want 200", len(p.Bad))
 	}
@@ -49,8 +49,8 @@ func TestNearKeyPlacementConcentrates(t *testing.T) {
 	// with a 4× pool, the 200 nearest of 800 u.a.r. IDs lie within ~0.25+slack
 	// clockwise of the key.
 	for _, b := range p.Bad {
-		if key.Dist(b).Float() > 0.40 {
-			t.Errorf("near-key bad ID at clockwise distance %v, want concentrated", key.Dist(b).Float())
+		if key.Dist(b) > ring.FromFloat(0.40) {
+			t.Errorf("near-key bad ID at clockwise distance %v, want concentrated", key.Dist(b))
 		}
 	}
 }
@@ -92,7 +92,7 @@ func TestZeroBeta(t *testing.T) {
 }
 
 func TestStrategyStrings(t *testing.T) {
-	if Uniform.String() != "uniform" || Clustered.String() != "clustered" || NearKey.String() != "nearkey" {
+	if Uniform.String() != "uniform" || Clustered.String() != "clustered" || nearKey.String() != "nearkey" {
 		t.Error("strategy names wrong")
 	}
 	if Strategy(99).String() != "unknown" {

@@ -22,7 +22,7 @@ import (
 type proposal struct{ V int } // even-round broadcast of current preference
 type kingMsg struct{ V int }  // odd-round king broadcast
 
-// Honest is a phase-king participant. After Rounds(t) network rounds,
+// Honest is a phase-king participant. After rounds(t) network rounds,
 // Decision holds the agreed value.
 //
 // Schedule for phase k = 0..T:
@@ -45,8 +45,8 @@ type Honest struct {
 	lastCnt int // its count
 }
 
-// NewHonest builds an honest member with input value pref.
-func NewHonest(self, n, t, pref int) *Honest {
+// newHonest builds an honest member with input value pref.
+func newHonest(self, n, t, pref int) *Honest {
 	h := &Honest{Self: sim.NodeID(self), N: n, T: t, Pref: pref, Decision: -1}
 	h.all = make([]sim.NodeID, n)
 	for i := range h.all {
@@ -57,7 +57,7 @@ func NewHonest(self, n, t, pref int) *Honest {
 
 // Rounds returns the number of synchronous rounds phase-king needs:
 // 2 rounds per phase × (T+1) phases, plus the final decision round.
-func Rounds(t int) int { return 2*(t+1) + 1 }
+func rounds(t int) int { return 2*(t+1) + 1 }
 
 // Step implements sim.Node.
 func (h *Honest) Step(round int, inbox []sim.Message) []sim.Message {
@@ -170,12 +170,12 @@ func Run(n, t int, prefs []int, byzantine map[int]bool, beh string) Result {
 			}
 			continue
 		}
-		h := NewHonest(i, n, t, prefs[i])
+		h := newHonest(i, n, t, prefs[i])
 		honests = append(honests, h)
 		nodes[i] = h
 	}
 	nw := sim.New(nodes)
-	st := nw.Run(Rounds(t))
+	st := nw.Run(rounds(t))
 	res := Result{Rounds: st.Rounds, Messages: st.Delivered, Agreed: true}
 	for _, h := range honests {
 		res.Decisions = append(res.Decisions, h.Decision)

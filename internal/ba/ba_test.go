@@ -92,8 +92,8 @@ func TestByzantineKingPhaseSurvived(t *testing.T) {
 }
 
 func TestRoundsFormula(t *testing.T) {
-	if Rounds(0) != 3 || Rounds(3) != 9 {
-		t.Errorf("Rounds: got %d and %d", Rounds(0), Rounds(3))
+	if rounds(0) != 3 || rounds(3) != 9 {
+		t.Errorf("Rounds: got %d and %d", rounds(0), rounds(3))
 	}
 }
 
@@ -123,7 +123,7 @@ func TestMessageComplexityQuadratic(t *testing.T) {
 	// Group communication is Θ(|G|²) per round (the cost the paper's §I
 	// attributes to group operations); total ≈ rounds·n².
 	res := Run(10, 2, unanimous(10, 0), nil, "")
-	maxMsgs := int64(Rounds(2)) * 10 * 10
+	maxMsgs := int64(rounds(2)) * 10 * 10
 	if res.Messages > maxMsgs {
 		t.Errorf("messages = %d, want ≤ %d", res.Messages, maxMsgs)
 	}

@@ -14,10 +14,10 @@ import (
 )
 
 func TestLogGroupSize(t *testing.T) {
-	if s := LogGroupSize(8192, 7); s < 60 || s > 66 {
-		t.Errorf("LogGroupSize(8192, 7) = %d, want ≈63 ([47]'s 64)", s)
+	if s := logGroupSize(8192, 7); s < 60 || s > 66 {
+		t.Errorf("logGroupSize(8192, 7) = %d, want ≈63 ([47]'s 64)", s)
 	}
-	if s := LogGroupSize(2, 1); s < 4 {
+	if s := logGroupSize(2, 1); s < 4 {
 		t.Errorf("size clamp broken: %d", s)
 	}
 }
@@ -27,11 +27,12 @@ func TestBuildLogGroupsSizes(t *testing.T) {
 	pl := adversary.Place(adversary.Config{N: 1024, Beta: 0.1, Strategy: adversary.Uniform}, rng)
 	ov := overlay.NewChord(pl.Ring())
 	g := BuildLogGroups(ov, pl.BadSet(), groups.DefaultParams(), 2)
-	want := LogGroupSize(1024, 2)
+	want := logGroupSize(1024, 2)
 	if g.GroupSize() != want {
 		t.Errorf("group size %d, want %d", g.GroupSize(), want)
 	}
-	for _, grp := range g.Groups()[:16] {
+	for rank := 0; rank < 16; rank++ {
+		grp := g.GroupAt(rank)
 		if grp.Size() != want {
 			t.Errorf("group has %d members, want %d", grp.Size(), want)
 		}

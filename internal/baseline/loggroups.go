@@ -17,8 +17,8 @@ import (
 	"repro/internal/ring"
 )
 
-// LogGroupSize returns the classic group size c·ln n.
-func LogGroupSize(n int, c float64) int {
+// logGroupSize returns the classic group size c·ln n.
+func logGroupSize(n int, c float64) int {
 	if n < 3 {
 		n = 3
 	}
@@ -34,5 +34,5 @@ func LogGroupSize(n int, c float64) int {
 // c is the size multiplier (prior work uses c·ln n with c ≥ 1; [47]
 // reports |G| = 64 needed at n = 8192, i.e. c ≈ 7).
 func BuildLogGroups(ov overlay.Graph, badIDs map[ring.Point]bool, params groups.Params, c float64) *groups.Graph {
-	return groups.BuildSized(ov, badIDs, params, hashes.H1, LogGroupSize(ov.Ring().Len(), c))
+	return groups.BuildSized(ov, badIDs, params, hashes.H1, logGroupSize(ov.Ring().Len(), c))
 }

@@ -147,9 +147,9 @@ func (s *Stream) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Uint64n returns a uniform value in [0, n) (Lemire multiply–shift with
+// uint64n returns a uniform value in [0, n) (Lemire multiply–shift with
 // rejection, so the result is exactly uniform). n must be positive.
-func (s *Stream) Uint64n(n uint64) uint64 {
+func (s *Stream) uint64n(n uint64) uint64 {
 	hi, lo := bits.Mul64(s.Uint64(), n)
 	if lo < n {
 		thresh := -n % n
@@ -165,7 +165,7 @@ func (s *Stream) Intn(n int) int {
 	if n <= 0 {
 		panic("engine: Stream.Intn with non-positive n")
 	}
-	return int(s.Uint64n(uint64(n)))
+	return int(s.uint64n(uint64(n)))
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.

@@ -649,9 +649,6 @@ func (s *System) AbortPending() bool {
 	return true
 }
 
-// HasPending reports whether a built-but-uncommitted generation is parked.
-func (s *System) HasPending() bool { return s.pending != nil }
-
 // rewind restores the placement rng to the state it had after exactly n
 // source advances from the root seed: re-seed, fast-forward, republish.
 // O(n) in total draws since New — abort paths only.

@@ -38,7 +38,7 @@ func TestBuildCommitMatchesRunEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("epoch %d: build: %v", e, err)
 		}
-		if !two.HasPending() {
+		if two.pending == nil {
 			t.Fatalf("epoch %d: no pending generation after build", e)
 		}
 		if two.Epoch() != e-1 {
@@ -132,7 +132,7 @@ func TestAbortPendingReplaysIdentical(t *testing.T) {
 	if !aborted.AbortPending() {
 		t.Fatal("AbortPending found nothing to discard")
 	}
-	if aborted.HasPending() {
+	if aborted.pending != nil {
 		t.Fatal("build still pending after abort")
 	}
 	if aborted.rsrc.n != mark {
@@ -195,7 +195,7 @@ func TestMidBuildAbortReplaysIdentical(t *testing.T) {
 	if _, err := cancelled.BuildEpochContext(ctx); err == nil {
 		t.Fatal("mid-build cancellation did not surface an error")
 	}
-	if cancelled.HasPending() {
+	if cancelled.pending != nil {
 		t.Fatal("cancelled build left a pending generation")
 	}
 	if cancelled.rsrc.n != mark {

@@ -30,7 +30,7 @@ func nearZeroVictim() string {
 	return best
 }
 
-// E21AttackSuite pins the adversarial workloads as a table: each of the
+// e21AttackSuite pins the adversarial workloads as a table: each of the
 // three attack generators runs against a System whose adversary *placement*
 // matches the attack — join-flood against the Uniform baseline,
 // targeted-churn against NearKey placement on the same victim arc, and the
@@ -39,7 +39,7 @@ func nearZeroVictim() string {
 // concurrency 1 over the in-process System, so every count is a pure
 // function of the seed and the golden tests pin the attack table the same
 // way they pin the analytic ones. Each pairing is one engine trial.
-func E21AttackSuite(ctx context.Context, o Options, em Emitter) error {
+func e21AttackSuite(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}

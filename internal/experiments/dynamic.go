@@ -9,14 +9,14 @@ import (
 	"repro/internal/epoch"
 )
 
-// E4Dynamic regenerates the Theorem 3 dynamic series: per-epoch red
+// e4Dynamic regenerates the Theorem 3 dynamic series: per-epoch red
 // fractions and search failure under full population turnover. Epochs are
 // causally chained (each construction runs through the previous epoch's
 // graphs), so the chain runs inline — one logical trial whose rows stream
 // out as each epoch completes, with a cancellation poll between epochs.
 // The trial seed derivation matches the engine.Map scheme exactly, so the
 // table is byte-identical to the former batch form.
-func E4Dynamic(ctx context.Context, o Options, em Emitter) error {
+func e4Dynamic(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -48,12 +48,12 @@ func E4Dynamic(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E5Ablation regenerates the §III two-graph-necessity comparison: the same
+// e5Ablation regenerates the §III two-graph-necessity comparison: the same
 // run with one group graph accumulates error; with two it does not. The
 // arms run sequentially so each arm's rows stream out epoch by epoch;
 // their randomness is arm-indexed by construction (not draw order), so the
 // table matches the former parallel-arm batch form byte for byte.
-func E5Ablation(ctx context.Context, o Options, em Emitter) error {
+func e5Ablation(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -96,11 +96,11 @@ func E5Ablation(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E10Cuckoo regenerates the related-work anchor: the cuckoo rule's group
+// e10Cuckoo regenerates the related-work anchor: the cuckoo rule's group
 // size requirement ([47]: |G| ≈ 64 at n = 8192) vs this paper's tiny
 // groups. Every cuckoo (|G|, β) cell and the tiny-groups arm are
 // independent engine trials.
-func E10Cuckoo(ctx context.Context, o Options, em Emitter) error {
+func e10Cuckoo(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -164,9 +164,9 @@ func E10Cuckoo(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E12State regenerates the Lemma 10 state-bound table: spam accepted and
+// e12State regenerates the Lemma 10 state-bound table: spam accepted and
 // membership state with verification on vs off — two independent trials.
-func E12State(ctx context.Context, o Options, em Emitter) error {
+func e12State(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -17,7 +17,7 @@ func (printRows) Note(text string)    { fmt.Println("note:", text) }
 // ExampleRegistry_Run registers a custom experiment and streams its output
 // through an Emitter — the same interface the built-in e1..e21 use.
 func ExampleRegistry_Run() {
-	reg := experiments.NewRegistry()
+	reg := &experiments.Registry{}
 	err := reg.Register(experiments.Experiment{
 		ID:    "demo",
 		Title: "a two-row demo table",

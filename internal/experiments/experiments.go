@@ -94,21 +94,21 @@ type Emitter interface {
 	Note(text string)
 }
 
-// Collector is the buffering Emitter behind Experiment.Run: it gathers the
+// collector is the buffering Emitter behind Experiment.Run: it gathers the
 // stream into a metrics.Table plus notes.
-type Collector struct {
+type collector struct {
 	Table metrics.Table
 	Notes []string
 }
 
 // Header sets the table header (copied; emitters may reuse the slice).
-func (c *Collector) Header(cols ...string) { c.Table.Header = append([]string(nil), cols...) }
+func (c *collector) Header(cols ...string) { c.Table.Header = append([]string(nil), cols...) }
 
 // Row appends one table row (copied; emitters may reuse the slice).
-func (c *Collector) Row(cells ...string) { c.Table.Append(append([]string(nil), cells...)...) }
+func (c *collector) Row(cells ...string) { c.Table.Append(append([]string(nil), cells...)...) }
 
 // Note records one interpretation note.
-func (c *Collector) Note(text string) { c.Notes = append(c.Notes, text) }
+func (c *collector) Note(text string) { c.Notes = append(c.Notes, text) }
 
 // StreamFunc runs one experiment, emitting output as it is produced. It
 // returns a non-nil error only when ctx is cancelled (the experiments
@@ -136,16 +136,16 @@ type Experiment struct {
 // Result — the batch form the golden, determinism and benchmark harnesses
 // compare.
 func (e Experiment) Run(o Options) Result {
-	var c Collector
+	var c collector
 	if err := e.Stream(context.Background(), o, &c); err != nil {
 		panic("experiments: " + e.ID + ": " + err.Error()) // background context never cancels
 	}
 	return Result{ID: e.ID, Title: e.Title, Table: &c.Table, Notes: c.Notes}
 }
 
-// ErrUnknownExperiment is returned by Run and Render for IDs never
+// errUnknownExperiment is returned by Run and Render for IDs never
 // registered.
-var ErrUnknownExperiment = errors.New("experiments: unknown experiment ID")
+var errUnknownExperiment = errors.New("experiments: unknown experiment ID")
 
 // Registry is a map-backed experiment index preserving registration order.
 // The zero value is an empty, usable registry.
@@ -153,9 +153,6 @@ type Registry struct {
 	m     map[string]Experiment
 	order []string
 }
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
 
 // Register adds an experiment. Empty IDs, nil Stream functions and
 // duplicate IDs are rejected — a duplicate registration is always a bug,
@@ -191,12 +188,12 @@ func (r *Registry) Lookup(id string) (Experiment, bool) {
 }
 
 // Run streams the experiment's output into em. It fails with
-// ErrUnknownExperiment for unregistered IDs and with ctx.Err() when the
+// errUnknownExperiment for unregistered IDs and with ctx.Err() when the
 // context cancels mid-stream.
 func (r *Registry) Run(ctx context.Context, id string, o Options, em Emitter) error {
 	e, ok := r.m[id]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownExperiment, id)
+		return fmt.Errorf("%w: %q", errUnknownExperiment, id)
 	}
 	return e.Stream(ctx, o, em)
 }
@@ -204,7 +201,7 @@ func (r *Registry) Run(ctx context.Context, id string, o Options, em Emitter) er
 // Render runs the experiment to completion and writes the column-aligned
 // table followed by its notes to w — the buffered convenience over Run.
 func (r *Registry) Render(ctx context.Context, id string, o Options, w io.Writer) error {
-	var c Collector
+	var c collector
 	if err := r.Run(ctx, id, o, &c); err != nil {
 		return err
 	}
@@ -222,29 +219,29 @@ func (r *Registry) Render(ctx context.Context, id string, o Options, w io.Writer
 // Default returns a registry holding every experiment of the paper
 // reproduction, e1..e21 in that order.
 func Default() *Registry {
-	r := NewRegistry()
+	r := &Registry{}
 	for _, e := range []Experiment{
-		{"e1", "Static search success (Lemma 4 / Thm 3)", E1StaticSearch},
-		{"e2", "Bad-group probability vs group size (S2/Lemma 9 shape)", E2BadGroups},
-		{"e3", "Cost table: tiny vs Θ(log n) groups (Corollary 1)", E3Costs},
-		{"e4", "Dynamic ε-robustness across epochs (Theorem 3)", E4Dynamic},
-		{"e5", "Two-graph vs single-graph ablation (§III intuition)", E5Ablation},
-		{"e6", "PoW minting bound and uniformity (Lemma 11)", E6PoW},
-		{"e7", "Global random-string lottery (Lemma 12)", E7Lottery},
-		{"e8", "Group-size knee: o(log log n) fails (§I-D)", E8Knee},
-		{"e9", "Input-graph properties P1–P4 (+ Lemma 5)", E9InputGraphs},
-		{"e10", "Cuckoo-rule baseline vs tiny groups ([47] anchor)", E10Cuckoo},
-		{"e11", "Pre-computation attack vs string rotation (§IV-B)", E11Precompute},
-		{"e12", "Verification caps state under spam (Lemma 10)", E12State},
-		{"e13", "Byzantine agreement inside groups (§I building block)", E13BA},
-		{"e14", "Secure routing protocol: majority filtering (§I mechanism)", E14SecureRouting},
-		{"e15", "Mid-epoch departures vs the ε'/2 bound (§III churn model)", E15Departures},
-		{"e16", "Bootstrapping sets (Appendix IX)", E16Bootstrap},
-		{"e17", "Overlay ablation: route length vs degree (design choice)", E17OverlayAblation},
-		{"e18", "Quarantine of misbehaving members (footnote 2 extension)", E18Quarantine},
-		{"e19", "Adaptive PoW: work only when attacked (conclusion / [22])", E19AdaptivePoW},
-		{"e20", "System size Θ(n) oscillation (§III remark)", E20SizeDrift},
-		{"e21", "Attack suite vs matched adversary placement (§IV pressure)", E21AttackSuite},
+		{"e1", "Static search success (Lemma 4 / Thm 3)", e1StaticSearch},
+		{"e2", "Bad-group probability vs group size (S2/Lemma 9 shape)", e2BadGroups},
+		{"e3", "Cost table: tiny vs Θ(log n) groups (Corollary 1)", e3Costs},
+		{"e4", "Dynamic ε-robustness across epochs (Theorem 3)", e4Dynamic},
+		{"e5", "Two-graph vs single-graph ablation (§III intuition)", e5Ablation},
+		{"e6", "PoW minting bound and uniformity (Lemma 11)", e6PoW},
+		{"e7", "Global random-string lottery (Lemma 12)", e7Lottery},
+		{"e8", "Group-size knee: o(log log n) fails (§I-D)", e8Knee},
+		{"e9", "Input-graph properties P1–P4 (+ Lemma 5)", e9InputGraphs},
+		{"e10", "Cuckoo-rule baseline vs tiny groups ([47] anchor)", e10Cuckoo},
+		{"e11", "Pre-computation attack vs string rotation (§IV-B)", e11Precompute},
+		{"e12", "Verification caps state under spam (Lemma 10)", e12State},
+		{"e13", "Byzantine agreement inside groups (§I building block)", e13BA},
+		{"e14", "Secure routing protocol: majority filtering (§I mechanism)", e14SecureRouting},
+		{"e15", "Mid-epoch departures vs the ε'/2 bound (§III churn model)", e15Departures},
+		{"e16", "Bootstrapping sets (Appendix IX)", e16Bootstrap},
+		{"e17", "Overlay ablation: route length vs degree (design choice)", e17OverlayAblation},
+		{"e18", "Quarantine of misbehaving members (footnote 2 extension)", e18Quarantine},
+		{"e19", "Adaptive PoW: work only when attacked (conclusion / [22])", e19AdaptivePoW},
+		{"e20", "System size Θ(n) oscillation (§III remark)", e20SizeDrift},
+		{"e21", "Attack suite vs matched adversary placement (§IV pressure)", e21AttackSuite},
 	} {
 		if err := r.Register(e); err != nil {
 			panic(err) // the built-in list is statically duplicate-free

@@ -8,35 +8,6 @@ import (
 	"testing"
 )
 
-// TestAllExperimentsRunQuick executes every experiment in quick mode and
-// checks the structural contract: non-empty table, consistent column
-// counts, notes present.
-func TestAllExperimentsRunQuick(t *testing.T) {
-	for _, e := range Default().List() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			res := e.Run(Options{Quick: true, Seed: 1})
-			if res.ID != e.ID {
-				t.Errorf("result ID %q != experiment ID %q", res.ID, e.ID)
-			}
-			if res.Table == nil || len(res.Table.Rows) == 0 {
-				t.Fatal("experiment produced no rows")
-			}
-			for i, row := range res.Table.Rows {
-				if len(row) != len(res.Table.Header) {
-					t.Errorf("row %d has %d cells, header has %d", i, len(row), len(res.Table.Header))
-				}
-			}
-			if len(res.Notes) == 0 {
-				t.Error("experiment has no interpretation notes")
-			}
-			if !strings.Contains(res.Table.String(), res.Table.Header[0]) {
-				t.Error("table failed to render")
-			}
-		})
-	}
-}
-
 // TestDefaultRegistryHasAllExperiments: the default registry lists
 // e1..e21 in order, each with a title.
 func TestDefaultRegistryHasAllExperiments(t *testing.T) {
@@ -143,7 +114,7 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 // TestRegisterRejectsDuplicatesAndEmpty: a fresh registry refuses a second
 // registration of an existing ID, an empty ID, and a nil Stream.
 func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
-	reg := NewRegistry()
+	reg := &Registry{}
 	if err := reg.Register(Experiment{ID: "x", Title: "original", Stream: noopStream}); err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +141,7 @@ func TestZeroValueRegistry(t *testing.T) {
 	if _, ok := reg.Lookup("x"); ok {
 		t.Error("empty registry resolved an ID")
 	}
-	if err := reg.Run(context.Background(), "x", Options{}, &Collector{}); !errors.Is(err, ErrUnknownExperiment) {
+	if err := reg.Run(context.Background(), "x", Options{}, &collector{}); !errors.Is(err, errUnknownExperiment) {
 		t.Errorf("Run on empty registry: %v", err)
 	}
 	if err := reg.Register(Experiment{ID: "x", Title: "t", Stream: noopStream}); err != nil {
@@ -184,12 +155,12 @@ func TestZeroValueRegistry(t *testing.T) {
 // TestRunUnknownExperiment: Run and Render fail with the typed error.
 func TestRunUnknownExperiment(t *testing.T) {
 	reg := Default()
-	if err := reg.Run(context.Background(), "e99", Options{}, &Collector{}); !errors.Is(err, ErrUnknownExperiment) {
-		t.Errorf("Run: err = %v, want ErrUnknownExperiment", err)
+	if err := reg.Run(context.Background(), "e99", Options{}, &collector{}); !errors.Is(err, errUnknownExperiment) {
+		t.Errorf("Run: err = %v, want errUnknownExperiment", err)
 	}
 	var b strings.Builder
-	if err := reg.Render(context.Background(), "e99", Options{}, &b); !errors.Is(err, ErrUnknownExperiment) {
-		t.Errorf("Render: err = %v, want ErrUnknownExperiment", err)
+	if err := reg.Render(context.Background(), "e99", Options{}, &b); !errors.Is(err, errUnknownExperiment) {
+		t.Errorf("Render: err = %v, want errUnknownExperiment", err)
 	}
 	if b.Len() != 0 {
 		t.Errorf("Render wrote %q for an unknown ID", b.String())
@@ -199,7 +170,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 // TestRunStreamsRows drives a cheap real experiment end to end through
 // Registry.Run.
 func TestRunStreamsRows(t *testing.T) {
-	var c Collector
+	var c collector
 	if err := Default().Run(context.Background(), "e13", Options{Quick: true, Seed: 1}, &c); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +190,7 @@ func TestRenderMatchesExperimentTable(t *testing.T) {
 	if err := Default().Render(context.Background(), "e13", o, &b); err != nil {
 		t.Fatal(err)
 	}
-	var c Collector
+	var c collector
 	if err := Default().Run(context.Background(), "e13", o, &c); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +209,7 @@ func TestRenderMatchesExperimentTable(t *testing.T) {
 func TestStreamEmissionOrder(t *testing.T) {
 	e := mustLookup("e13")
 	var events []string
-	var c Collector
+	var c collector
 	err := e.Stream(context.Background(), Options{Quick: true, Seed: 1}, &recordingEmitter{c: &c, events: &events})
 	if err != nil {
 		t.Fatal(err)
@@ -301,9 +272,9 @@ func TestRunCancellationStopsStream(t *testing.T) {
 	}
 }
 
-// recordingEmitter forwards to a Collector while logging event kinds.
+// recordingEmitter forwards to a collector while logging event kinds.
 type recordingEmitter struct {
-	c      *Collector
+	c      *collector
 	events *[]string
 }
 

@@ -15,11 +15,11 @@ import (
 	"repro/internal/secroute"
 )
 
-// E14SecureRouting regenerates the §I secure-routing mechanism check: the
+// e14SecureRouting regenerates the §I secure-routing mechanism check: the
 // protocol-level all-to-all + majority-filter transmission agrees with the
 // graph-level blue-path criterion, and good groups with bad minorities
 // deliver intact. Each (n, β) cell is an engine trial.
-func E14SecureRouting(ctx context.Context, o Options, em Emitter) error {
+func e14SecureRouting(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -91,10 +91,10 @@ func E14SecureRouting(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E15Departures regenerates the §III churn-bound series: group survival
+// e15Departures regenerates the §III churn-bound series: group survival
 // under mid-epoch departures, against the ε'/2 guarantee. Each departure
 // fraction is an engine trial.
-func E15Departures(ctx context.Context, o Options, em Emitter) error {
+func e15Departures(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -127,12 +127,12 @@ func E15Departures(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E16Bootstrap regenerates the Appendix IX check: pooling
+// e16Bootstrap regenerates the Appendix IX check: pooling
 // O(log n / log log n) u.a.r. tiny groups yields a good-majority
 // bootstrapping set w.h.p., while trusting a single tiny group fails with
 // the bad-group probability. Each β is an engine trial (its pool-size
 // sweep shares one constructed system).
-func E16Bootstrap(ctx context.Context, o Options, em Emitter) error {
+func e16Bootstrap(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -180,12 +180,12 @@ func E16Bootstrap(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E17OverlayAblation regenerates the overlay design-choice ablation:
+// e17OverlayAblation regenerates the overlay design-choice ablation:
 // route length vs degree across de Bruijn bases and Chord — the
 // |G|²-per-hop cost makes D the multiplier tiny groups pay. All five
 // constructions share one ring; each build+measure is an engine trial
 // (rows are emitted in trial order once the fan-out completes).
-func E17OverlayAblation(ctx context.Context, o Options, em Emitter) error {
+func e17OverlayAblation(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -225,10 +225,10 @@ func E17OverlayAblation(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E18Quarantine regenerates the footnote-2 extension: groups expelling
+// e18Quarantine regenerates the footnote-2 extension: groups expelling
 // misbehaving members, and the hardening it buys against later departures.
 // Each misbehavior probability is an engine trial.
-func E18Quarantine(ctx context.Context, o Options, em Emitter) error {
+func e18Quarantine(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -270,10 +270,10 @@ func E18Quarantine(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E19AdaptivePoW regenerates the conclusion's open question, modeled after
+// e19AdaptivePoW regenerates the conclusion's open question, modeled after
 // [22]: puzzle work that tracks attack intensity. Each attack pattern is
 // an engine trial.
-func E19AdaptivePoW(ctx context.Context, o Options, em Emitter) error {
+func e19AdaptivePoW(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -313,10 +313,10 @@ func E19AdaptivePoW(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E20SizeDrift regenerates the §III Θ(n)-size remark: robustness under a
+// e20SizeDrift regenerates the §III Θ(n)-size remark: robustness under a
 // population oscillating by a constant factor each epoch. Each drift level
 // is an engine trial (its epochs are causally chained inside).
-func E20SizeDrift(ctx context.Context, o Options, em Emitter) error {
+func e20SizeDrift(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}

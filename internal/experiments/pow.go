@@ -13,12 +13,12 @@ import (
 	"repro/internal/ring"
 )
 
-// E6PoW regenerates the Lemma 11 table: adversary solution counts vs the
+// e6PoW regenerates the Lemma 11 table: adversary solution counts vs the
 // (1+ε)βn bound, uniformity of minted IDs, and a literal-puzzle validation
 // of the statistical model. The statistical cells, the literal solves, and
 // the sharded solve are all engine trials; the literal solutions are
 // re-verified in a parallel batch (the epoch-admission hot path).
-func E6PoW(ctx context.Context, o Options, em Emitter) error {
+func e6PoW(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -96,11 +96,11 @@ func E6PoW(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E7Lottery regenerates the Lemma 12 table: winner coverage, solution-set
+// e7Lottery regenerates the Lemma 12 table: winner coverage, solution-set
 // size, and message complexity of the string-propagation protocol, with
 // and without the split-release attack. Each n is one engine trial (the
 // two attack arms share its overlay adjacency).
-func E7Lottery(ctx context.Context, o Options, em Emitter) error {
+func e7Lottery(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -141,10 +141,10 @@ func E7Lottery(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E11Precompute regenerates the §IV-B motivation table: the adversary's
+// e11Precompute regenerates the §IV-B motivation table: the adversary's
 // usable IDs per epoch with and without string rotation. Epochs are
 // causally chained, so the run is one engine trial.
-func E11Precompute(ctx context.Context, o Options, em Emitter) error {
+func e11Precompute(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -169,11 +169,11 @@ func E11Precompute(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E13BA regenerates the Byzantine-agreement building-block table: agreement
+// e13BA regenerates the Byzantine-agreement building-block table: agreement
 // and validity rates at group-sized instances with worst-case equivocators.
 // Each (|G|, behavior) cell is an engine trial; -trials multiplies the
 // per-cell BA runs.
-func E13BA(ctx context.Context, o Options, em Emitter) error {
+func e13BA(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -23,10 +23,10 @@ func staticGraph(n int, beta float64, rng *rand.Rand) *groups.Graph {
 	return groups.Build(ov, pl.BadSet(), params, hashes.H1)
 }
 
-// E1StaticSearch regenerates the Lemma 4 / Theorem 3 static series: search
+// e1StaticSearch regenerates the Lemma 4 / Theorem 3 static series: search
 // failure rate vs n at tiny group sizes, against the 1/log² n reference
 // shape. Each (n, β) cell is an independent engine trial.
-func E1StaticSearch(ctx context.Context, o Options, em Emitter) error {
+func e1StaticSearch(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -64,9 +64,9 @@ func E1StaticSearch(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E2BadGroups regenerates the S2 probability table: fraction of bad groups
+// e2BadGroups regenerates the S2 probability table: fraction of bad groups
 // vs the group-size multiplier d over ln ln n.
-func E2BadGroups(ctx context.Context, o Options, em Emitter) error {
+func e2BadGroups(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -108,10 +108,10 @@ func E2BadGroups(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E3Costs regenerates the Corollary 1 cost table: tiny groups vs the
+// e3Costs regenerates the Corollary 1 cost table: tiny groups vs the
 // Θ(log n) baseline on two input-graph degree classes. Each (n, overlay)
 // pair is one engine trial producing both scheme rows.
-func E3Costs(ctx context.Context, o Options, em Emitter) error {
+func e3Costs(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -168,9 +168,9 @@ func E3Costs(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E8Knee regenerates the §I-D "can we do better?" series: search success
+// e8Knee regenerates the §I-D "can we do better?" series: search success
 // vs group-size multiplier, exhibiting the knee at |G| ≈ ln ln n.
-func E8Knee(ctx context.Context, o Options, em Emitter) error {
+func e8Knee(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -209,11 +209,11 @@ func E8Knee(ctx context.Context, o Options, em Emitter) error {
 	return nil
 }
 
-// E9InputGraphs regenerates the P1–P4 verification table for all three
+// e9InputGraphs regenerates the P1–P4 verification table for all three
 // constructions, including the Lemma 5 adversarial-subset variant. Each
 // (n, mode) pair is one engine trial measuring all three overlays (rows
 // are emitted in trial order once the fan-out completes).
-func E9InputGraphs(ctx context.Context, o Options, em Emitter) error {
+func e9InputGraphs(ctx context.Context, o Options, em Emitter) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}

@@ -54,7 +54,8 @@ func TestRemoveMembersUniform(t *testing.T) {
 	type before struct{ good, bad, goodDeparting int }
 	pre := map[ring.Point]before{}
 	params := g.params
-	for _, grp := range g.Groups() {
+	for rank := 0; rank < g.N(); rank++ {
+		grp := g.GroupAt(rank)
 		b := before{}
 		for _, m := range grp.Members {
 			if m.Bad {
@@ -74,7 +75,8 @@ func TestRemoveMembersUniform(t *testing.T) {
 		t.Fatal("no members departed")
 	}
 	bound := params.GoodDepartureBound()
-	for _, grp := range g.Groups() {
+	for rank := 0; rank < g.N(); rank++ {
+		grp := g.GroupAt(rank)
 		b := pre[grp.Leader]
 		strictGood := float64(b.bad) <= (1+params.Delta)*params.Beta*float64(b.good+b.bad)
 		within := float64(b.goodDeparting) <= bound*float64(b.good)
@@ -88,7 +90,8 @@ func TestRemoveMembersUniform(t *testing.T) {
 		t.Error("red fraction cannot decrease on departures")
 	}
 	// No group may retain a departed member.
-	for _, grp := range g.Groups() {
+	for rank := 0; rank < g.N(); rank++ {
+		grp := g.GroupAt(rank)
 		for _, m := range grp.Members {
 			if departed[m.ID] {
 				t.Fatal("departed member still present")
@@ -118,7 +121,8 @@ func TestRemoveMembersBeganBadStaysBad(t *testing.T) {
 	g, _ := buildTest(256, 0.3, 34)
 	var badLeader ring.Point
 	found := false
-	for _, grp := range g.Groups() {
+	for rank := 0; rank < g.N(); rank++ {
+		grp := g.GroupAt(rank)
 		if grp.Bad {
 			badLeader, found = grp.Leader, true
 			break

@@ -67,22 +67,6 @@ func (p Params) SizeFor(n int) int {
 	return s
 }
 
-// MinSizeFor returns the lower size bound d1·ln ln n (clamped proportionally).
-func (p Params) MinSizeFor(n int) int {
-	if n < 3 {
-		n = 3
-	}
-	s := int(math.Round(p.D1 * math.Log(math.Log(float64(n)))))
-	min := int(float64(p.MinSize) * p.D1 / p.D2)
-	if s < min {
-		s = min
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
 // Member is one ID inside a group.
 type Member struct {
 	ID  ring.Point
@@ -211,15 +195,6 @@ func (g *Graph) Group(w ring.Point) *Group {
 // GroupAt returns the group led by the ring's i-th point — the search hot
 // path's lookup, since routes arrive as ranks.
 func (g *Graph) GroupAt(i int) *Group { return &g.byRank[i] }
-
-// Groups iterates over all groups in ring order of their leaders.
-func (g *Graph) Groups() []*Group {
-	out := make([]*Group, len(g.byRank))
-	for i := range g.byRank {
-		out[i] = &g.byRank[i]
-	}
-	return out
-}
 
 // N returns the number of groups.
 func (g *Graph) N() int { return len(g.byRank) }

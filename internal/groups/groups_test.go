@@ -56,9 +56,6 @@ func TestSizeForGrowsDoublyLogarithmically(t *testing.T) {
 	if p.SizeFor(100) < p.MinSize {
 		t.Errorf("size below MinSize clamp")
 	}
-	if p.MinSizeFor(1<<20) > p.SizeFor(1<<20) {
-		t.Errorf("MinSizeFor exceeds SizeFor")
-	}
 }
 
 func TestEveryIDLeadsAGroup(t *testing.T) {
@@ -85,8 +82,10 @@ func TestMembershipFollowsHashRule(t *testing.T) {
 	r := g.Overlay().Ring()
 	w := r.At(17)
 	grp := g.Group(w)
+	// PointsAt is bit-identical to h1(w, i) for i = 1..n (pinned in hashes).
+	pts := hashes.H1.PointsAt(w, len(grp.Members), nil)
 	for i, m := range grp.Members {
-		want := r.Successor(hashes.H1.PointAt(w, i+1))
+		want := r.Successor(pts[i])
 		if m.ID != want {
 			t.Fatalf("member %d = %v, want suc(h1(w,%d)) = %v", i, m.ID, i+1, want)
 		}
@@ -96,7 +95,8 @@ func TestMembershipFollowsHashRule(t *testing.T) {
 func TestMemberBadFlagsMatchPlacement(t *testing.T) {
 	g, pl := buildTest(256, 0.2, 3)
 	bad := pl.BadSet()
-	for _, grp := range g.Groups() {
+	for rank := 0; rank < g.N(); rank++ {
+		grp := g.GroupAt(rank)
 		for _, m := range grp.Members {
 			if m.Bad != bad[m.ID] {
 				t.Fatalf("member %v bad flag %v, want %v", m.ID, m.Bad, bad[m.ID])
@@ -300,11 +300,10 @@ func TestMeasureCosts(t *testing.T) {
 
 func TestGroupsStableOrder(t *testing.T) {
 	g, _ := buildTest(128, 0.1, 19)
-	a := g.Groups()
-	b := g.Groups()
-	for i := range a {
-		if a[i].Leader != b[i].Leader {
-			t.Fatal("Groups() must iterate in stable ring order")
+	pts := g.Overlay().Ring().Points()
+	for i := 0; i < g.N(); i++ {
+		if g.GroupAt(i).Leader != pts[i] {
+			t.Fatal("GroupAt must follow the ring order of leaders")
 		}
 	}
 }

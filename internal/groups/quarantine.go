@@ -38,12 +38,12 @@ func NewQuarantine(g *Graph, threshold int) *Quarantine {
 	return &Quarantine{g: g, Threshold: threshold, strikes: make(map[strikeKey]int)}
 }
 
-// Observe simulates one group operation in G_leader. Each bad member
+// observe simulates one group operation in G_leader. Each bad member
 // independently misbehaves with probability pMis (the adversary trades
 // damage now against exposure); a blue group detects each misbehavior and
 // issues a strike, expelling members that reach the threshold. Returns the
 // number of members expelled by this operation.
-func (q *Quarantine) Observe(leader ring.Point, pMis float64, rng *rand.Rand) int {
+func (q *Quarantine) observe(leader ring.Point, pMis float64, rng *rand.Rand) int {
 	grp := q.g.Group(leader)
 	if grp == nil || grp.Red() {
 		return 0 // no good majority to agree on expulsion
@@ -73,11 +73,11 @@ func (q *Quarantine) Observe(leader ring.Point, pMis float64, rng *rand.Rand) in
 	return expelled
 }
 
-// Sweep runs one Observe over every group, returning total expulsions.
+// Sweep runs one observe over every group, returning total expulsions.
 func (q *Quarantine) Sweep(pMis float64, rng *rand.Rand) int {
 	total := 0
 	for _, w := range q.g.Overlay().Ring().Points() {
-		total += q.Observe(w, pMis, rng)
+		total += q.observe(w, pMis, rng)
 	}
 	return total
 }

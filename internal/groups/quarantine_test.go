@@ -44,7 +44,8 @@ func TestQuarantineStealthyMembersSurvive(t *testing.T) {
 func TestQuarantineCannotRedeemRedGroups(t *testing.T) {
 	g, _ := buildTest(256, 0.30, 95)
 	var redCount int
-	for _, grp := range g.Groups() {
+	for rank := 0; rank < g.N(); rank++ {
+		grp := g.GroupAt(rank)
 		if grp.Red() {
 			redCount++
 		}
@@ -58,7 +59,8 @@ func TestQuarantineCannotRedeemRedGroups(t *testing.T) {
 		q.Sweep(1.0, rng)
 	}
 	after := 0
-	for _, grp := range g.Groups() {
+	for rank := 0; rank < g.N(); rank++ {
+		grp := g.GroupAt(rank)
 		if grp.Red() {
 			after++
 		}
@@ -71,7 +73,8 @@ func TestQuarantineCannotRedeemRedGroups(t *testing.T) {
 func TestQuarantineNeverFlipsBlueToBadByMajority(t *testing.T) {
 	g, _ := buildTest(512, 0.15, 97)
 	blueBefore := map[uint64]bool{}
-	for _, grp := range g.Groups() {
+	for rank := 0; rank < g.N(); rank++ {
+		grp := g.GroupAt(rank)
 		if !grp.Red() {
 			blueBefore[uint64(grp.Leader)] = true
 		}
@@ -79,7 +82,8 @@ func TestQuarantineNeverFlipsBlueToBadByMajority(t *testing.T) {
 	q := NewQuarantine(g, 1)
 	rng := rand.New(rand.NewSource(98))
 	q.Sweep(1.0, rng)
-	for _, grp := range g.Groups() {
+	for rank := 0; rank < g.N(); rank++ {
+		grp := g.GroupAt(rank)
 		if blueBefore[uint64(grp.Leader)] && grp.Bad && 2*grp.BadCount() < grp.Size() {
 			t.Fatal("expulsion flipped a blue group bad without majority loss")
 		}

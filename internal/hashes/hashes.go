@@ -105,9 +105,9 @@ func (f Func) PointString(key string) ring.Point {
 	return ring.Point(binary.BigEndian.Uint64(out[:8]))
 }
 
-// PointAt hashes a (point, index) pair, the paper's h(w, i) form used to
+// pointAt hashes a (point, index) pair, the paper's h(w, i) form used to
 // derive the i-th member location of group G_w.
-func (f Func) PointAt(w ring.Point, i int) ring.Point {
+func (f Func) pointAt(w ring.Point, i int) ring.Point {
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[:8], uint64(w))
 	binary.BigEndian.PutUint64(buf[8:], uint64(i))
@@ -117,7 +117,7 @@ func (f Func) PointAt(w ring.Point, i int) ring.Point {
 // PointsAt fills dst[:n] with the member points h(w,1) … h(w,n) — the batch
 // form group construction uses to locate all d₂·ln ln n members of G_w in
 // one pass. The tag‖sep‖w prefix is composed once and only the index field
-// is rewritten per query; outputs are bit-identical to calling PointAt(w, i)
+// is rewritten per query; outputs are bit-identical to calling pointAt(w, i)
 // for i = 1..n. dst is grown if its capacity is short; the filled slice is
 // returned.
 func (f Func) PointsAt(w ring.Point, n int, dst []ring.Point) []ring.Point {
@@ -127,7 +127,7 @@ func (f Func) PointsAt(w ring.Point, n int, dst []ring.Point) []ring.Point {
 	dst = dst[:n]
 	if len(f.tag)+17 > oneShotMax {
 		for i := range dst {
-			dst[i] = f.PointAt(w, i+1)
+			dst[i] = f.pointAt(w, i+1)
 		}
 		return dst
 	}

@@ -19,8 +19,8 @@ func sha256Compose(tag []byte, sep byte, data []byte) [32]byte {
 }
 
 func TestDeterminism(t *testing.T) {
-	p1 := H1.PointAt(ring.FromFloat(0.3), 5)
-	p2 := H1.PointAt(ring.FromFloat(0.3), 5)
+	p1 := H1.pointAt(ring.FromFloat(0.3), 5)
+	p2 := H1.pointAt(ring.FromFloat(0.3), 5)
 	if p1 != p2 {
 		t.Error("same input must hash to same output")
 	}
@@ -28,7 +28,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestDomainSeparation(t *testing.T) {
 	w := ring.FromFloat(0.3)
-	if H1.PointAt(w, 1) == H2.PointAt(w, 1) {
+	if H1.pointAt(w, 1) == H2.pointAt(w, 1) {
 		t.Error("h1 and h2 should be independent oracles")
 	}
 	if F.OfPoint(w) == G.OfPoint(w) {
@@ -38,7 +38,7 @@ func TestDomainSeparation(t *testing.T) {
 
 func TestIndexSeparation(t *testing.T) {
 	w := ring.FromFloat(0.3)
-	if H1.PointAt(w, 1) == H1.PointAt(w, 2) {
+	if H1.pointAt(w, 1) == H1.pointAt(w, 2) {
 		t.Error("distinct indices must give distinct points")
 	}
 }
@@ -50,7 +50,7 @@ func TestPointUniformity(t *testing.T) {
 	const bins = 16
 	var counts [bins]int
 	for i := 0; i < n; i++ {
-		p := H.PointAt(ring.Point(i), i)
+		p := H.pointAt(ring.Point(i), i)
 		counts[p>>60]++ // top 4 bits select the bin
 	}
 	want := float64(n) / bins
@@ -142,8 +142,8 @@ func TestPointsAtMatchesPointAt(t *testing.T) {
 			t.Fatalf("PointsAt returned %d points, want 17", len(got))
 		}
 		for i, p := range got {
-			if want := f.PointAt(w, i+1); p != want {
-				t.Errorf("PointsAt[%d] = %v, want PointAt(w,%d) = %v", i, p, i+1, want)
+			if want := f.pointAt(w, i+1); p != want {
+				t.Errorf("PointsAt[%d] = %v, want pointAt(w,%d) = %v", i, p, i+1, want)
 			}
 		}
 	}
@@ -196,7 +196,7 @@ func TestPointAPIsAllocationFree(t *testing.T) {
 		fn   func()
 	}{
 		{"Point", func() { H1.Point(data) }},
-		{"PointAt", func() { H1.PointAt(w, 3) }},
+		{"pointAt", func() { H1.pointAt(w, 3) }},
 		{"OfPoint", func() { F.OfPoint(w) }},
 		{"PointsAt", func() { H1.PointsAt(w, len(dst), dst) }},
 		{"Bytes", func() { H.Bytes(data) }},
@@ -213,7 +213,7 @@ func TestPointAPIsAllocationFree(t *testing.T) {
 func TestNoEasyCollisions(t *testing.T) {
 	seen := make(map[ring.Point]bool, 1<<12)
 	for i := 0; i < 1<<12; i++ {
-		p := H1.PointAt(ring.Point(i*2654435761), i)
+		p := H1.pointAt(ring.Point(i*2654435761), i)
 		if seen[p] {
 			t.Fatalf("collision at i=%d", i)
 		}
@@ -237,5 +237,15 @@ func TestPointStringAllocFree(t *testing.T) {
 	key := "user-profile-key"
 	if allocs := testing.AllocsPerRun(200, func() { H1.PointString(key) }); allocs != 0 {
 		t.Errorf("PointString allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// BenchmarkHashPointAt profiles h(w, i), which is package-private, so it
+// sits here rather than with the other profiling benchmarks in the root
+// bench_test.go.
+func BenchmarkHashPointAt(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		H1.pointAt(ring.Point(i), i&7)
 	}
 }

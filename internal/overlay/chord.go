@@ -24,11 +24,11 @@ import (
 // ring's point array: at n = 2^14 that is about 1.2 MB, small enough to stay
 // in a core's L2 cache across the millions of searches of an epoch build.
 type Chord struct {
-	r       *ring.Ring
-	maxHops int // cached MaxHops (log2Ceil does float math)
-	off     []int32
-	nbr     []ring.Point
-	rank    []int32 // rank[k] is the ring rank of nbr[k]
+	r        *ring.Ring
+	hopLimit int // cached maxHops (log2Ceil does float math)
+	off      []int32
+	nbr      []ring.Point
+	rank     []int32 // rank[k] is the ring rank of nbr[k]
 }
 
 // fingerSlack adds levels beyond log2 N so the densest finger reaches the
@@ -47,7 +47,7 @@ const fingerSlack = 2
 func NewChord(r *ring.Ring) *Chord {
 	n := r.Len()
 	m := log2Ceil(n) + fingerSlack // finger levels
-	c := &Chord{r: r, maxHops: 4*log2Ceil(n) + 16}
+	c := &Chord{r: r, hopLimit: 4*log2Ceil(n) + 16}
 	c.off = make([]int32, n+1)
 	if n == 0 {
 		return c
@@ -91,9 +91,9 @@ func NewChord(r *ring.Ring) *Chord {
 func (c *Chord) Name() string     { return "chord" }
 func (c *Chord) Ring() *ring.Ring { return c.r }
 
-// MaxHops bounds routes at 4·log2 N + 16: greedy Chord routing halves the
+// maxHops bounds routes at 4·log2 N + 16: greedy Chord routing halves the
 // remaining distance every hop w.h.p., so this is generous.
-func (c *Chord) MaxHops() int { return c.maxHops }
+func (c *Chord) maxHops() int { return c.hopLimit }
 
 // Neighbors returns S_w: ring successor, ring predecessor, and the finger
 // successors suc(w + 1/2^i) for i = 1..m — a precomputed-table read,
@@ -124,7 +124,7 @@ func (c *Chord) RouteRanks(dst []int32, srcRank, targetRank int, _ ring.Point) (
 	curi, ti := srcRank, targetRank
 	target := pts[ti]
 	dst = append(dst[:0], int32(curi))
-	for hop := 0; hop < c.maxHops; hop++ {
+	for hop := 0; hop < c.hopLimit; hop++ {
 		if curi == ti {
 			return dst, true
 		}

@@ -57,11 +57,11 @@ func newRefChord(r *ring.Ring) *refChord {
 }
 
 // route is greedy Chord routing by a linear scan of the sorted table.
-func (rc *refChord) route(srcRank, targetRank, maxHops int) ([]int32, bool) {
+func (rc *refChord) route(srcRank, targetRank, hopLimit int) ([]int32, bool) {
 	curi := srcRank
 	cur, target := rc.r.At(curi), rc.r.At(targetRank)
 	out := []int32{int32(curi)}
-	for hop := 0; hop < maxHops; hop++ {
+	for hop := 0; hop < hopLimit; hop++ {
 		if curi == targetRank {
 			return out, true
 		}
@@ -112,7 +112,7 @@ func TestChordMatchesReference(t *testing.T) {
 				targetRank := r.SuccessorIndex(key)
 				var ok bool
 				buf, ok = c.RouteRanks(buf, si, targetRank, key)
-				want, wantOK := rc.route(si, targetRank, c.MaxHops())
+				want, wantOK := rc.route(si, targetRank, c.maxHops())
 				if ok != wantOK || !slices.Equal(buf, want) {
 					t.Fatalf("%s: route #%d → %v = %v (%v), want %v (%v)", name, si, key, buf, ok, want, wantOK)
 				}

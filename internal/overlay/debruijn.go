@@ -14,10 +14,10 @@ import (
 // it owns. Expected degree is O(d); routes have length log_d N + O(1)
 // prepend steps plus an O(1)-expected ring walk.
 type DeBruijn struct {
-	r       *ring.Ring
-	base    int
-	m       int // digits prepended per route: ceil(log_d N) + digitSlack
-	maxHops int // cached MaxHops (log2Ceil does float math)
+	r        *ring.Ring
+	base     int
+	m        int // digits prepended per route: ceil(log_d N) + digitSlack
+	hopLimit int // cached maxHops (log2Ceil does float math)
 }
 
 // digitSlack extends the prepend walk so the final virtual point lands
@@ -36,16 +36,16 @@ func NewDeBruijn(r *ring.Ring, base int) *DeBruijn {
 		v *= base
 	}
 	d := &DeBruijn{r: r, base: base, m: m + digitSlack}
-	d.maxHops = d.m + 4*log2Ceil(n) + 16
+	d.hopLimit = d.m + 4*log2Ceil(n) + 16
 	return d
 }
 
 func (d *DeBruijn) Name() string     { return "debruijn" }
 func (d *DeBruijn) Ring() *ring.Ring { return d.r }
 
-// MaxHops bounds a route by the prepend walk plus a generous ring-walk
+// maxHops bounds a route by the prepend walk plus a generous ring-walk
 // tail (the tail is O(1) expected, O(log N) w.h.p.).
-func (d *DeBruijn) MaxHops() int { return d.maxHops }
+func (d *DeBruijn) maxHops() int { return d.hopLimit }
 
 // contraction maps z to (z+j)/d, the continuous de Bruijn edge that
 // prepends digit j.
@@ -128,5 +128,5 @@ func (d *DeBruijn) RouteRanks(dst []int32, srcRank, targetRank int, key ring.Poi
 	}
 	// The virtual point is now within d^-m of key's prefix; close the gap
 	// along the ring.
-	return ringWalk(d.r, dst, targetRank, d.maxHops-len(dst)+1)
+	return ringWalk(d.r, dst, targetRank, d.hopLimit-len(dst)+1)
 }

@@ -48,11 +48,11 @@ type Graph interface {
 	// descends by its distance. The ranks go into dst's backing array
 	// (reset to dst[:0], grown only if capacity is short), so a caller
 	// looping with one reused buffer routes without allocating. ok is false
-	// if the route failed to terminate within MaxHops (should not happen
+	// if the route failed to terminate within maxHops (should not happen
 	// for honest rings).
 	RouteRanks(dst []int32, srcRank, targetRank int, key ring.Point) (ranks []int32, ok bool)
-	// MaxHops is the bound used by RouteRanks before declaring failure.
-	MaxHops() int
+	// maxHops is the bound used by RouteRanks before declaring failure.
+	maxHops() int
 }
 
 // Builder constructs a graph over a ring. seed parameterizes any

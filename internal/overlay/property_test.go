@@ -76,7 +76,7 @@ func clusteredRing(rng *rand.Rand) *ring.Ring {
 	return ring.New(pts)
 }
 
-// Property: route length is bounded by MaxHops for arbitrary adversarial
+// Property: route length is bounded by maxHops for arbitrary adversarial
 // (clustered) rings, not just uniform ones.
 func TestRouteBoundOnClusteredRings(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
@@ -88,8 +88,8 @@ func TestRouteBoundOnClusteredRings(t *testing.T) {
 				t.Errorf("%s: route failed on clustered ring", g.Name())
 				break
 			}
-			if len(path) > g.MaxHops()+1 {
-				t.Errorf("%s: path %d exceeds MaxHops %d", g.Name(), len(path), g.MaxHops())
+			if len(path) > g.maxHops()+1 {
+				t.Errorf("%s: path %d exceeds maxHops %d", g.Name(), len(path), g.maxHops())
 			}
 		}
 	}

@@ -90,8 +90,8 @@ func mix64(data []byte) uint64 {
 func (v *Viceroy) Name() string     { return "viceroy" }
 func (v *Viceroy) Ring() *ring.Ring { return v.r }
 
-// MaxHops: up phase ≤ L, down phase ≤ L, ring walk O(log N) w.h.p.
-func (v *Viceroy) MaxHops() int { return 6*v.levels + 32 }
+// maxHops: up phase ≤ L, down phase ≤ L, ring walk O(log N) w.h.p.
+func (v *Viceroy) maxHops() int { return 6*v.levels + 32 }
 
 // lvlRing returns the ring of level-ℓ IDs, or nil if ℓ is out of range or
 // the level is empty.
@@ -172,7 +172,7 @@ func (v *Viceroy) RouteRanks(dst []int32, srcRank, targetRank int, key ring.Poin
 		return route, true
 	}
 	cur := srcRank
-	budget := v.MaxHops()
+	budget := v.maxHops()
 	// Up phase.
 	for v.lvl[cur] > 1 && len(route) < budget {
 		next := v.up(cur)

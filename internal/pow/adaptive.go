@@ -74,7 +74,7 @@ func RunAdaptive(cfg AdaptiveConfig, n int, beta float64, attackAt []bool, rng *
 			// The adversary's post-bump window yields at most
 			// β·(1−Lag)·n hard solutions (± sampling noise).
 			attempts := int64(beta * float64(n) * (1 - cfg.Lag) * cfg.MaxWork)
-			badFrac = float64(MintCount(attempts, 1/cfg.MaxWork, rng)) / float64(n)
+			badFrac = float64(mintCount(attempts, 1/cfg.MaxWork, rng)) / float64(n)
 		} else {
 			work = cfg.MinWork
 			// Stealth minting below the anomaly threshold.

@@ -18,14 +18,16 @@ func TestTauForWork(t *testing.T) {
 	if got := TauForWork(1 << 14); got != 1<<50 {
 		t.Fatalf("TauForWork(2^14) = %#x, want 1<<50", got)
 	}
-	// TauForEpoch(T) targets T/2 expected attempts; TauForWork(T/2) must
-	// land within rounding of it.
-	te, tw := TauForEpoch(1<<15), TauForWork(1<<14)
+	// The epoch threshold τ = 2/T of the output space, ^0 / T * 2, targets
+	// T/2 expected attempts; for T = 2^15 it is 1<<50 - 2. TauForWork(T/2)
+	// must land within rounding of it.
+	const te = ring.Point(1<<50 - 2)
+	tw := TauForWork(1 << 14)
 	diff := int64(te - tw)
 	if diff < 0 {
 		diff = -diff
 	}
 	if diff > 1<<20 { // both ≈ 2^50; allow integer-division slack
-		t.Fatalf("TauForEpoch(2^15)=%#x vs TauForWork(2^14)=%#x", te, tw)
+		t.Fatalf("epoch threshold for T=2^15 %#x vs TauForWork(2^14)=%#x", te, tw)
 	}
 }

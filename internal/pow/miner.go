@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the mining engine behind SolveSharded: a counter-mode σ
-// candidate stream (one base-block derivation amortized over MineChunk
+// candidate stream (one base-block derivation amortized over mineChunk
 // attempts, so steady-state cost approaches one g compression per attempt),
 // a multi-candidate inner loop over stack arenas, and a work-stealing
 // scheduler that fans the attempt space over chunked claims off an atomic
@@ -19,12 +19,12 @@ import (
 // which is what keeps the smallest-solving-index result — and therefore
 // Solution.Attempts — bit-identical at every worker count.
 
-// MineChunk is the number of consecutive attempt indices that share one
+// mineChunk is the number of consecutive attempt indices that share one
 // derived σ base block, and the granularity at which workers claim ranges
-// of the attempt space. One claim costs one base derivation plus MineChunk
+// of the attempt space. One claim costs one base derivation plus mineChunk
 // g hashes, and the early-exit poll against the current best index runs
 // once per claim instead of once per attempt.
-const MineChunk = 256
+const mineChunk = 256
 
 // mineBatch is how many candidates the inner loop stages per pass over the
 // stack arena before hashing them — the multi-buffer structure a SIMD
@@ -36,7 +36,7 @@ const mineBatch = 8
 // paper's five named oracles.
 var sigmaOracle = hashes.NewFunc("sigma")
 
-// sigmaBaseInto fills dst with the base block shared by the MineChunk
+// sigmaBaseInto fills dst with the base block shared by the mineChunk
 // attempt indices of chunk c — the one derivation the counter mode
 // amortizes. Multi-block extension covers string lengths beyond one
 // digest, exactly like EpochString.
@@ -66,22 +66,22 @@ func embedCounter(dst []byte, a int64) {
 	copy(dst, cnt[:])
 }
 
-// ShardSigma returns the σ a sharded solve tries at global attempt index a
+// shardSigma returns the σ a sharded solve tries at global attempt index a
 // (a ≥ 1): a fixed function of (seed, a) only, so the mapping from attempt
 // index to candidate is identical no matter how the index space is sharded
 // or which worker scans it. The candidate is the chunk's base block with
 // an embedded 8-byte attempt counter, which is what lets the solver derive
-// one base per MineChunk attempts instead of one full hash per attempt.
-func ShardSigma(seed int64, a int64, length int) []byte {
+// one base per mineChunk attempts instead of one full hash per attempt.
+func shardSigma(seed int64, a int64, length int) []byte {
 	out := make([]byte, length)
 	shardSigmaInto(out, seed, a)
 	return out
 }
 
-// shardSigmaInto writes ShardSigma(seed, a, len(dst)) into dst without
+// shardSigmaInto writes shardSigma(seed, a, len(dst)) into dst without
 // allocating.
 func shardSigmaInto(dst []byte, seed int64, a int64) {
-	sigmaBaseInto(dst, seed, (a-1)/MineChunk)
+	sigmaBaseInto(dst, seed, (a-1)/mineChunk)
 	embedCounter(dst, a)
 }
 
@@ -131,7 +131,7 @@ func (m *miner) scan(lo, hi int64) (int64, bool) {
 	if !m.fast {
 		return m.scanSlow(lo, hi)
 	}
-	sigmaBaseInto(m.base, m.seed, (lo-1)/MineChunk)
+	sigmaBaseInto(m.base, m.seed, (lo-1)/mineChunk)
 	for i := 0; i < m.n; i++ {
 		m.xbase[i] = m.base[i] ^ m.r[i]
 	}
@@ -167,7 +167,7 @@ func (m *miner) scan(lo, hi int64) (int64, bool) {
 // scanSlow is the generic-width fallback: same chunk-amortized base
 // derivation and boundary-only polling discipline, one candidate at a time.
 func (m *miner) scanSlow(lo, hi int64) (int64, bool) {
-	sigmaBaseInto(m.base, m.seed, (lo-1)/MineChunk)
+	sigmaBaseInto(m.base, m.seed, (lo-1)/mineChunk)
 	for a := lo; a <= hi; a++ {
 		copy(m.sigma, m.base)
 		embedCounter(m.sigma, a)
@@ -180,10 +180,10 @@ func (m *miner) scanSlow(lo, hi int64) (int64, bool) {
 }
 
 // SolveSharded searches for g(σ ⊕ r) ≤ τ like Solve, but fans the attempt
-// space over a work-stealing worker pool: workers claim MineChunk-sized
+// space over a work-stealing worker pool: workers claim mineChunk-sized
 // ranges of attempt indices off a shared atomic cursor, so a worker whose
 // ranges miss keeps stealing whatever remains instead of idling behind a
-// fixed stride. Because ShardSigma fixes the candidate at every index and
+// fixed stride. Because shardSigma fixes the candidate at every index and
 // the winner is the smallest solving index, the returned solution — Sigma,
 // Y, ID and Attempts — is bit-identical for every worker count and
 // schedule. Workers stop claiming as soon as a better (smaller) index has
@@ -229,7 +229,7 @@ func SolveShardedContext(ctx context.Context, r []byte, p Params, seed int64, ma
 			defer wg.Done()
 			m := newMiner(r, p, seed)
 			for {
-				lo := cursor.Add(MineChunk) - MineChunk + 1
+				lo := cursor.Add(mineChunk) - mineChunk + 1
 				if lo > int64(maxAttempts) {
 					return
 				}
@@ -239,7 +239,7 @@ func SolveShardedContext(ctx context.Context, r []byte, p Params, seed int64, ma
 				if lo >= bestIdx.Load() {
 					return // a smaller index already solved; nothing here can win
 				}
-				hi := lo + MineChunk - 1
+				hi := lo + mineChunk - 1
 				if hi > int64(maxAttempts) {
 					hi = int64(maxAttempts)
 				}
@@ -262,7 +262,7 @@ func SolveShardedContext(ctx context.Context, r []byte, p Params, seed int64, ma
 		}
 		return Solution{Attempts: maxAttempts}, false, nil
 	}
-	sigma := ShardSigma(seed, a, p.StringLen)
+	sigma := shardSigma(seed, a, p.StringLen)
 	y := hashes.G.Point(hashes.XOR(sigma, r))
 	return Solution{Sigma: sigma, Y: y, ID: hashes.F.OfPoint(y), Attempts: int(a)}, true, nil
 }

@@ -41,7 +41,7 @@ func TestShardSigmaCounterMode(t *testing.T) {
 	seed := int64(7)
 
 	// Same chunk: bytes past the counter are the shared base block.
-	a, b := ShardSigma(seed, 10, length), ShardSigma(seed, 11, length)
+	a, b := shardSigma(seed, 10, length), shardSigma(seed, 11, length)
 	if bytes.Equal(a[:counterBytes], b[:counterBytes]) {
 		t.Fatalf("counter fields did not change between attempts")
 	}
@@ -49,23 +49,23 @@ func TestShardSigmaCounterMode(t *testing.T) {
 		t.Fatalf("base block changed within one chunk")
 	}
 
-	// Chunk boundary: attempt MineChunk is the last of chunk 0, MineChunk+1
+	// Chunk boundary: attempt mineChunk is the last of chunk 0, mineChunk+1
 	// the first of chunk 1 — their tails must come from different bases.
-	last, first := ShardSigma(seed, MineChunk, length), ShardSigma(seed, MineChunk+1, length)
+	last, first := shardSigma(seed, mineChunk, length), shardSigma(seed, mineChunk+1, length)
 	if bytes.Equal(last[counterBytes:], first[counterBytes:]) {
 		t.Fatalf("base block did not rotate across the chunk boundary")
 	}
 
 	// The mapping stays a pure function of (seed, a).
-	if !bytes.Equal(ShardSigma(seed, 10, length), a) {
-		t.Fatalf("ShardSigma is not deterministic")
+	if !bytes.Equal(shardSigma(seed, 10, length), a) {
+		t.Fatalf("shardSigma is not deterministic")
 	}
 }
 
 // TestMinerScanMatchesShardSigma cross-checks the arena fast path and the
 // generic fallback against the public per-index mapping: whatever index
 // scan reports as solving must be the smallest solving index per
-// ShardSigma + Verify semantics over the scanned range.
+// shardSigma + Verify semantics over the scanned range.
 func TestMinerScanMatchesShardSigma(t *testing.T) {
 	for _, stringLen := range []int{32, 100} { // 100 > arenaBytes forces scanSlow
 		p := Params{Tau: ^ring.Point(0) >> 7, StringLen: stringLen}
@@ -76,11 +76,11 @@ func TestMinerScanMatchesShardSigma(t *testing.T) {
 			t.Fatalf("StringLen %d: fast=%v, want %v", stringLen, m.fast, stringLen <= arenaBytes)
 		}
 		for chunk := int64(0); chunk < 4; chunk++ {
-			lo, hi := chunk*MineChunk+1, (chunk+1)*MineChunk
+			lo, hi := chunk*mineChunk+1, (chunk+1)*mineChunk
 			got, found := m.scan(lo, hi)
 			want, wantFound := int64(0), false
 			for a := lo; a <= hi && !wantFound; a++ {
-				if solves(ShardSigma(seed, a, stringLen), r, p) {
+				if solves(shardSigma(seed, a, stringLen), r, p) {
 					want, wantFound = a, true
 				}
 			}
@@ -101,8 +101,8 @@ func TestMinerScanAllocs(t *testing.T) {
 	m := newMiner(r, p, seed)
 	lo := int64(1)
 	if n := testing.AllocsPerRun(20, func() {
-		m.scan(lo, lo+MineChunk-1)
-		lo += MineChunk
+		m.scan(lo, lo+mineChunk-1)
+		lo += mineChunk
 	}); n != 0 {
 		t.Fatalf("scan allocates %.1f times per chunk, want 0", n)
 	}

@@ -7,12 +7,12 @@ import (
 	"repro/internal/ring"
 )
 
-// MintCount samples the number of puzzle solutions found by an actor with
+// mintCount samples the number of puzzle solutions found by an actor with
 // `attempts` total hash attempts at per-attempt success probability tau.
 // This is exactly the Binomial(attempts, tau) distribution that the
 // Lemma 11 Chernoff bound is taken over; sampling it (instead of hashing
 // `attempts` times) is what makes large sweeps affordable.
-func MintCount(attempts int64, tau float64, rng *rand.Rand) int {
+func mintCount(attempts int64, tau float64, rng *rand.Rand) int {
 	if attempts <= 0 || tau <= 0 {
 		return 0
 	}
@@ -146,10 +146,10 @@ func poisson(lambda float64, rng *rand.Rand) int {
 	}
 }
 
-// MintIDs returns `count` u.a.r. IDs — by the two-hash-composition argument
+// mintIDs returns `count` u.a.r. IDs — by the two-hash-composition argument
 // (Lemma 11), every puzzle solution yields an ID uniform in [0,1),
 // regardless of who solved it.
-func MintIDs(count int, rng *rand.Rand) []ring.Point {
+func mintIDs(count int, rng *rand.Rand) []ring.Point {
 	ids := make([]ring.Point, count)
 	for i := range ids {
 		ids[i] = ring.Point(rng.Uint64())
@@ -175,12 +175,12 @@ type EpochMint struct {
 func RunEpochMint(nGood int, goodSteps int64, advPower int64, tau float64, rng *rand.Rand) EpochMint {
 	var m EpochMint
 	for i := 0; i < nGood; i++ {
-		if MintCount(goodSteps, tau, rng) > 0 {
+		if mintCount(goodSteps, tau, rng) > 0 {
 			m.GoodIDs = append(m.GoodIDs, ring.Point(rng.Uint64()))
 		} else {
 			m.GoodMissed++
 		}
 	}
-	m.BadIDs = MintIDs(MintCount(advPower, tau, rng), rng)
+	m.BadIDs = mintIDs(mintCount(advPower, tau, rng), rng)
 	return m
 }

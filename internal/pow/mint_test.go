@@ -59,19 +59,19 @@ func TestBinomialDistributionSanity(t *testing.T) {
 // inputs keep their closed forms.
 func TestMintCountRoutesToBinomial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	if got := MintCount(0, 0.5, rng); got != 0 {
+	if got := mintCount(0, 0.5, rng); got != 0 {
 		t.Errorf("0 attempts minted %d", got)
 	}
-	if got := MintCount(17, 1.0, rng); got != 17 {
+	if got := mintCount(17, 1.0, rng); got != 17 {
 		t.Errorf("tau=1 minted %d, want 17", got)
 	}
-	if got := MintCount(100, 0, rng); got != 0 {
+	if got := mintCount(100, 0, rng); got != 0 {
 		t.Errorf("tau=0 minted %d", got)
 	}
 	// Small-attempts sweep cell (the E6/E11 shape): support respected.
 	for i := 0; i < 1000; i++ {
-		if got := MintCount(50, 0.1, rng); got < 0 || got > 50 {
-			t.Fatalf("MintCount out of support: %d", got)
+		if got := mintCount(50, 0.1, rng); got < 0 || got > 50 {
+			t.Fatalf("mintCount out of support: %d", got)
 		}
 	}
 }

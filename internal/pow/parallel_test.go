@@ -42,7 +42,7 @@ func TestSolveShardedFindsSmallestIndex(t *testing.T) {
 	const max = 1 << 12
 	want := 0
 	for a := int64(1); a <= max; a++ {
-		sigma := ShardSigma(5, a, p.StringLen)
+		sigma := shardSigma(5, a, p.StringLen)
 		if hashes.G.Point(hashes.XOR(sigma, r)) <= p.Tau {
 			want = int(a)
 			break
@@ -91,7 +91,7 @@ func TestVerifyBatchMatchesVerify(t *testing.T) {
 	p := shardParams()
 	var claims []Claim
 	for a := int64(1); a <= 64; a++ {
-		sigma := ShardSigma(9, a, p.StringLen)
+		sigma := shardSigma(9, a, p.StringLen)
 		id := hashes.F.OfPoint(hashes.G.Point(hashes.XOR(sigma, r)))
 		if a%3 == 0 {
 			id++ // corrupt every third claim
@@ -115,18 +115,18 @@ func TestVerifyBatchMatchesVerify(t *testing.T) {
 }
 
 func TestShardSigmaProperties(t *testing.T) {
-	a := ShardSigma(1, 1, 32)
-	b := ShardSigma(1, 1, 32)
+	a := shardSigma(1, 1, 32)
+	b := shardSigma(1, 1, 32)
 	if string(a) != string(b) {
-		t.Error("ShardSigma not deterministic")
+		t.Error("shardSigma not deterministic")
 	}
-	if string(a) == string(ShardSigma(1, 2, 32)) {
+	if string(a) == string(shardSigma(1, 2, 32)) {
 		t.Error("adjacent attempt indices produced the same sigma")
 	}
-	if string(a) == string(ShardSigma(2, 1, 32)) {
+	if string(a) == string(shardSigma(2, 1, 32)) {
 		t.Error("different seeds produced the same sigma")
 	}
-	if got := len(ShardSigma(1, 1, 48)); got != 48 {
+	if got := len(shardSigma(1, 1, 48)); got != 48 {
 		t.Errorf("sigma length %d, want 48 (multi-block extension)", got)
 	}
 }

@@ -72,15 +72,6 @@ func TestSolveAttemptDistribution(t *testing.T) {
 	}
 }
 
-func TestTauForEpoch(t *testing.T) {
-	tau := TauForEpoch(1 << 20)
-	frac := float64(tau) / math.Pow(2, 64)
-	want := 2.0 / (1 << 20)
-	if math.Abs(frac-want)/want > 0.01 {
-		t.Errorf("TauForEpoch fraction = %v, want %v", frac, want)
-	}
-}
-
 func TestMintCountMatchesBinomialMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cases := []struct {
@@ -95,25 +86,25 @@ func TestMintCountMatchesBinomialMean(t *testing.T) {
 		const reps = 200
 		sum := 0
 		for i := 0; i < reps; i++ {
-			sum += MintCount(c.attempts, c.tau, rng)
+			sum += mintCount(c.attempts, c.tau, rng)
 		}
 		mean := float64(sum) / reps
 		want := float64(c.attempts) * c.tau
 		if math.Abs(mean-want) > 4*math.Sqrt(want) {
-			t.Errorf("MintCount(%d, %v): mean %.1f, want ≈%.1f", c.attempts, c.tau, mean, want)
+			t.Errorf("mintCount(%d, %v): mean %.1f, want ≈%.1f", c.attempts, c.tau, mean, want)
 		}
 	}
 }
 
 func TestMintCountEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	if MintCount(0, 0.5, rng) != 0 {
+	if mintCount(0, 0.5, rng) != 0 {
 		t.Error("0 attempts must mint 0")
 	}
-	if MintCount(100, 0, rng) != 0 {
+	if mintCount(100, 0, rng) != 0 {
 		t.Error("tau=0 must mint 0")
 	}
-	if MintCount(100, 1, rng) != 100 {
+	if mintCount(100, 1, rng) != 100 {
 		t.Error("tau=1 must mint every attempt")
 	}
 }
@@ -348,5 +339,15 @@ func TestAdaptiveGriefingDegeneratesToPaper(t *testing.T) {
 	ratio := res.HonestWorkTotal / res.FlatWorkTotal
 	if ratio < 0.85 || ratio > 1.0 {
 		t.Errorf("permanent griefing should cost ≈ the paper's constant scheme, ratio %.3f", ratio)
+	}
+}
+
+// BenchmarkMintCount profiles the binomial mint draw, which is
+// package-private, so it sits here rather than with the other profiling
+// benchmarks in the root bench_test.go.
+func BenchmarkMintCount(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < b.N; i++ {
+		mintCount(1<<20, 1e-4, rng)
 	}
 }

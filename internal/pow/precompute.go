@@ -30,12 +30,12 @@ func RunPrecompute(epochs int, advPerEpoch int64, tau float64, rng *rand.Rand) P
 	}
 	hoard := 0
 	for j := 0; j < epochs; j++ {
-		minted := MintCount(advPerEpoch, tau, rng)
+		minted := mintCount(advPerEpoch, tau, rng)
 		// With rotation: Lemma 11's accounting lets the adversary apply at
 		// most the compute of 1.5 epochs (last half of the previous plus
 		// the current) toward IDs for epoch j; everything older is signed
 		// by an expired string and fails verification.
-		window := minted + MintCount(advPerEpoch/2, tau, rng)
+		window := minted + mintCount(advPerEpoch/2, tau, rng)
 		res.UsableWithRotation[j] = window
 		// Without rotation: the hoard only grows.
 		hoard += minted

@@ -68,14 +68,14 @@ func TestLotteryDeterministicProperty(t *testing.T) {
 	}
 }
 
-// Property: MintCount never exceeds attempts and is deterministic per rng
+// Property: mintCount never exceeds attempts and is deterministic per rng
 // stream position.
 func TestMintCountBoundsProperty(t *testing.T) {
 	f := func(seed int64, attemptsRaw uint16, tauRaw uint8) bool {
 		attempts := int64(attemptsRaw)
 		tau := float64(tauRaw) / 255
 		rng := rand.New(rand.NewSource(seed))
-		k := MintCount(attempts, tau, rng)
+		k := mintCount(attempts, tau, rng)
 		return k >= 0 && int64(k) <= attempts
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

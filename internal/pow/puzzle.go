@@ -32,15 +32,6 @@ type Params struct {
 	StringLen int
 }
 
-// TauForEpoch returns the threshold giving one expected solution per T/2
-// attempts: τ = 2/T of the output space.
-func TauForEpoch(T int) ring.Point {
-	if T < 2 {
-		T = 2
-	}
-	return ^ring.Point(0) / ring.Point(T) * 2
-}
-
 // Solution is a solved puzzle: the pre-image σ, the intermediate output
 // y = g(σ⊕r), and the resulting ID f(y).
 type Solution struct {

@@ -30,9 +30,9 @@ func FromFloat(f float64) Point {
 	return Point(uint64(p) << 1)
 }
 
-// Float returns the point as a float64 in [0,1). It loses the low bits of
+// float returns the point as a float64 in [0,1). It loses the low bits of
 // precision and is intended for reporting, not for ring arithmetic.
-func (p Point) Float() float64 {
+func (p Point) float() float64 {
 	return float64(p) / (1 << 63) / 2
 }
 
@@ -42,16 +42,9 @@ func (p Point) Dist(q Point) Point {
 	return q - p // wrapping subtraction is exactly clockwise distance
 }
 
-// Between reports whether x lies in the clockwise half-open arc (p, q].
-// This is the standard successor-ownership test: suc(k) owns exactly the
-// keys k with Between(pred, suc, k).
-func Between(p, q, x Point) bool {
-	return p.Dist(x) != 0 && p.Dist(x) <= p.Dist(q)
-}
-
 // String formats the point as a fraction for debugging.
 func (p Point) String() string {
-	return fmt.Sprintf("%.6f", p.Float())
+	return fmt.Sprintf("%.6f", p.float())
 }
 
 // Ring is a sorted set of Points supporting successor queries, the
@@ -99,7 +92,7 @@ func (r *Ring) Points() []Point { return r.pts }
 // makes a point's rank track its value linearly and lets a few guesses
 // land within a handful of slots (expected O(log log n) probes). The
 // interpolation rounds are capped so clustered distributions (e.g. the
-// adversary's NearKey placement) degrade to plain O(log n) binary search,
+// adversary's near-key placement) degrade to plain O(log n) binary search,
 // never to linear scanning.
 func (r *Ring) search(x Point) int {
 	pts := r.pts
@@ -219,5 +212,5 @@ func (r *Ring) OwnedArc(p Point) float64 {
 		return 1
 	}
 	pred := r.Predecessor(p)
-	return pred.Dist(p).Float()
+	return pred.Dist(p).float()
 }

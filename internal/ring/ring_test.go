@@ -12,8 +12,8 @@ func TestFromFloatRoundTrip(t *testing.T) {
 	cases := []float64{0, 0.25, 0.5, 0.75, 0.999999, 1.0 / 3}
 	for _, f := range cases {
 		p := FromFloat(f)
-		if got := p.Float(); math.Abs(got-f) > 1e-12 {
-			t.Errorf("FromFloat(%v).Float() = %v", f, got)
+		if got := p.float(); math.Abs(got-f) > 1e-12 {
+			t.Errorf("FromFloat(%v).float() = %v", f, got)
 		}
 	}
 }
@@ -29,10 +29,10 @@ func TestFromFloatReducesModuloOne(t *testing.T) {
 
 func TestDistWraps(t *testing.T) {
 	a, b := FromFloat(0.9), FromFloat(0.1)
-	if d := a.Dist(b).Float(); math.Abs(d-0.2) > 1e-9 {
+	if d := a.Dist(b).float(); math.Abs(d-0.2) > 1e-9 {
 		t.Errorf("Dist(0.9, 0.1) = %v, want 0.2", d)
 	}
-	if d := b.Dist(a).Float(); math.Abs(d-0.8) > 1e-9 {
+	if d := b.Dist(a).float(); math.Abs(d-0.8) > 1e-9 {
 		t.Errorf("Dist(0.1, 0.9) = %v, want 0.8", d)
 	}
 }
@@ -44,25 +44,32 @@ func TestDistIdentity(t *testing.T) {
 	}
 }
 
+// between reports whether x lies in the clockwise half-open arc (p, q]:
+// the successor-ownership test, suc(k) owns exactly the keys k with
+// between(pred, suc, k). TestSuccessorOwnsArc uses it as its oracle.
+func between(p, q, x Point) bool {
+	return p.Dist(x) != 0 && p.Dist(x) <= p.Dist(q)
+}
+
 func TestBetween(t *testing.T) {
 	p, q := FromFloat(0.2), FromFloat(0.6)
-	if !Between(p, q, FromFloat(0.4)) {
+	if !between(p, q, FromFloat(0.4)) {
 		t.Error("0.4 should be in (0.2, 0.6]")
 	}
-	if !Between(p, q, q) {
+	if !between(p, q, q) {
 		t.Error("arc is half-open: q should be in (p, q]")
 	}
-	if Between(p, q, p) {
+	if between(p, q, p) {
 		t.Error("arc is half-open: p should not be in (p, q]")
 	}
-	if Between(p, q, FromFloat(0.8)) {
+	if between(p, q, FromFloat(0.8)) {
 		t.Error("0.8 should not be in (0.2, 0.6]")
 	}
 	// Wrapping arc.
-	if !Between(q, p, FromFloat(0.9)) {
+	if !between(q, p, FromFloat(0.9)) {
 		t.Error("0.9 should be in wrapping arc (0.6, 0.2]")
 	}
-	if !Between(q, p, FromFloat(0.1)) {
+	if !between(q, p, FromFloat(0.1)) {
 		t.Error("0.1 should be in wrapping arc (0.6, 0.2]")
 	}
 }
@@ -84,7 +91,7 @@ func TestSuccessorBasics(t *testing.T) {
 	for _, c := range cases {
 		got := r.Successor(FromFloat(c.x))
 		if got != FromFloat(c.want) {
-			t.Errorf("Successor(%v) = %v, want %v", c.x, got.Float(), c.want)
+			t.Errorf("Successor(%v) = %v, want %v", c.x, got.float(), c.want)
 		}
 	}
 }
@@ -92,16 +99,16 @@ func TestSuccessorBasics(t *testing.T) {
 func TestStrictSuccessorAndPredecessor(t *testing.T) {
 	r := mustRing(0.1, 0.4, 0.7)
 	if got := r.StrictSuccessor(FromFloat(0.1)); got != FromFloat(0.4) {
-		t.Errorf("StrictSuccessor(0.1) = %v, want 0.4", got.Float())
+		t.Errorf("StrictSuccessor(0.1) = %v, want 0.4", got.float())
 	}
 	if got := r.StrictSuccessor(FromFloat(0.7)); got != FromFloat(0.1) {
-		t.Errorf("StrictSuccessor(0.7) = %v, want 0.1 (wrap)", got.Float())
+		t.Errorf("StrictSuccessor(0.7) = %v, want 0.1 (wrap)", got.float())
 	}
 	if got := r.Predecessor(FromFloat(0.1)); got != FromFloat(0.7) {
-		t.Errorf("Predecessor(0.1) = %v, want 0.7 (wrap)", got.Float())
+		t.Errorf("Predecessor(0.1) = %v, want 0.7 (wrap)", got.float())
 	}
 	if got := r.Predecessor(FromFloat(0.5)); got != FromFloat(0.4) {
-		t.Errorf("Predecessor(0.5) = %v, want 0.4", got.Float())
+		t.Errorf("Predecessor(0.5) = %v, want 0.4", got.float())
 	}
 }
 
@@ -140,7 +147,7 @@ func TestSuccessorOwnsArc(t *testing.T) {
 		x := Point(rng.Uint64())
 		s := r.Successor(x)
 		pred := r.Predecessor(s)
-		if x != s && !Between(pred, s, x) {
+		if x != s && !between(pred, s, x) {
 			t.Fatalf("Successor(%v) = %v does not own the key", x, s)
 		}
 	}

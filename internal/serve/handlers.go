@@ -12,10 +12,6 @@ import (
 	"repro/tinygroups"
 )
 
-// maxBodyBytes bounds request bodies; the API carries keys and small
-// values, so 1 MiB is generous.
-const maxBodyBytes = 1 << 20
-
 // keyRequest is the body of /v1/lookup and /v1/put.
 type keyRequest struct {
 	Key   string `json:"key"`
@@ -165,7 +161,7 @@ func (s *Server) methodCheck(w http.ResponseWriter, r *http.Request, method stri
 
 // decodeBody parses the JSON request body into v, bounding its size.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)

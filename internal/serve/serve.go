@@ -5,10 +5,10 @@
 // The server adds no serialisation of its own — the System's
 // one-writer/many-readers contract is the whole concurrency story. Every
 // endpoint calls the System from its handler goroutine with the request's
-// context. Reads — /v1/lookup, /v1/get, the batch lookup, mint and verify
-// — are lock-free against the atomically-swapped epoch snapshot, so they
-// scale with serving goroutines and keep flat latency through a live
-// epoch advance. Writes — /v1/put, /v1/put/batch, /v1/compute and the
+// context. Reads — /v1/lookup, /v1/get, /v1/compute, the batch lookup,
+// mint and verify — are lock-free against the atomically-swapped epoch
+// snapshot, so they scale with serving goroutines and keep flat latency
+// through a live epoch advance. Writes — /v1/put, /v1/put/batch and the
 // /v1/epoch endpoints — serialise on the System's writer lock; a write
 // waiting behind a long epoch build gives up the moment its client does
 // (504 "canceled"), and a write that reports a context error was not

@@ -97,16 +97,6 @@ func New(nodes []Node) *Network {
 	}
 }
 
-// SetWorkers caps the Step worker pool at w (minimum 1; values above the
-// node count are clamped). The schedule never affects results, so this is a
-// wall-clock knob only — and a test hook for exercising the pool.
-func (nw *Network) SetWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	nw.workers = w
-}
-
 // SetTopology restricts node u to send only to the IDs in adj[u]; nodes
 // beyond len(adj) stay unrestricted. Passing nil removes the restriction.
 func (nw *Network) SetTopology(adj [][]NodeID) {

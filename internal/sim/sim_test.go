@@ -251,7 +251,7 @@ func TestSameSenderOrderDeterministic(t *testing.T) {
 	}
 	for _, workers := range []int{1, 2, 3, 8} {
 		nw, rec := build()
-		nw.SetWorkers(workers)
+		nw.workers = workers
 		nw.Run(2)
 		if len(rec.got) != len(want) {
 			t.Fatalf("workers=%d: received %d messages, want %d", workers, len(rec.got), len(want))
@@ -307,7 +307,7 @@ func TestWorkerCountNeverChangesResults(t *testing.T) {
 		}
 		nw := New(nodes)
 		nw.SetTopology(adj)
-		nw.SetWorkers(workers)
+		nw.workers = workers
 		st := nw.Run(9)
 		traces := make([][]int64, n)
 		for i, tn := range tns {
@@ -346,7 +346,7 @@ func TestSteadyStateRoundAllocationFree(t *testing.T) {
 	}
 	nw := New(nodes)
 	nw.SetTopology(adj)
-	nw.SetWorkers(1)
+	nw.workers = 1
 	nw.Run(4) // warm up buffers
 	if allocs := testing.AllocsPerRun(50, func() { nw.Run(1) }); allocs != 0 {
 		t.Errorf("steady-state round: %v allocs/op, want 0", allocs)

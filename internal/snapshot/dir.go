@@ -113,8 +113,8 @@ func (d *Dir) syncDir() error {
 	return cerr
 }
 
-// SnapshotEpochs lists the epochs that have a snapshot file, descending.
-func (d *Dir) SnapshotEpochs() ([]int, error) {
+// snapshotEpochs lists the epochs that have a snapshot file, descending.
+func (d *Dir) snapshotEpochs() ([]int, error) {
 	entries, err := os.ReadDir(d.path)
 	if err != nil {
 		return nil, err
@@ -153,7 +153,7 @@ type LoadResult struct {
 // a consistent state); a torn log tail is discarded. Returns ErrNoSnapshot
 // when nothing valid exists.
 func (d *Dir) LoadLatest() (*LoadResult, error) {
-	epochs, err := d.SnapshotEpochs()
+	epochs, err := d.snapshotEpochs()
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +188,7 @@ func (d *Dir) Prune(keep int) error {
 	if keep < 1 {
 		keep = 1
 	}
-	epochs, err := d.SnapshotEpochs()
+	epochs, err := d.snapshotEpochs()
 	if err != nil {
 		return err
 	}

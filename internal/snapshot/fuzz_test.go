@@ -52,7 +52,7 @@ func FuzzDecodeLog(f *testing.F) {
 	f.Add(logMagic[:])
 	var hdr bytes.Buffer
 	hdr.Write(logMagic[:])
-	writeUint(&hdr, Version)
+	writeUint(&hdr, version)
 	writeUint(&hdr, 7)
 	f.Add(hdr.Bytes())
 	withRec := append([]byte(nil), hdr.Bytes()...)
@@ -60,7 +60,7 @@ func FuzzDecodeLog(f *testing.F) {
 	f.Add(withRec)
 	f.Add(withRec[:len(withRec)-3]) // torn tail
 	f.Fuzz(func(t *testing.T, data []byte) {
-		epoch, ops, discarded, err := DecodeLog(data)
+		epoch, ops, discarded, err := decodeLog(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("non-typed log decode error: %v", err)
@@ -73,12 +73,12 @@ func FuzzDecodeLog(f *testing.F) {
 		// Replayable ops must round-trip through a rebuilt log.
 		var rebuilt bytes.Buffer
 		rebuilt.Write(logMagic[:])
-		writeUint(&rebuilt, Version)
+		writeUint(&rebuilt, version)
 		writeUint(&rebuilt, uint64(epoch))
 		for _, op := range ops {
 			rebuilt.Write(encodeRecord(op))
 		}
-		e2, ops2, d2, err := DecodeLog(rebuilt.Bytes())
+		e2, ops2, d2, err := decodeLog(rebuilt.Bytes())
 		if err != nil || e2 != epoch || d2 != 0 || len(ops2) != len(ops) {
 			t.Fatalf("rebuilt log mismatch: %v epoch %d discarded %d ops %d", err, e2, d2, len(ops2))
 		}

@@ -55,7 +55,7 @@ func CreateLog(path string, epoch int) (*Log, error) {
 	}
 	var hdr bytes.Buffer
 	hdr.Write(logMagic[:])
-	writeUint(&hdr, Version)
+	writeUint(&hdr, version)
 	writeUint(&hdr, uint64(epoch))
 	if _, err := f.Write(hdr.Bytes()); err != nil {
 		f.Close()
@@ -108,23 +108,23 @@ func ReadLog(path string) (epoch int, ops []Op, discarded int, err error) {
 	if err != nil {
 		return 0, nil, 0, err
 	}
-	epoch, ops, discarded, derr := DecodeLog(data)
+	epoch, ops, discarded, derr := decodeLog(data)
 	if derr != nil {
 		return 0, nil, 0, fmt.Errorf("%s: %w", path, derr)
 	}
 	return epoch, ops, discarded, nil
 }
 
-// DecodeLog parses op-log bytes; see ReadLog. It never panics on arbitrary
+// decodeLog parses op-log bytes; see ReadLog. It never panics on arbitrary
 // input.
-func DecodeLog(data []byte) (epoch int, ops []Op, discarded int, err error) {
+func decodeLog(data []byte) (epoch int, ops []Op, discarded int, err error) {
 	d := &decoder{data: data}
 	var m [6]byte
 	d.read(m[:])
 	if d.err != nil || m != logMagic {
 		return 0, nil, 0, fmt.Errorf("%w: bad op-log magic", ErrCorrupt)
 	}
-	if v := d.uint(); d.err != nil || v != Version {
+	if v := d.uint(); d.err != nil || v != version {
 		return 0, nil, 0, fmt.Errorf("%w: unsupported op-log version", ErrCorrupt)
 	}
 	e := d.uint()

@@ -42,8 +42,8 @@ var ErrConfigMismatch = errors.New("snapshot: config mismatch")
 // magic opens every snapshot file; version is bumped on any format change.
 var magic = [6]byte{'T', 'G', 'S', 'N', 'A', 'P'}
 
-// Version is the current snapshot format version.
-const Version = 1
+// version is the current snapshot format version.
+const version = 1
 
 // ConfigKey echoes every configuration setting that shapes the
 // deterministic state trajectory. A snapshot loads only into a system whose
@@ -104,7 +104,7 @@ type Snapshot struct {
 func Encode(s *Snapshot) []byte {
 	var b bytes.Buffer
 	b.Write(magic[:])
-	writeUint(&b, Version)
+	writeUint(&b, version)
 	writeUint(&b, uint64(s.Config.N))
 	writeUint(&b, uint64(s.Config.Seed))
 	writeUint(&b, s.Config.BetaBits)
@@ -172,7 +172,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	if m != magic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, m[:])
 	}
-	if v := d.uint(); v != Version {
+	if v := d.uint(); v != version {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
 	s := &Snapshot{}

@@ -190,7 +190,7 @@ func TestOplogTornTailDiscarded(t *testing.T) {
 	}
 	headerLen := int(ends[0]) - (int(ends[1]) - int(ends[0]))
 	for cut := headerLen; cut <= len(full); cut++ {
-		_, ops, discarded, err := DecodeLog(full[:cut])
+		_, ops, discarded, err := decodeLog(full[:cut])
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -213,7 +213,7 @@ func TestOplogTornTailDiscarded(t *testing.T) {
 	// record instead of erroring.
 	mut := append([]byte(nil), full...)
 	mut[ends[1]+5] ^= 0xFF
-	_, ops, discarded, err := DecodeLog(mut)
+	_, ops, discarded, err := decodeLog(mut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestOplogTornTailDiscarded(t *testing.T) {
 	// Header corruption is a different story: the file is unidentifiable.
 	mut = append([]byte(nil), full...)
 	mut[0] ^= 0xFF
-	if _, _, _, err := DecodeLog(mut); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := decodeLog(mut); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt header: got %v, want ErrCorrupt", err)
 	}
 }
@@ -257,7 +257,7 @@ func TestDirWriteLoadPrune(t *testing.T) {
 	if err := d.Prune(2); err != nil {
 		t.Fatal(err)
 	}
-	epochs, err := d.SnapshotEpochs()
+	epochs, err := d.snapshotEpochs()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,12 @@ package wire
 
 import "strconv"
 
+// MaxBodyBytes caps a request body. A shard daemon and the router both
+// refuse a larger body with 400 bad_request; the API carries keys and small
+// values, so 1 MiB is generous. The router also bounds the shard replies it
+// reads by it.
+const MaxBodyBytes = 1 << 20
+
 // MaxBatchItems caps the keys or pairs of one batch call. A shard daemon
 // and the router both refuse a larger batch with the same 400 bad_request
 // (message OverBatchLimit) before doing any work, so a router splitting a

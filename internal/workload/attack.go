@@ -14,7 +14,7 @@ import (
 // any concurrency.
 
 // pointDist returns the circular ID-space distance between two points —
-// the wrap-aware metric the adversary's NearKey strategy minimizes.
+// the wrap-aware metric the adversary's near-key strategy minimizes.
 func pointDist(a, b tinygroups.Point) uint64 {
 	d := uint64(a - b)
 	if d2 := uint64(b - a); d2 < d {
@@ -81,7 +81,7 @@ type targetedchurn struct {
 // TargetedChurn returns the targeted-churn attack: put/lookup pressure
 // concentrated on the key range around one victim key, interleaved with
 // epoch advances (one per advanceEvery ops) so the attacked range keeps
-// re-homing. Key selection mirrors the adversary's NearKey placement
+// re-homing. Key selection mirrors the adversary's near-key placement
 // strategy: each op draws `pool` candidate keys and keeps the one whose
 // hash point lands closest to the victim's, so the pressure concentrates
 // the way an adversary who can discard unwanted IDs concentrates. Even

@@ -52,7 +52,7 @@ func (rt *Router) scatter(keys []string, send func(shard int, idx []int) ([]wire
 
 func (rt *Router) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.LookupBatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRouterBody)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON body: " + err.Error(), Code: "bad_request"})
 		return
 	}
@@ -82,7 +82,7 @@ func (rt *Router) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handlePutBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.PutBatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRouterBody)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON body: " + err.Error(), Code: "bad_request"})
 		return
 	}
@@ -155,7 +155,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 			var resp *http.Response
 			resp, err = rt.client.Do(req)
 			if err == nil {
-				err = json.NewDecoder(io.LimitReader(resp.Body, maxRouterBody)).Decode(&h)
+				err = json.NewDecoder(io.LimitReader(resp.Body, wire.MaxBodyBytes)).Decode(&h)
 				resp.Body.Close()
 			}
 		}
@@ -221,7 +221,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			var resp *http.Response
 			resp, err = rt.client.Do(req)
 			if err == nil {
-				raw, err = io.ReadAll(io.LimitReader(resp.Body, maxRouterBody))
+				raw, err = io.ReadAll(io.LimitReader(resp.Body, wire.MaxBodyBytes))
 				resp.Body.Close()
 			}
 		}

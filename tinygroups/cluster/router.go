@@ -34,10 +34,6 @@ var (
 	errFlipFailed = errors.New("cluster: epoch flip failed on a shard")
 )
 
-// maxRouterBody bounds forwarded request bodies, mirroring the shard
-// daemons' own limit.
-const maxRouterBody = 1 << 20
-
 // Config tunes a Router. Shards is required; everything else defaults.
 type Config struct {
 	// Shards lists the member daemons' base URLs in shard order:
@@ -171,7 +167,7 @@ func minerOfBody(body []byte) (string, error) {
 // own validation error.
 func (rt *Router) keyedForward(extract func([]byte) (string, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouterBody))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, wire.Error{Error: "read body: " + err.Error(), Code: "bad_request"})
 			return
@@ -202,7 +198,7 @@ func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
 // pure function of the shared epoch state, so every shard answers
 // identically and no split is needed.
 func (rt *Router) handleVerify(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRouterBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "read body: " + err.Error(), Code: "bad_request"})
 		return
@@ -267,7 +263,7 @@ func (rt *Router) postShard(ctx context.Context, shard int, path string, in, out
 		return fmt.Errorf("%w: shard %d: %v", errShardUnreachable, shard, err)
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxRouterBody))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxBodyBytes))
 	if err != nil {
 		return fmt.Errorf("%w: shard %d: %v", errShardUnreachable, shard, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -214,8 +215,9 @@ func TestClusterDeterminismGate(t *testing.T) {
 	}
 }
 
-// TestRouterRejectsOversizedBatch pins the batch cap through the router: a
-// batch of wire.MaxBatchItems+1 items answers, at K = 1 and 2, exactly the
+// TestRouterRejectsOversizedBatch pins the batch and body caps through the
+// router: a batch of wire.MaxBatchItems+1 items, or a body of
+// wire.MaxBodyBytes+1 bytes, answers, at K = 1 and 2, exactly the
 // standalone daemon's 400 — not a scattered 200, and not per-item
 // shard_unreachable errors for a shard's own refusal.
 func TestRouterRejectsOversizedBatch(t *testing.T) {
@@ -225,6 +227,9 @@ func TestRouterRejectsOversizedBatch(t *testing.T) {
 		keys[i] = fmt.Sprintf("k%05d", i)
 		pairs[i] = wire.KV{Key: keys[i]}
 	}
+	prefix, suffix := `{"keys":["`, `"]}`
+	pad := strings.Repeat("k", wire.MaxBodyBytes+1-len(prefix)-len(suffix))
+	tooLong := json.RawMessage(prefix + pad + suffix)
 	_, ref := newShard(t, 0, 1)
 	for _, k := range []int{1, 2} {
 		_, rts := newCluster(t, k)
@@ -234,6 +239,7 @@ func TestRouterRejectsOversizedBatch(t *testing.T) {
 		}{
 			{"/v1/lookup/batch", wire.LookupBatchRequest{Keys: keys}},
 			{"/v1/put/batch", wire.PutBatchRequest{Pairs: pairs}},
+			{"/v1/lookup/batch", tooLong},
 		} {
 			stR, bodyR := post(t, ref.URL+c.path, c.body)
 			stC, bodyC := post(t, rts.URL+c.path, c.body)

@@ -101,6 +101,55 @@ func TestOperationsHonorContext(t *testing.T) {
 	}
 }
 
+// TestComputeDuringBuild: Compute is a read, so it never waits on the
+// writer lock. A Compute with a 20 ms deadline, made while a BuildEpoch
+// holds the writer, returns the result a Compute made before the build
+// started — the build parks its generation without flipping the snapshot.
+func TestComputeDuringBuild(t *testing.T) {
+	bg := context.Background()
+	// n is sized so one build (hundreds of ms) dwarfs the 20 ms deadline.
+	s := newTest(t, 8192, 0.05, WithSeed(1))
+	var key string
+	var before ComputeResult
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("job-%d", i)
+		if res, err := s.Compute(bg, k, 1); err == nil {
+			key, before = k, res
+		}
+	}
+
+	buildCtx, stopBuild := context.WithCancel(bg)
+	defer stopBuild()
+	built := make(chan error, 1)
+	go func() {
+		_, err := s.BuildEpoch(buildCtx)
+		built <- err
+	}()
+	for len(s.wmu) == 0 { // until the build holds the writer
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
+	defer cancel()
+	during, err := s.Compute(ctx, key, 1)
+	if err != nil {
+		t.Fatalf("Compute during a running build: %v", err)
+	}
+	select {
+	case err := <-built:
+		t.Fatalf("build finished (%v) before the Compute returned; the test proved nothing", err)
+	default:
+	}
+	if during != before {
+		t.Errorf("Compute during the build = %+v, want %+v as before it", during, before)
+	}
+
+	stopBuild()
+	if err := <-built; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build: err = %v, want context.Canceled", err)
+	}
+}
+
 // TestPutCancelledWhileWriterHeld is the writer lock's cancellation
 // contract: a Put whose deadline expires while a BuildEpoch holds the
 // writer returns the context error promptly instead of waiting out the

@@ -42,13 +42,13 @@
 // A System is safe for concurrent use, with a one-writer/many-readers
 // contract:
 //
-//   - Reads — Lookup, Get, LookupBatch, Snapshot, Epoch, N, GroupSize —
-//     are lock-free. Each call atomically loads the current epoch
+//   - Reads — Lookup, Get, LookupBatch, Compute, Snapshot, Epoch, N,
+//     GroupSize — are lock-free. Each call atomically loads the current epoch
 //     snapshot (an immutable view of one generation's graphs, ring and
 //     rank tables) and resolves entirely against it, so reads scale
 //     linearly with reader goroutines and never block behind a write.
-//   - Writes — Put, PutBatch, Compute, AdvanceEpoch, BuildEpoch,
-//     CommitEpoch, AbortEpoch, Close — serialize on an
+//   - Writes — Put, PutBatch, AdvanceEpoch, BuildEpoch, CommitEpoch,
+//     AbortEpoch, Close — serialize on an
 //     internal writer lock. Concurrent calls are safe; they queue in
 //     arrival order. The writes that take a context honour it while they
 //     wait: a Put queued behind a long epoch build returns ctx.Err() the

@@ -121,10 +121,10 @@ type ComputeResult struct {
 // one with New, release it with Close.
 //
 // A System is safe for concurrent use. Reads — Lookup, Get, LookupBatch,
-// Snapshot, Epoch, N, GroupSize — are lock-free: they resolve against the
-// current epoch snapshot (an immutable generation view swapped atomically
-// by AdvanceEpoch) and scale with reader goroutines. Writes — Put,
-// PutBatch, Compute, AdvanceEpoch, Close — serialize on an
+// Compute, Snapshot, Epoch, N, GroupSize — are lock-free: they resolve
+// against the current epoch snapshot (an immutable generation view swapped
+// atomically by AdvanceEpoch) and scale with reader goroutines. Writes —
+// Put, PutBatch, AdvanceEpoch, Close — serialize on an
 // internal writer lock, and the ones that take a context give up waiting
 // for it when the context ends; see the package documentation for the
 // full contract.
@@ -281,19 +281,19 @@ func (s *System) observeSearch(op Op, key string, ok bool, owner Point, hops int
 	})
 }
 
-// lookup routes key to its owner against the current epoch snapshot — the
-// zero-allocation, lock-free core of every keyed operation. The search
-// source is drawn from a hash-derived per-(epoch, key) stream, so the
-// result is a pure function of (seed, epoch, key): byte-identical at any
-// reader count and under any interleaving with other operations.
-func (s *System) lookup(ctx context.Context, op Op, key string) (LookupInfo, error) {
+// lookup routes key to its owner against snap, an epoch snapshot the
+// caller loaded — the zero-allocation, lock-free core of every keyed
+// operation. The search source is drawn from a hash-derived per-(epoch,
+// key) stream, so the result is a pure function of (seed, epoch, key):
+// byte-identical at any reader count and under any interleaving with other
+// operations.
+func (s *System) lookup(ctx context.Context, snap *snapshot, op Op, key string) (LookupInfo, error) {
 	if s.closed.Load() {
 		return LookupInfo{}, ErrClosed
 	}
 	if err := ctx.Err(); err != nil {
 		return LookupInfo{}, err
 	}
-	snap := s.snap.Load()
 	sc := s.getScratch()
 	info, err := snap.lookupAt(key, sc)
 	s.putScratch(sc)
@@ -308,7 +308,7 @@ func (s *System) lookup(ctx context.Context, op Op, key string) (LookupInfo, err
 // racing an epoch flip is answered entirely by one generation — the one
 // whose snapshot it loaded — never a mix.
 func (s *System) Lookup(ctx context.Context, key string) (LookupInfo, error) {
-	return s.lookup(ctx, OpLookup, key)
+	return s.lookup(ctx, s.snap.Load(), OpLookup, key)
 }
 
 // Put stores a value under key at the owner group (replicated across its
@@ -321,7 +321,7 @@ func (s *System) Put(ctx context.Context, key string, value []byte) (LookupInfo,
 		return LookupInfo{}, err
 	}
 	defer s.wmu.unlock()
-	info, err := s.lookup(ctx, OpPut, key)
+	info, err := s.lookup(ctx, s.snap.Load(), OpPut, key)
 	if err != nil {
 		return info, err
 	}
@@ -341,7 +341,7 @@ func (s *System) Put(ctx context.Context, key string, value []byte) (LookupInfo,
 // lock-free and safe from any goroutine; racing a Put of the same key it
 // returns either the complete old value or the complete new one.
 func (s *System) Get(ctx context.Context, key string) ([]byte, LookupInfo, error) {
-	info, err := s.lookup(ctx, OpGet, key)
+	info, err := s.lookup(ctx, s.snap.Load(), OpGet, key)
 	if err != nil {
 		return nil, info, err
 	}
@@ -358,20 +358,17 @@ func (s *System) Get(ctx context.Context, key string) ([]byte, LookupInfo, error
 // Compute runs the job identified by jobKey on the group responsible for
 // it: the members execute phase-king Byzantine agreement on the job's
 // input bit. A good group always computes correctly (the paper's
-// "reliable processor"); a bad group may not. Compute is an exclusive
-// operation: concurrent calls are safe but serialize on the writer lock,
-// and a call whose ctx ends while it waits returns ctx.Err().
+// "reliable processor"); a bad group may not. Compute is a read: it takes
+// no lock and never waits behind a writer or an epoch build. The route and
+// the agreement run on the one snapshot it loads, so a call racing an
+// epoch flip is answered entirely by one generation.
 func (s *System) Compute(ctx context.Context, jobKey string, input int) (ComputeResult, error) {
-	if err := s.wmu.lock(ctx); err != nil {
-		return ComputeResult{}, err
-	}
-	defer s.wmu.unlock()
-	info, err := s.lookup(ctx, OpCompute, jobKey)
+	snap := s.snap.Load()
+	info, err := s.lookup(ctx, snap, OpCompute, jobKey)
 	if err != nil {
 		return ComputeResult{}, err
 	}
-	g := s.snap.Load().gen.Graphs[0]
-	grp := g.Group(ring.Point(info.Owner))
+	grp := snap.gen.Graphs[0].Group(ring.Point(info.Owner))
 	if grp == nil {
 		return ComputeResult{}, fmt.Errorf("tinygroups: owner %v leads no group", info.Owner)
 	}
