@@ -5,8 +5,50 @@ import (
 	"errors"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// quickRuns memoises the seed-1 quick run of each experiment, so
+// TestAllExperimentsRunQuick and TestGoldenTables check one run apiece.
+var quickRuns sync.Map // ID -> Result
+
+func quickRun(e Experiment) Result {
+	if r, ok := quickRuns.Load(e.ID); ok {
+		return r.(Result)
+	}
+	r, _ := quickRuns.LoadOrStore(e.ID, e.Run(Options{Quick: true, Seed: 1}))
+	return r.(Result)
+}
+
+// TestAllExperimentsRunQuick executes every experiment in quick mode and
+// checks the structural contract: the result carries the experiment's ID,
+// a non-empty table whose rows are as wide as its header, interpretation
+// notes, and a rendering that shows the header.
+func TestAllExperimentsRunQuick(t *testing.T) {
+	for _, e := range Default().List() {
+		t.Run(e.ID, func(t *testing.T) {
+			res := quickRun(e)
+			if res.ID != e.ID {
+				t.Errorf("result ID %q != experiment ID %q", res.ID, e.ID)
+			}
+			if res.Table == nil || len(res.Table.Rows) == 0 {
+				t.Fatal("experiment produced no rows")
+			}
+			for i, row := range res.Table.Rows {
+				if len(row) != len(res.Table.Header) {
+					t.Errorf("row %d has %d cells, header has %d", i, len(row), len(res.Table.Header))
+				}
+			}
+			if len(res.Notes) == 0 {
+				t.Error("experiment has no interpretation notes")
+			}
+			if !strings.Contains(res.Table.String(), res.Table.Header[0]) {
+				t.Error("table failed to render")
+			}
+		})
+	}
+}
 
 // TestDefaultRegistryHasAllExperiments: the default registry lists
 // e1..e21 in order, each with a title.

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -24,35 +23,19 @@ var updateGolden = flag.Bool("update", false, "rewrite golden experiment tables"
 // routing); e15–e20 pin the extensions (mid-epoch departures,
 // bootstrapping, overlay ablation, quarantine, adaptive PoW, size drift);
 // e21 pins the attack-suite outcome counts end to end through the serving
-// state machine. On the same run it checks the structural contract: the
-// result carries the experiment's ID, a non-empty table whose rows are as
-// wide as its header, interpretation notes, and a rendering that shows the
-// header. Regenerate deliberately with
+// state machine. It reads the same memoised run as
+// TestAllExperimentsRunQuick, so each scenario runs once. Regenerate deliberately with
 // `go test ./internal/experiments -run Golden -update`
 // and review the diff like any other result change.
 func TestGoldenTables(t *testing.T) {
 	for _, e := range Default().List() {
 		id := e.ID
 		t.Run(id, func(t *testing.T) {
-			res := e.Run(Options{Quick: true, Seed: 1})
-			if res.ID != id {
-				t.Errorf("result ID %q != experiment ID %q", res.ID, id)
-			}
-			if res.Table == nil || len(res.Table.Rows) == 0 {
-				t.Fatal("experiment produced no rows")
-			}
-			for i, row := range res.Table.Rows {
-				if len(row) != len(res.Table.Header) {
-					t.Errorf("row %d has %d cells, header has %d", i, len(row), len(res.Table.Header))
-				}
-			}
-			if len(res.Notes) == 0 {
-				t.Error("experiment has no interpretation notes")
+			res := quickRun(e)
+			if res.Table == nil {
+				t.Fatal("experiment produced no table")
 			}
 			got := res.Table.String()
-			if !strings.Contains(got, res.Table.Header[0]) {
-				t.Error("table failed to render")
-			}
 			path := filepath.Join("testdata", id+"_seed1_quick.golden")
 			if *updateGolden {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
