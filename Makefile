@@ -36,7 +36,7 @@ test:
 # lower it. CI runs this target and uploads coverage.out.
 cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
-	@floor=85.0; total=$$($(GO) tool cover -func=coverage.out | tail -1 | awk '{ sub("%", "", $$NF); print $$NF }'); \
+	@floor=90.0; total=$$($(GO) tool cover -func=coverage.out | tail -1 | awk '{ sub("%", "", $$NF); print $$NF }'); \
 	echo "total statement coverage $$total% (floor $$floor%)"; \
 	if ! awk -v t="$$total" -v f="$$floor" 'BEGIN { exit !(t >= f) }'; then \
 		echo "coverage $$total% is below the $$floor% floor" >&2; exit 1; \

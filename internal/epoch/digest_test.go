@@ -97,7 +97,7 @@ func constructionDigest(t *testing.T, c digestCell) string {
 	h := sha256.New()
 	for e := 0; e < 3; e++ {
 		fmt.Fprintf(h, "%+v\n", s.RunEpoch())
-		fp := graphFingerprint(s.Graphs())
+		fp := graphFingerprint(s.Generation().Graphs)
 		h.Write(fp[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -170,19 +170,69 @@ type workerScratch struct {
 	_     [64]byte
 }
 
-// Generation is an immutable view of one serving generation: the epoch
-// index, the ID ring, and the two group graphs built for it (Graphs[1] is
-// nil in single-graph mode). Once published it is never mutated — the next
-// RunEpoch builds a complete replacement off to the side and swaps the
-// generation pointer in one atomic store — so any number of goroutines may
-// search a Generation's graphs concurrently (with private SearchScratch
-// buffers) while the next epoch is under construction, and a holder keeps
-// a consistent pre-swap view for as long as it pins the pointer.
+// Generation is one serving generation as an immutable value: the epoch
+// index, the ID ring, the two group graphs built for it (Graphs[1] is nil
+// in single-graph mode), and the adversary's IDs with the rank indexes the
+// next epoch's construction reads, all derived once by newGeneration. Once
+// published it is never mutated — the next epoch is built as a complete
+// replacement off to the side and published in one atomic store — so any
+// number of goroutines may search a Generation's graphs concurrently (with
+// private SearchScratch buffers) while the next epoch is under
+// construction, and a holder keeps a consistent pre-swap view for as long
+// as it pins the pointer.
 type Generation struct {
 	Epoch  int
 	Ring   *ring.Ring
 	Graphs [2]*groups.Graph
+
+	// badList holds the adversary's IDs in minting order, so bad-ID
+	// substitution is a pure function of the per-ID stream.
+	badList []ring.Point
+	// badRank flags the bad IDs by ring rank — the branch-free form the
+	// per-member inner loop reads.
+	badRank []bool
+	// goodRank holds the good IDs' ring ranks in ring order, so the spam
+	// phase never rescans the ring.
+	goodRank []int32
+	// blueRank holds the ring ranks of the bootstrap candidates, the
+	// leaders blue in every graph: bootstrap leaders enter the dual search
+	// as precomputed ranks, skipping the per-route src lookup.
+	blueRank []int32
 }
+
+// newGeneration is the one constructor of a Generation, whether it comes
+// from New, an epoch build or Restore: it derives the rank indexes from
+// the ring, badList and graphs. It rejects a badList that names an ID off
+// the ring or one ID twice.
+func newGeneration(epoch int, r *ring.Ring, badList []ring.Point, graphs [2]*groups.Graph) (*Generation, error) {
+	n := r.Len()
+	gen := &Generation{Epoch: epoch, Ring: r, Graphs: graphs, badList: badList, badRank: make([]bool, n)}
+	for _, b := range badList {
+		i, ok := r.Index(b)
+		if !ok {
+			return nil, fmt.Errorf("bad ID %v is not on the ring", b)
+		}
+		if gen.badRank[i] {
+			return nil, fmt.Errorf("bad ID %v is listed twice", b)
+		}
+		gen.badRank[i] = true
+	}
+	gen.goodRank = make([]int32, 0, n-len(badList))
+	gen.blueRank = make([]int32, 0, n)
+	for i, bad := range gen.badRank {
+		if !bad {
+			gen.goodRank = append(gen.goodRank, int32(i))
+		}
+		if !graphs[0].GroupAt(i).Red() && (graphs[1] == nil || !graphs[1].GroupAt(i).Red()) {
+			gen.blueRank = append(gen.blueRank, int32(i))
+		}
+	}
+	return gen, nil
+}
+
+// BadCount returns the number of Byzantine IDs in the generation (the
+// adversary's PoW-minted ≈βn share, Lemma 11).
+func (gen *Generation) BadCount() int { return len(gen.badList) }
 
 // countingSource wraps the stdlib rand source, counting state advances so
 // the system can rewind its placement rng to a recorded mark: a fresh
@@ -203,54 +253,31 @@ func (c *countingSource) Uint64() uint64 { c.n++; return c.src.Uint64() }
 func (c *countingSource) Seed(seed int64) { c.src.Seed(seed) }
 
 // pendingGen is a fully-built next generation awaiting CommitEpoch — the
-// off-to-the-side state of the two-phase advance. Everything in it is
-// immutable once built; committing only swaps pointers.
+// off-to-the-side state of the two-phase advance.
 type pendingGen struct {
-	stats   Stats
-	ring    *ring.Ring
-	bad     map[ring.Point]bool
-	badList []ring.Point
-	g       [2]*groups.Graph
+	gen   *Generation
+	stats Stats
 	// rngMark is the placement-rng advance count recorded before this
 	// build's first draw; AbortPending rewinds to it.
 	rngMark uint64
 }
 
-// System is a running dynamic deployment.
+// System is a running dynamic deployment: the published generation plus
+// the writer-private machinery that builds the next one.
 type System struct {
-	cfg   Config
-	rng   *rand.Rand
-	rsrc  *countingSource
-	epoch int
+	cfg  Config
+	rng  *rand.Rand
+	rsrc *countingSource
+
+	// gen is the atomically-published serving generation: written only by
+	// CommitEpoch (and once at New or Restore), read lock-free by any
+	// goroutine through Generation().
+	gen atomic.Pointer[Generation]
 
 	// pending holds a generation built by BuildEpochContext and not yet
 	// committed (nil otherwise). Owned by the same single-writer discipline
 	// as the rest of the construction state.
 	pending *pendingGen
-
-	// gen is the atomically-published serving generation: written only by
-	// RunEpochContext at the swap (and once at New), read lock-free by any
-	// goroutine through Generation(). It always mirrors (epoch, ids, g).
-	gen atomic.Pointer[Generation]
-
-	ids *ring.Ring          // current generation's ID set (the "old" ring)
-	bad map[ring.Point]bool //
-	// badList mirrors bad in the adversary's deterministic minting order,
-	// so bad-ID substitution is a pure function of the per-ID stream.
-	badList []ring.Point
-	// goodList holds the old generation's good IDs in ring order, goodRank
-	// their ring ranks. Both are precomputed at generation swap (alongside
-	// badRank) so the spam phase never rebuilds them from a full ring scan.
-	goodList []ring.Point
-	goodRank []int32
-	// badRank mirrors bad, indexed by ring rank — the branch-free form the
-	// per-member inner loop reads.
-	badRank []bool
-	g       [2]*groups.Graph // the two old group graphs (g[1] nil if !TwoGraphs)
-	blue    []ring.Point     // bootstrap candidates: blue in every old graph
-	// blueRank mirrors blue as ring ranks — bootstrap leaders enter the
-	// dual search as precomputed ranks, skipping the per-route src lookup.
-	blueRank []int32
 
 	pool    *engine.Pool    // persistent construction pool, one per System
 	scratch []workerScratch // one entry per pool worker, reused across epochs
@@ -277,24 +304,31 @@ func New(cfg Config) (*System, error) {
 	s := &System{cfg: cfg}
 	s.rsrc = &countingSource{src: rand.NewSource(cfg.Seed).(rand.Source64)}
 	s.rng = rand.New(s.rsrc)
-	s.pool = engine.NewPool(cfg.Workers)
-	s.scratch = make([]workerScratch, s.pool.Workers())
 	pl := adversary.Place(adversary.Config{N: cfg.N, Beta: cfg.Params.Beta, Strategy: cfg.Strategy}, s.rng)
-	s.ids = pl.Ring()
-	s.bad = pl.BadSet()
-	s.badList = pl.Bad
-	ov, err := s.buildOverlay(s.ids)
+	r, bad := pl.Ring(), pl.BadSet()
+	ov, err := s.buildOverlay(r)
 	if err != nil {
 		return nil, err
 	}
-	s.g[0] = groups.Build(ov, s.bad, cfg.Params, hashes.H1)
+	var gs [2]*groups.Graph
+	gs[0] = groups.Build(ov, bad, cfg.Params, hashes.H1)
 	if cfg.TwoGraphs {
-		s.g[1] = groups.Build(ov, s.bad, cfg.Params, hashes.H2)
+		gs[1] = groups.Build(ov, bad, cfg.Params, hashes.H2)
 	}
-	s.indexGeneration()
-	s.refreshBlue()
-	s.gen.Store(&Generation{Epoch: 0, Ring: s.ids, Graphs: s.g})
-	return s, nil
+	gen, err := newGeneration(0, r, pl.Bad, gs)
+	if err != nil {
+		return nil, err
+	}
+	return s.start(gen), nil
+}
+
+// start publishes gen as the serving generation and starts the system's
+// worker pool.
+func (s *System) start(gen *Generation) *System {
+	s.pool = engine.NewPool(s.cfg.Workers)
+	s.scratch = make([]workerScratch, s.pool.Workers())
+	s.gen.Store(gen)
+	return s
 }
 
 // Close releases the system's worker pool. The system must not be used
@@ -318,72 +352,23 @@ func (s *System) buildOverlay(r *ring.Ring) (overlay.Graph, error) {
 	return nil, fmt.Errorf("epoch: unknown overlay %q", s.cfg.Overlay)
 }
 
-// indexGeneration recomputes the rank-indexed views of the serving
-// generation — goodList and badRank — at generation swap, so per-epoch
-// phases read precomputed slices instead of rescanning the ring.
-func (s *System) indexGeneration() {
-	pts := s.ids.Points()
-	if cap(s.badRank) < len(pts) {
-		s.badRank = make([]bool, len(pts))
-	}
-	s.badRank = s.badRank[:len(pts)]
-	s.goodList = s.goodList[:0]
-	s.goodRank = s.goodRank[:0]
-	for i, p := range pts {
-		b := s.bad[p]
-		s.badRank[i] = b
-		if !b {
-			s.goodList = append(s.goodList, p)
-			s.goodRank = append(s.goodRank, int32(i))
-		}
-	}
-}
-
-// refreshBlue recomputes the bootstrap-candidate list: leaders blue in
-// every live old graph.
-func (s *System) refreshBlue() {
-	s.blue = s.blue[:0]
-	s.blueRank = s.blueRank[:0]
-	for i, w := range s.ids.Points() {
-		ok := !s.g[0].GroupAt(i).Red()
-		if ok && s.g[1] != nil {
-			ok = !s.g[1].GroupAt(i).Red()
-		}
-		if ok {
-			s.blue = append(s.blue, w)
-			s.blueRank = append(s.blueRank, int32(i))
-		}
-	}
-}
-
 // Epoch returns the current epoch index.
-func (s *System) Epoch() int { return s.epoch }
+func (s *System) Epoch() int { return s.gen.Load().Epoch }
 
 // Generation returns the atomically-published serving generation. It is
 // safe to call from any goroutine at any time — including while RunEpoch
 // is mid-construction on another goroutine — and the returned value is
-// immutable: holders see a consistent (epoch, ring, graphs) triple until
-// they re-load, no matter how many swaps happen underneath.
+// immutable: holders see a consistent generation until they re-load, no
+// matter how many swaps happen underneath.
 func (s *System) Generation() *Generation { return s.gen.Load() }
-
-// Graphs returns the current old group graphs (the second is nil in
-// single-graph mode).
-func (s *System) Graphs() [2]*groups.Graph { return s.g }
-
-// Ring returns the current generation's ID set.
-func (s *System) Ring() *ring.Ring { return s.ids }
-
-// BadCount returns the number of Byzantine IDs in the serving generation
-// (the adversary's PoW-minted ≈βn share, Lemma 11).
-func (s *System) BadCount() int { return len(s.badList) }
 
 // tallyDual folds one dual-search outcome pair into the worker's tallies
 // and reports whether the step was corrupted (all searches failed).
-// lastRank is the old-ring rank of suc(p); both outcomes share one route,
-// so it is valid whenever the step was not corrupted. In single-graph mode
+// lastRank is the ring rank of suc(p); both outcomes share one route, so
+// it is valid whenever the step was not corrupted. In single-graph mode
 // only the first outcome counts.
-func (s *System) tallyDual(o1, o2 groups.Outcome, wk *workerScratch) (corrupted bool, lastRank int) {
-	if s.g[1] == nil {
+func (gen *Generation) tallyDual(o1, o2 groups.Outcome, wk *workerScratch) (corrupted bool, lastRank int) {
+	if gen.Graphs[1] == nil {
 		wk.t.messages += o1.Messages
 		wk.t.searches++
 		if !o1.OK {
@@ -406,22 +391,22 @@ func (s *System) tallyDual(o1, o2 groups.Outcome, wk *workerScratch) (corrupted 
 }
 
 // dualSearch runs the §III-A dual search for point p from the ring ID of
-// rank srcRank — one overlay-route walk classified against both old
-// graphs — updating the worker's tallies. targetRank is the rank of
-// suc(p) when already known, else -1.
-func (s *System) dualSearch(srcRank, targetRank int, p ring.Point, wk *workerScratch) (corrupted bool, lastRank int) {
-	o1, o2 := s.g[0].SearchOutcomeDualTo(s.g[1], srcRank, targetRank, p, &wk.sc)
-	return s.tallyDual(o1, o2, wk)
+// rank srcRank — one overlay-route walk classified against both of the
+// generation's graphs — updating the worker's tallies. targetRank is the
+// rank of suc(p) when already known, else -1.
+func (gen *Generation) dualSearch(srcRank, targetRank int, p ring.Point, wk *workerScratch) (corrupted bool, lastRank int) {
+	o1, o2 := gen.Graphs[0].SearchOutcomeDualTo(gen.Graphs[1], srcRank, targetRank, p, &wk.sc)
+	return gen.tallyDual(o1, o2, wk)
 }
 
 // dualFailsSelf is dualSearch for the degenerate verification search a
 // member-point target u runs for a point p it owns: the overlay route from
 // u to suc(p) = u is the single group G_u, so the dual search reduces to
-// red checks on G_u — no route walk, no messages. ui is u's old-ring rank.
+// red checks on G_u — no route walk, no messages. ui is u's ring rank.
 // Outcome and tallies are exactly those of dualSearch(ui, ui, p, wk).
-func (s *System) dualFailsSelf(ui int, wk *workerScratch) bool {
-	red1 := s.g[0].GroupAt(ui).Red()
-	if s.g[1] == nil {
+func (gen *Generation) dualFailsSelf(ui int, wk *workerScratch) bool {
+	red1 := gen.Graphs[0].GroupAt(ui).Red()
+	if gen.Graphs[1] == nil {
 		wk.t.searches++
 		if red1 {
 			wk.t.singles++
@@ -433,7 +418,7 @@ func (s *System) dualFailsSelf(ui int, wk *workerScratch) bool {
 	wk.t.searches += 2
 	if red1 {
 		wk.t.singles++
-		if s.g[1].GroupAt(ui).Red() {
+		if gen.Graphs[1].GroupAt(ui).Red() {
 			wk.t.duals++
 			return true
 		}
@@ -444,21 +429,21 @@ func (s *System) dualFailsSelf(ui int, wk *workerScratch) bool {
 // bootRankFrom returns the ring rank of a bootstrap leader drawn from rng:
 // a u.a.r. blue group (the paper's assumption that joiners know a good
 // bootstrapping group; Appendix IX).
-func (s *System) bootRankFrom(rng *engine.Stream) int {
-	if len(s.blueRank) == 0 {
+func (gen *Generation) bootRankFrom(rng *engine.Stream) int {
+	if len(gen.blueRank) == 0 {
 		// Degenerate: no blue groups — fall back to any leader.
-		return rng.Intn(s.ids.Len())
+		return rng.Intn(gen.Ring.Len())
 	}
-	return int(s.blueRank[rng.Intn(len(s.blueRank))])
+	return int(gen.blueRank[rng.Intn(len(gen.blueRank))])
 }
 
-// badOldID returns a rng-drawn u.a.r. bad ID from the old generation (the
+// badOldID returns a rng-drawn u.a.r. bad ID of the generation (the
 // adversary's worst-case substitute when it fully controls a lookup).
-func (s *System) badOldID(rng *engine.Stream) (ring.Point, bool) {
-	if len(s.badList) == 0 {
+func (gen *Generation) badOldID(rng *engine.Stream) (ring.Point, bool) {
+	if len(gen.badList) == 0 {
 		return 0, false
 	}
-	return s.badList[rng.Intn(len(s.badList))], true
+	return gen.badList[rng.Intn(len(gen.badList))], true
 }
 
 // hashFns pairs the two member-location oracles with the graph index.
@@ -466,14 +451,14 @@ var hashFns = [2]hashes.Func{hashes.H1, hashes.H2}
 
 // buildID performs the whole §III-A construction for the new ID of rank wi
 // — member-point location, request verification and neighbor establishment
-// in every new graph — reading only immutable old-generation state and
+// in every new graph — reading only the immutable old generation and
 // writing only rank-wi slots, so any worker may run any ID. Its randomness
 // comes exclusively from the per-ID stream.
-func (s *System) buildID(wk *workerScratch, wi int, w ring.Point, epochSeed int64,
+func (s *System) buildID(old *Generation, wk *workerScratch, wi int, w ring.Point, epochSeed int64,
 	newBad map[ring.Point]bool, newOv overlay.Graph, size, nGraphs int) {
 
 	rng := engine.NewStream(engine.TrialSeed(epochSeed, "id", wi))
-	boot := s.bootRankFrom(&rng)
+	boot := old.bootRankFrom(&rng)
 	n := len(s.members[0])
 	if cap(wk.ptBuf) < size {
 		wk.ptBuf = make([]ring.Point, size)
@@ -484,21 +469,21 @@ func (s *System) buildID(wk *workerScratch, wi int, w ring.Point, epochSeed int6
 		// rank-wi slot of the shared member arena.
 		mlist := s.memberArena[(l*n+wi)*size : (l*n+wi)*size : (l*n+wi+1)*size]
 		for _, p := range hashFns[l].PointsAt(w, size, wk.ptBuf) {
-			fail, ui := s.dualSearch(boot, -1, p, wk)
+			fail, ui := old.dualSearch(boot, -1, p, wk)
 			if fail {
 				// Both location searches failed: the adversary answers.
-				if id, ok := s.badOldID(&rng); ok {
+				if id, ok := old.badOldID(&rng); ok {
 					mlist = append(mlist, groups.Member{ID: id, Bad: true})
 					wk.t.forcedBad++
 				}
 				continue
 			}
-			u, uBad := s.ids.At(ui), s.badRank[ui]
+			u, uBad := old.Ring.At(ui), old.badRank[ui]
 			if !uBad && s.cfg.VerifyRequests {
 				// u verifies the request by its own dual search; if all of
 				// u's searches fail, it erroneously rejects. u owns p, so
 				// its search routes terminate immediately at G_u.
-				if s.dualFailsSelf(ui, wk) {
+				if old.dualFailsSelf(ui, wk) {
 					wk.t.errReject++
 					continue
 				}
@@ -510,7 +495,7 @@ func (s *System) buildID(wk *workerScratch, wi int, w ring.Point, epochSeed int6
 		// Neighbor requests (§III-A): locate every element of L_w and have
 		// it verify; a failure on either side leaves G_w confused (Lemma 8).
 		for _, u := range newOv.Neighbors(w) {
-			fail, sucRank := s.dualSearch(boot, -1, u, wk)
+			fail, sucRank := old.dualSearch(boot, -1, u, wk)
 			if fail {
 				s.confused[l][wi] = true
 				continue
@@ -523,7 +508,7 @@ func (s *System) buildID(wk *workerScratch, wi int, w ring.Point, epochSeed int6
 			// its own bootstrap group while the new graphs are under
 			// construction). The location search above already resolved
 			// suc(u)'s rank, so the verification route reuses it.
-			if vfail, _ := s.dualSearch(s.bootRankFrom(&rng), sucRank, u, wk); vfail {
+			if vfail, _ := old.dualSearch(old.bootRankFrom(&rng), sucRank, u, wk); vfail {
 				wk.t.errReject++
 				s.confused[l][wi] = true
 			}
@@ -609,28 +594,18 @@ func (s *System) BuildEpochContext(ctx context.Context) (Stats, error) {
 	return p.stats, nil
 }
 
-// CommitEpoch is phase two of the two-phase advance: it swaps the pending
-// generation in as the serving one — an O(1) pointer flip, exactly the
-// swap RunEpoch performs — and reports its Stats. ok is false (and nothing
-// changes) when no build is pending.
+// CommitEpoch is phase two of the two-phase advance: it publishes the
+// pending generation as the serving one — one atomic pointer store, the
+// same swap RunEpoch performs — and reports its Stats. ok is false (and
+// nothing changes) when no build is pending. Readers pinned to the old
+// Generation keep a consistent view: nothing it references is touched.
 func (s *System) CommitEpoch() (st Stats, ok bool) {
 	p := s.pending
 	if p == nil {
 		return Stats{}, false
 	}
 	s.pending = nil
-	// The writer-private construction state updates in place, then the
-	// immutable serving view is published in one atomic store. Readers
-	// pinned to the old Generation keep a consistent view — nothing it
-	// references is ever touched again.
-	s.ids = p.ring
-	s.bad = p.bad
-	s.badList = p.badList
-	s.g = p.g
-	s.indexGeneration()
-	s.refreshBlue()
-	s.epoch++
-	s.gen.Store(&Generation{Epoch: s.epoch, Ring: s.ids, Graphs: s.g})
+	s.gen.Store(p.gen)
 	return p.stats, true
 }
 
@@ -667,7 +642,8 @@ func (s *System) rewind(n uint64) {
 // cancellation contract.
 func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 	rngMark := s.rsrc.n
-	st := Stats{Epoch: s.epoch + 1}
+	old := s.gen.Load()
+	st := Stats{Epoch: old.Epoch + 1}
 	epochSeed := engine.TrialSeed(s.cfg.Seed, "epoch", st.Epoch)
 	// New generation of IDs: good participants re-mint; the adversary
 	// mints βn u.a.r. IDs and injects per its strategy (Lemma 11 bounds).
@@ -675,7 +651,7 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 	// Θ(n) remark).
 	newN := s.cfg.N
 	if s.cfg.SizeDrift > 0 {
-		if s.epoch%2 == 0 {
+		if old.Epoch%2 == 0 {
 			newN = int(float64(s.cfg.N) * (1 - s.cfg.SizeDrift))
 		} else {
 			newN = int(float64(s.cfg.N) * (1 + s.cfg.SizeDrift))
@@ -701,8 +677,7 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 	s.sizeArenas(n, size, nGraphs)
 
 	// Phase 1 — per-ID construction, fanned across the pool. Each task
-	// reads only immutable old-generation state (ring, graphs, blue list,
-	// bad lists — all frozen until the swap below) and writes only its own
+	// reads only the immutable old generation and writes only its own
 	// rank's arena slots plus its worker's tally. The fan-out proceeds in
 	// ctxBatch-sized rank ranges with a ctx poll between batches; the split
 	// is invisible to results.
@@ -716,7 +691,7 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 		if wi%yieldStride == yieldStride-1 {
 			runtime.Gosched()
 		}
-		s.buildID(&s.scratch[worker], wi, newPts[wi], epochSeed, newBad, newOv, size, nGraphs)
+		s.buildID(old, &s.scratch[worker], wi, newPts[wi], epochSeed, newBad, newOv, size, nGraphs)
 	}
 	for lo := 0; lo < n; lo += ctxBatch {
 		if err := ctx.Err(); err != nil {
@@ -733,7 +708,7 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 	// membership requests to random good old IDs; the target's dual
 	// verification search catches them unless both searches fail. One
 	// substream per spamming ID keeps the phase schedule-independent.
-	if s.cfg.SpamFactor > 0 && len(s.goodList) > 0 {
+	if s.cfg.SpamFactor > 0 && len(old.goodRank) > 0 {
 		s.pool.ForEach(len(pl.Bad), func(worker, bi int) {
 			if bi%yieldStride == yieldStride-1 {
 				runtime.Gosched()
@@ -741,7 +716,7 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 			wk := &s.scratch[worker]
 			rng := engine.NewStream(engine.TrialSeed(epochSeed, "spam", bi))
 			for k := 0; k < s.cfg.SpamFactor; k++ {
-				ui := int(s.goodRank[rng.Intn(len(s.goodRank))])
+				ui := int(old.goodRank[rng.Intn(len(old.goodRank))])
 				if !s.cfg.VerifyRequests {
 					wk.t.spamAcc++
 					continue
@@ -749,7 +724,7 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 				// A bogus request never hashes to u, so u accepts only if
 				// both of its verification searches fail.
 				p := ring.Point(rng.Uint64())
-				if fail, _ := s.dualSearch(ui, -1, p, wk); fail {
+				if fail, _ := old.dualSearch(ui, -1, p, wk); fail {
 					wk.t.spamAcc++
 				}
 			}
@@ -785,7 +760,7 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 	// parallel by rank, keeps the draw independent of both loop order and
 	// worker count.
 	if s.cfg.MidEpochDepartures > 0 {
-		oldPts := s.ids.Points()
+		oldPts := old.Ring.Points()
 		if cap(s.departFlag) < len(oldPts) {
 			s.departFlag = make([]bool, len(oldPts))
 		}
@@ -793,7 +768,7 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 		frac := s.cfg.MidEpochDepartures
 		s.pool.ForEach(len(oldPts), func(_, i int) {
 			rng := engine.NewStream(engine.TrialSeed(epochSeed, "depart", i))
-			s.departFlag[i] = !s.badRank[i] && rng.Float64() < frac
+			s.departFlag[i] = !old.badRank[i] && rng.Float64() < frac
 		})
 		departed := map[ring.Point]bool{}
 		for i, d := range s.departFlag {
@@ -825,14 +800,14 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 	// Lemma 10: membership state of the serving (old) generation. A member
 	// slot is good exactly when it holds a good old ID (forced slots are
 	// bad), so the good slots of the first new graph are the memberships
-	// of goodList.
+	// of the old generation's good IDs.
 	goodSlots := 0
 	for i := 0; i < newG[0].N(); i++ {
 		grp := newG[0].GroupAt(i)
 		goodSlots += grp.Size() - grp.BadCount()
 	}
-	if len(s.goodList) > 0 {
-		st.MeanMemberships = float64(goodSlots) / float64(len(s.goodList))
+	if len(old.goodRank) > 0 {
+		st.MeanMemberships = float64(goodSlots) / float64(len(old.goodRank))
 	}
 
 	// Post-construction robustness of the new generation. Last abort
@@ -848,15 +823,13 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 	}
 
 	// The generation is complete; park it for CommitEpoch. Nothing the
-	// serving view references has been touched — the swap is the commit.
-	return &pendingGen{
-		stats:   st,
-		ring:    newRing,
-		bad:     newBad,
-		badList: pl.Bad,
-		g:       newG,
-		rngMark: rngMark,
-	}, nil
+	// serving generation references has been touched — the swap is the
+	// commit.
+	gen, err := newGeneration(st.Epoch, newRing, pl.Bad, newG)
+	if err != nil {
+		panic(err) // only if two bad-ID draws collide (odds ≈ (βn)²/2⁶⁵)
+	}
+	return &pendingGen{gen: gen, stats: st, rngMark: rngMark}, nil
 }
 
 // abortBuild discards a partial build: per-worker tallies are zeroed so

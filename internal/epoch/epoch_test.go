@@ -31,7 +31,7 @@ func TestTrustedInitBuildsBothGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := s.Graphs()
+	g := s.Generation().Graphs
 	if g[0] == nil || g[1] == nil {
 		t.Fatal("two-graph mode must build both graphs")
 	}
@@ -39,7 +39,7 @@ func TestTrustedInitBuildsBothGraphs(t *testing.T) {
 		t.Errorf("graph sizes %d/%d, want 512", g[0].N(), g[1].N())
 	}
 	// The two graphs use different hash functions, so memberships differ.
-	w := s.Ring().At(0)
+	w := s.Generation().Ring.At(0)
 	m1, m2 := g[0].Group(w).Members, g[1].Group(w).Members
 	same := len(m1) == len(m2)
 	if same {
@@ -62,7 +62,7 @@ func TestSingleGraphMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Graphs()[1] != nil {
+	if s.Generation().Graphs[1] != nil {
 		t.Fatal("single-graph mode must not build graph 2")
 	}
 	st := s.RunEpoch()
@@ -75,13 +75,13 @@ func TestEpochTurnsOverPopulation(t *testing.T) {
 	cfg := DefaultConfig(256)
 	cfg.Seed = 7
 	s, _ := New(cfg)
-	before := s.Ring().Points()
+	before := s.Generation().Ring.Points()
 	beforeSet := map[uint64]bool{}
 	for _, p := range before {
 		beforeSet[uint64(p)] = true
 	}
 	s.RunEpoch()
-	after := s.Ring().Points()
+	after := s.Generation().Ring.Points()
 	overlap := 0
 	for _, p := range after {
 		if beforeSet[uint64(p)] {
@@ -212,7 +212,7 @@ func TestAssembleBootGoodMajorityWHP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := s.Graphs()[0]
+	g := s.Generation().Graphs[0]
 	rng := rand.New(rand.NewSource(42))
 	const trials = 400
 	ok := 0
@@ -235,12 +235,12 @@ func TestAssembleBootExplicitCount(t *testing.T) {
 	cfg.Seed = 43
 	s, _ := New(cfg)
 	rng := rand.New(rand.NewSource(44))
-	set := AssembleBoot(s.Graphs()[0], 3, rng)
+	set := AssembleBoot(s.Generation().Graphs[0], 3, rng)
 	if set.GroupsUsed != 3 {
 		t.Errorf("GroupsUsed = %d, want 3", set.GroupsUsed)
 	}
-	if len(set.Members) != 3*s.Graphs()[0].GroupSize() {
-		t.Errorf("pool size %d, want %d", len(set.Members), 3*s.Graphs()[0].GroupSize())
+	if len(set.Members) != 3*s.Generation().Graphs[0].GroupSize() {
+		t.Errorf("pool size %d, want %d", len(set.Members), 3*s.Generation().Graphs[0].GroupSize())
 	}
 }
 

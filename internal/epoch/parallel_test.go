@@ -70,7 +70,7 @@ func TestRunEpochWorkerCountInvariance(t *testing.T) {
 		var prints [][32]byte
 		for e := 0; e < 2; e++ {
 			stats = append(stats, s.RunEpoch())
-			prints = append(prints, graphFingerprint(s.Graphs()))
+			prints = append(prints, graphFingerprint(s.Generation().Graphs))
 		}
 		return stats, prints
 	}
@@ -124,9 +124,8 @@ func TestSearchOutcomeAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		g := s.Graphs()
+		g, r := s.Generation().Graphs, s.Generation().Ring
 		var sc groups.SearchScratch
-		r := s.Ring()
 		// Warm the scratch buffer.
 		g[0].SearchOutcomeDualTo(g[1], 1, -1, 99999, &sc)
 		i := 0
@@ -174,13 +173,13 @@ func TestPerIDEpochStepAllocFree(t *testing.T) {
 	size := cfg.Params.SizeFor(newRing.Len())
 	s.sizeArenas(newRing.Len(), size, 2)
 	pts := newRing.Points()
-	wk := &s.scratch[0]
-	s.buildID(wk, 3, pts[3], epochSeed, newBad, newOv, size, 2) // warm ptBuf
+	wk, old := &s.scratch[0], s.Generation()
+	s.buildID(old, wk, 3, pts[3], epochSeed, newBad, newOv, size, 2) // warm ptBuf
 	i := 0
 	if allocs := testing.AllocsPerRun(100, func() {
 		i++
 		wi := i % len(pts)
-		s.buildID(wk, wi, pts[wi], epochSeed, newBad, newOv, size, 2)
+		s.buildID(old, wk, wi, pts[wi], epochSeed, newBad, newOv, size, 2)
 	}); allocs != 0 {
 		t.Errorf("per-ID epoch step allocates %.1f/op, want 0", allocs)
 	}

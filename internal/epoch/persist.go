@@ -3,7 +3,6 @@ package epoch
 import (
 	"fmt"
 
-	"repro/internal/engine"
 	"repro/internal/groups"
 	"repro/internal/ring"
 )
@@ -22,7 +21,11 @@ import (
 // graphs' member lists and classification flags. Group flags must be
 // persisted rather than recomputed: mid-epoch departures reclassify groups
 // under the §III revised rules (began-bad-stays-bad, half-size floor),
-// which classify() alone cannot reproduce from the member lists.
+// which classify() alone cannot reproduce from the member lists. The rank
+// indexes are not persisted: Restore hands the ring, the adversary's list
+// and the graphs to newGeneration, the constructor every generation goes
+// through, which derives them and rejects an adversary list naming an ID
+// off the ring or one ID twice.
 
 // PersistedGroup is one group's durable state, keyed by its leader's ring
 // rank (the leader itself is the ring point at that rank).
@@ -49,22 +52,19 @@ type PersistedState struct {
 	Graphs [][]PersistedGroup
 }
 
-// RNGCount returns the number of placement-rng draws since New — together
-// with the root seed, the rng's complete state.
-func (s *System) RNGCount() uint64 { return s.rsrc.n }
-
 // Persist extracts the serving generation as a PersistedState. It must not
 // run concurrently with RunEpoch/CommitEpoch (the caller's single-writer
 // discipline); the returned slices alias the system's immutable generation
 // data and must be treated as read-only.
 func (s *System) Persist() PersistedState {
+	gen := s.gen.Load()
 	st := PersistedState{
-		Epoch:    s.epoch,
+		Epoch:    gen.Epoch,
 		RNGCount: s.rsrc.n,
-		Ring:     s.ids.Points(),
-		BadList:  s.badList,
+		Ring:     gen.Ring.Points(),
+		BadList:  gen.badList,
 	}
-	for _, g := range s.g {
+	for _, g := range gen.Graphs {
 		if g == nil {
 			continue
 		}
@@ -99,25 +99,21 @@ func Restore(cfg Config, st PersistedState) (*System, error) {
 	if len(st.Ring) < 8 {
 		return nil, fmt.Errorf("epoch: restore: ring of %d points too small", len(st.Ring))
 	}
-	s := &System{cfg: cfg, epoch: st.Epoch}
+	s := &System{cfg: cfg}
 	s.rsrc = &countingSource{}
 	s.rewind(st.RNGCount)
-	s.ids = ring.New(st.Ring)
-	if s.ids.Len() != len(st.Ring) {
-		return nil, fmt.Errorf("epoch: restore: ring points not unique (%d -> %d)", len(st.Ring), s.ids.Len())
+	r := ring.New(st.Ring)
+	if r.Len() != len(st.Ring) {
+		return nil, fmt.Errorf("epoch: restore: ring points not unique (%d -> %d)", len(st.Ring), r.Len())
 	}
-	s.badList = st.BadList
-	s.bad = make(map[ring.Point]bool, len(st.BadList))
-	for _, b := range st.BadList {
-		s.bad[b] = true
-	}
-	ov, err := s.buildOverlay(s.ids)
+	ov, err := s.buildOverlay(r)
 	if err != nil {
 		return nil, err
 	}
+	var gs [2]*groups.Graph
 	for l, pg := range st.Graphs {
-		if len(pg) != s.ids.Len() {
-			return nil, fmt.Errorf("epoch: restore: graph %d has %d groups for %d ring points", l, len(pg), s.ids.Len())
+		if len(pg) != r.Len() {
+			return nil, fmt.Errorf("epoch: restore: graph %d has %d groups for %d ring points", l, len(pg), r.Len())
 		}
 		members := make([][]groups.Member, len(pg))
 		confused := make([]bool, len(pg))
@@ -132,12 +128,11 @@ func Restore(cfg Config, st PersistedState) (*System, error) {
 		for i := range pg {
 			g.GroupAt(i).Bad = pg[i].Bad
 		}
-		s.g[l] = g
+		gs[l] = g
 	}
-	s.pool = engine.NewPool(cfg.Workers)
-	s.scratch = make([]workerScratch, s.pool.Workers())
-	s.indexGeneration()
-	s.refreshBlue()
-	s.gen.Store(&Generation{Epoch: s.epoch, Ring: s.ids, Graphs: s.g})
-	return s, nil
+	gen, err := newGeneration(st.Epoch, r, st.BadList, gs)
+	if err != nil {
+		return nil, fmt.Errorf("epoch: restore: %w", err)
+	}
+	return s.start(gen), nil
 }

@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -72,5 +73,42 @@ func TestRestoreRejectsStructuralMismatch(t *testing.T) {
 	single.TwoGraphs = false
 	if _, err := Restore(single, st); err == nil {
 		t.Fatal("two persisted graphs accepted under single-graph config")
+	}
+}
+
+// TestRestoreRejectsCorruptBadList: the adversary's list must name distinct
+// IDs on the ring — substitutes are drawn from it every later epoch, and
+// the generation fingerprint does not hash it.
+func TestRestoreRejectsCorruptBadList(t *testing.T) {
+	cfg := DefaultConfig(128)
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st := s.Persist()
+	if len(st.BadList) < 2 {
+		t.Fatalf("need two bad IDs, have %d", len(st.BadList))
+	}
+
+	offRing := st
+	offRing.BadList = slices.Clone(st.BadList)
+	offRing.BadList[0]++
+	for slices.Contains(st.Ring, offRing.BadList[0]) {
+		offRing.BadList[0]++
+	}
+	if _, err := Restore(cfg, offRing); err == nil {
+		t.Error("bad ID off the ring accepted")
+	}
+	dup := st
+	dup.BadList = slices.Clone(st.BadList)
+	dup.BadList[1] = dup.BadList[0]
+	if _, err := Restore(cfg, dup); err == nil {
+		t.Error("bad ID listed twice accepted")
+	}
+	if r, err := Restore(cfg, st); err != nil {
+		t.Fatalf("intact image rejected: %v", err)
+	} else {
+		r.Close()
 	}
 }

@@ -54,7 +54,7 @@ func TestBuildCommitMatchesRunEpoch(t *testing.T) {
 		if stOne != stCommit {
 			t.Fatalf("epoch %d: one-shot stats %+v != two-phase stats %+v", e, stOne, stCommit)
 		}
-		if got, want := graphFingerprint(two.Graphs()), graphFingerprint(one.Graphs()); got != want {
+		if got, want := graphFingerprint(two.Generation().Graphs), graphFingerprint(one.Generation().Graphs); got != want {
 			t.Fatalf("epoch %d: two-phase generation fingerprint diverged from RunEpoch", e)
 		}
 	}
@@ -148,7 +148,7 @@ func TestAbortPendingReplaysIdentical(t *testing.T) {
 	if _, ok := aborted.CommitEpoch(); !ok {
 		t.Fatal("commit after replay found nothing pending")
 	}
-	if got, want := graphFingerprint(aborted.Graphs()), graphFingerprint(plain.Graphs()); got != want {
+	if got, want := graphFingerprint(aborted.Generation().Graphs), graphFingerprint(plain.Generation().Graphs); got != want {
 		t.Fatal("replayed generation fingerprint diverged from never-aborted build")
 	}
 }
@@ -209,7 +209,7 @@ func TestMidBuildAbortReplaysIdentical(t *testing.T) {
 	if st != stPlain {
 		t.Fatalf("post-abort stats %+v != never-cancelled stats %+v", st, stPlain)
 	}
-	if got, want := graphFingerprint(cancelled.Graphs()), graphFingerprint(plain.Graphs()); got != want {
+	if got, want := graphFingerprint(cancelled.Generation().Graphs), graphFingerprint(plain.Generation().Graphs); got != want {
 		t.Fatal("post-abort generation fingerprint diverged from never-cancelled build")
 	}
 }

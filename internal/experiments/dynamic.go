@@ -152,7 +152,7 @@ func e10Cuckoo(ctx context.Context, o Options, em Emitter) error {
 				worst = st.RedFraction[0]
 			}
 		}
-		return []string{"tinygroups+pow", itoa(ecfg.N), itoa(s.Graphs()[0].GroupSize()), f3(0.05),
+		return []string{"tinygroups+pow", itoa(ecfg.N), itoa(s.Generation().Graphs[0].GroupSize()), f3(0.05),
 			itoa(epochs * ecfg.N), "true", f3(worst)}
 	})
 	em.Header("scheme", "n", "|G|", "beta", "events", "survived", "maxBadFrac")

@@ -153,7 +153,7 @@ func e16Bootstrap(ctx context.Context, o Options, em Emitter) error {
 			panic(err)
 		}
 		defer s.Close()
-		g := s.Graphs()[0]
+		g := s.Generation().Graphs[0]
 		var out [][]string
 		for _, count := range []int{1, epoch.BootGroupCount(n), 2 * epoch.BootGroupCount(n)} {
 			ok := 0

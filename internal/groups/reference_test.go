@@ -88,7 +88,7 @@ func referenceCases(t *testing.T) []referenceCase {
 		}
 		sys.RunEpoch()
 		sys.Close()
-		gs := sys.Graphs()
+		gs := sys.Generation().Graphs
 		confused := 0
 		for rank := 0; rank < gs[0].N(); rank++ {
 			grp := gs[0].GroupAt(rank)

@@ -434,7 +434,7 @@ func (s *System) publishLocked(est epoch.Stats) Stats {
 	s.persistBoundaryLocked()
 	st := statsFrom(est)
 	if obs := s.cfg.observer; obs != nil {
-		obs.ObserveMint(MintEvent{Epoch: st.Epoch, Minted: st.N, Bad: s.dyn.BadCount()})
+		obs.ObserveMint(MintEvent{Epoch: st.Epoch, Minted: st.N, Bad: s.dyn.Generation().BadCount()})
 		obs.ObserveEpoch(EpochEvent{Stats: st})
 	}
 	return st
