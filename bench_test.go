@@ -284,8 +284,8 @@ func BenchmarkRunEpoch(b *testing.B) {
 	benchRunEpochSizes(b, 1)
 }
 
-// BenchmarkRunEpochParallel is BenchmarkRunEpoch on the default worker
-// pool (GOMAXPROCS) — results are byte-identical to the 1-worker run; only
+// BenchmarkRunEpochParallel is BenchmarkRunEpoch at the default worker
+// count (GOMAXPROCS) — results are byte-identical to the 1-worker run; only
 // wall-clock moves.
 func BenchmarkRunEpochParallel(b *testing.B) {
 	benchRunEpochSizes(b, 0)
@@ -301,7 +301,6 @@ func benchRunEpochSizes(b *testing.B, workers int) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer s.Close()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

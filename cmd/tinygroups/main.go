@@ -9,7 +9,7 @@
 //
 // Scenarios are e1..e21; `tinygroups list` names the paper claim each
 // regenerates.
-// Trials within each scenario fan across a worker pool (-parallel, default
+// Trials within each scenario fan across workers (-parallel, default
 // GOMAXPROCS); tables are bit-identical at every parallelism level because
 // every trial's randomness is derived from the root seed by hashing.
 //

@@ -86,7 +86,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	beta := fs.Float64("beta", 0.05, "adversary's computational-power fraction")
 	overlay := fs.String("overlay", "chord", "input graph: chord | debruijn | viceroy")
 	seed := fs.Int64("seed", 1, "root seed; the served system is fully deterministic per seed")
-	workers := fs.Int("workers", 0, "construction/batch worker pool size (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "construction/batch fan-out width (0 = GOMAXPROCS)")
 	epochEvery := fs.Duration("epoch-interval", 0, "advance the epoch on this period in the background (0 = only via /v1/epoch/advance)")
 	mintWork := fs.Float64("mint-work", 1<<14, "PoW difficulty of /v1/mint in expected hash attempts per ID")
 	dataDir := fs.String("data-dir", "", "durable state directory: snapshot each epoch boundary, op-log puts, restore on restart (empty = in-memory only)")

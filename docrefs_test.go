@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -162,9 +163,11 @@ var homeOnlyInternal = []string{
 // homeOnlyInternal, so an internal name exported but used only at home
 // fails too. A package-level func, var or const counts as used when such a
 // file selects pkg.Name through an import of the package; a method counts
-// as used when such a file selects .Method on anything, which can
-// over-count but never misses a caller. Type names and fields are not
-// audited: callers reach them through the functions that return them.
+// as used when such a file calls .Method on anything. The receiver's type
+// is not resolved, so a call of a same-named method of another type still
+// counts, but a field read or a method value does not. Type names and
+// fields are not audited: callers reach them through the functions that
+// return them.
 // Names on a pass's allowlist are exempt, and the test also fails on an
 // entry that is used or no longer exists.
 func TestPublicNamesHaveCallers(t *testing.T) {
@@ -246,8 +249,9 @@ func internalDirs(t *testing.T) map[string]string {
 
 // selectedNames returns the names a file selects, in the keys
 // TestPublicNamesHaveCallers audits: "pkg.Name" for a selector on an import
-// of a package of pkgs (name → dir), and "*.Method" for any other selector,
-// whose receiver type the parse cannot know.
+// of a package of pkgs (name → dir), and "*.Method" for any other selector
+// that is called, whose receiver type the parse cannot know. An uncalled
+// selector is a field read (or a method value) and credits no method.
 func selectedNames(f *ast.File, pkgs map[string]string) []string {
 	imports := map[string]string{} // local name → audited package name
 	for _, imp := range f.Imports {
@@ -263,16 +267,20 @@ func selectedNames(f *ast.File, pkgs map[string]string) []string {
 			imports[local] = name
 		}
 	}
+	called := map[*ast.SelectorExpr]bool{}
 	var keys []string
 	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := sel.X.(*ast.Ident); ok && imports[id.Name] != "" {
-			keys = append(keys, imports[id.Name]+"."+sel.Sel.Name)
-		} else {
-			keys = append(keys, "*."+sel.Sel.Name)
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+				called[sel] = true
+			}
+		case *ast.SelectorExpr:
+			if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] != "" {
+				keys = append(keys, imports[id.Name]+"."+n.Sel.Name)
+			} else if called[n] {
+				keys = append(keys, "*."+n.Sel.Name)
+			}
 		}
 		return true
 	})
@@ -455,6 +463,43 @@ func writePkg(t *testing.T, src string) string {
 		t.Fatal(err)
 	}
 	return dir
+}
+
+// TestSelectedNamesCreditsOnlyCalls pins that a field read credits no
+// method of the same name: an exported method whose only namesake outside
+// its package is a field stays uncalled, while a called selector and a
+// package-qualified name count.
+func TestSelectedNamesCreditsOnlyCalls(t *testing.T) {
+	dir := writePkg(t, `package p
+
+import "repro/internal/engine"
+
+type persisted struct{ RNGCount uint64 }
+
+func use(st persisted, c interface{ Close() }) uint64 {
+	c.Close()
+	_ = engine.Workers
+	return st.RNGCount
+}
+`)
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, "p.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := selectedNames(f, map[string]string{"engine": "internal/engine"})
+	sort.Strings(keys)
+	if want := []string{"*.Close", "engine.Workers"}; !slices.Equal(keys, want) {
+		t.Errorf("selectedNames = %q, want %q", keys, want)
+	}
+	used := map[string]map[string]bool{}
+	for _, k := range keys {
+		used[k] = map[string]bool{dir: true}
+	}
+	public := map[string]string{"epoch.System.RNGCount": "internal/epoch", "epoch.System.Close": "internal/epoch"}
+	got := uncalled(public, used, nil, "homeOnlyInternal")
+	if len(got) != 1 || !strings.Contains(got[0], "epoch.System.RNGCount") {
+		t.Errorf("uncalled = %q, want one finding, for epoch.System.RNGCount", got)
+	}
 }
 
 // TestDocCommentFindings pins what stablePackage reports as undocumented.

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,4 +147,70 @@ func TestWorkersDefault(t *testing.T) {
 	if w := (Config{Parallel: -1}).Workers(); w < 1 {
 		t.Errorf("negative parallel gave %d workers", w)
 	}
+	for _, req := range []int{0, -3} {
+		if w := Workers(req); w != runtime.GOMAXPROCS(0) {
+			t.Errorf("Workers(%d) = %d, want GOMAXPROCS %d", req, w, runtime.GOMAXPROCS(0))
+		}
+	}
+	if w := Workers(7); w != 7 {
+		t.Errorf("Workers(7) = %d, want 7", w)
+	}
+}
+
+// goid returns the current goroutine's id, read off its stack header.
+func goid() int {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, err := strconv.Atoi(string(b[:bytes.IndexByte(b, ' ')]))
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// TestForEachContract pins ForEach's contract: every index runs exactly
+// once, worker indices stay below the effective worker count, n = 0 calls
+// nothing, and one worker runs everything inline on the caller's goroutine.
+func TestForEachContract(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 4, 16} {
+		for _, n := range []int{0, 1, 3, 1000} {
+			t.Run(fmt.Sprintf("workers=%d/n=%d", workers, n), func(t *testing.T) {
+				limit := min(Workers(workers), n)
+				hits := make([]atomic.Int32, n)
+				var bad atomic.Int32
+				ForEach(workers, n, func(w, i int) {
+					if w < 0 || w >= max(limit, 1) {
+						bad.Add(1)
+					}
+					hits[i].Add(1)
+				})
+				if bad.Load() != 0 {
+					t.Errorf("%d calls saw a worker index outside [0, %d)", bad.Load(), max(limit, 1))
+				}
+				for i := range hits {
+					if h := hits[i].Load(); h != 1 {
+						t.Fatalf("index %d ran %d times", i, h)
+					}
+				}
+			})
+		}
+	}
+	t.Run("serial-inline", func(t *testing.T) {
+		caller := goid()
+		var order []int
+		ForEach(1, 50, func(w, i int) {
+			if w != 0 || goid() != caller {
+				t.Errorf("index %d ran on worker %d, goroutine %d; want worker 0 on the caller's %d", i, w, goid(), caller)
+			}
+			order = append(order, i)
+		})
+		for i, v := range order {
+			if v != i {
+				t.Fatalf("serial order broken at %d: %v", i, order)
+			}
+		}
+		if len(order) != 50 {
+			t.Fatalf("ran %d of 50 indices", len(order))
+		}
+	})
 }

@@ -2,63 +2,8 @@ package engine
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 )
-
-func TestPoolForEachCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 16} {
-		p := NewPool(workers)
-		const n = 1000
-		hits := make([]int32, n)
-		p.ForEach(n, func(_, i int) {
-			atomic.AddInt32(&hits[i], 1)
-		})
-		p.Close()
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: index %d executed %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestPoolRunExecutesOncePerSlot(t *testing.T) {
-	// Run hands out exactly `workers` executions per phase. A fast worker
-	// may claim more than one slot (and a slow one none), but worker indices
-	// passed to fn stay within range and the total is exact.
-	p := NewPool(4)
-	defer p.Close()
-	var total atomic.Int32
-	for phase := 0; phase < 3; phase++ {
-		p.Run(func(w int) {
-			if w < 0 || w >= 4 {
-				t.Errorf("worker index %d out of range", w)
-			}
-			total.Add(1)
-		})
-	}
-	if total.Load() != 12 {
-		t.Fatalf("ran %d slots, want 12", total.Load())
-	}
-}
-
-func TestPoolCloseIdempotentAndSerialNoop(t *testing.T) {
-	p := NewPool(1)
-	p.ForEach(10, func(_, _ int) {})
-	p.Close()
-	p.Close() // second Close must not panic
-
-	q := NewPool(3)
-	q.Close() // never went parallel: no workers to stop
-	q.Close()
-}
-
-func TestPoolDefaultsToGOMAXPROCS(t *testing.T) {
-	if w := NewPool(0).Workers(); w < 1 {
-		t.Fatalf("default workers = %d", w)
-	}
-}
 
 func TestStreamDeterministicAndSeedSensitive(t *testing.T) {
 	a, b := NewStream(42), NewStream(42)

@@ -15,7 +15,6 @@ func TestRunEpochContextCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.RunEpochContext(ctx); !errors.Is(err, context.Canceled) {

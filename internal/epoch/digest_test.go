@@ -93,7 +93,6 @@ func constructionDigest(t *testing.T, c digestCell) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	h := sha256.New()
 	for e := 0; e < 3; e++ {
 		fmt.Fprintf(h, "%+v\n", s.RunEpoch())

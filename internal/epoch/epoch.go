@@ -18,10 +18,11 @@
 // embarrassingly parallel per new ID. RunEpoch exploits that: every new ID
 // draws its randomness from a private stream derived by hashing
 // (epoch seed, rank of w), exactly the engine.TrialSeed scheme the
-// experiment runner uses per trial, and the per-ID tasks fan across a
-// persistent worker pool writing into rank-indexed arenas. Randomness never
-// depends on scheduling and tallies are integer sums, so Stats and the
-// resulting graphs are bit-identical at every Config.Workers setting.
+// experiment runner uses per trial, and the per-ID tasks fan out through
+// engine.ForEach, one fan-out per phase, writing into rank-indexed arenas.
+// A System holds no goroutines between builds. Randomness never depends on
+// scheduling and tallies are integer sums, so Stats and the resulting
+// graphs are bit-identical at every Config.Workers setting.
 package epoch
 
 import (
@@ -64,7 +65,7 @@ type Config struct {
 	// each epoch the population alternates between N·(1−drift) and
 	// N·(1+drift). Zero keeps the size constant (the default model).
 	SizeDrift float64
-	// Workers caps the construction worker pool; 0 means GOMAXPROCS. It
+	// Workers caps the construction fan-out; 0 means GOMAXPROCS. It
 	// affects wall-clock only: per-ID randomness streams make every result
 	// identical at every setting.
 	Workers int
@@ -279,8 +280,7 @@ type System struct {
 	// as the rest of the construction state.
 	pending *pendingGen
 
-	pool    *engine.Pool    // persistent construction pool, one per System
-	scratch []workerScratch // one entry per pool worker, reused across epochs
+	scratch []workerScratch // one entry per construction worker, reused across epochs
 
 	// Rank-indexed construction buffers. The outer index slices are reused
 	// across epochs; memberArena is allocated fresh each epoch because the
@@ -293,7 +293,6 @@ type System struct {
 
 // New creates a system in its trusted-initialization state (Appendix X):
 // the two epoch-0 graphs are built directly with ground-truth memberships.
-// Call Close when done with the system to release its worker pool.
 func New(cfg Config) (*System, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
@@ -322,26 +321,17 @@ func New(cfg Config) (*System, error) {
 	return s.start(gen), nil
 }
 
-// start publishes gen as the serving generation and starts the system's
-// worker pool.
+// start publishes gen as the serving generation and sizes the per-worker
+// construction scratch.
 func (s *System) start(gen *Generation) *System {
-	s.pool = engine.NewPool(s.cfg.Workers)
-	s.scratch = make([]workerScratch, s.pool.Workers())
+	s.scratch = make([]workerScratch, engine.Workers(s.cfg.Workers))
 	s.gen.Store(gen)
 	return s
 }
 
-// Close releases the system's worker pool. The system must not be used
-// afterwards. Goroutines are only ever started when the effective pool
-// size exceeds one (Config.Workers > 1, or Workers <= 0 with GOMAXPROCS
-// > 1) — Close is a no-op otherwise — and a finalizer reclaims forgotten
-// pools; still, long-lived processes that churn through many Systems
-// should close them promptly.
-func (s *System) Close() {
-	if s.pool != nil {
-		s.pool.Close()
-	}
-}
+// Close does nothing: a System holds no goroutines or other resources
+// between builds. It remains only because the bench/ module still calls it.
+func (s *System) Close() {}
 
 func (s *System) buildOverlay(r *ring.Ring) (overlay.Graph, error) {
 	for _, b := range overlay.Builders() {
@@ -520,7 +510,7 @@ func (s *System) buildID(old *Generation, wk *workerScratch, wi int, w ring.Poin
 // (n departures matched by n PoW-minted joins), the new group graphs are
 // built through the old ones, and the generations swap.
 //
-// Construction fans out over the system's worker pool; see the package
+// Construction fans out over Config.Workers workers; see the package
 // comment for why results are independent of the worker count.
 func (s *System) RunEpoch() Stats {
 	st, err := s.RunEpochContext(context.Background())
@@ -676,7 +666,7 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 	}
 	s.sizeArenas(n, size, nGraphs)
 
-	// Phase 1 — per-ID construction, fanned across the pool. Each task
+	// Phase 1 — per-ID construction, fanned out by engine.ForEach. Each task
 	// reads only the immutable old generation and writes only its own
 	// rank's arena slots plus its worker's tally. The fan-out proceeds in
 	// ctxBatch-sized rank ranges with a ctx poll between batches; the split
@@ -698,7 +688,7 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 			return s.abortBuild(rngMark, err)
 		}
 		hi := min(lo+ctxBatch, n)
-		s.pool.ForEach(hi-lo, func(worker, i int) { build(worker, lo+i) })
+		engine.ForEach(s.cfg.Workers, hi-lo, func(worker, i int) { build(worker, lo+i) })
 	}
 	if err := ctx.Err(); err != nil {
 		return s.abortBuild(rngMark, err)
@@ -709,7 +699,7 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 	// verification search catches them unless both searches fail. One
 	// substream per spamming ID keeps the phase schedule-independent.
 	if s.cfg.SpamFactor > 0 && len(old.goodRank) > 0 {
-		s.pool.ForEach(len(pl.Bad), func(worker, bi int) {
+		engine.ForEach(s.cfg.Workers, len(pl.Bad), func(worker, bi int) {
 			if bi%yieldStride == yieldStride-1 {
 				runtime.Gosched()
 			}
@@ -766,7 +756,7 @@ func (s *System) buildGeneration(ctx context.Context) (*pendingGen, error) {
 		}
 		s.departFlag = s.departFlag[:len(oldPts)]
 		frac := s.cfg.MidEpochDepartures
-		s.pool.ForEach(len(oldPts), func(_, i int) {
+		engine.ForEach(s.cfg.Workers, len(oldPts), func(_, i int) {
 			rng := engine.NewStream(engine.TrialSeed(epochSeed, "depart", i))
 			s.departFlag[i] = !old.badRank[i] && rng.Float64() < frac
 		})

@@ -275,7 +275,6 @@ func TestErosionRegimes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
 		var rates []float64
 		for e := 0; e < epochs; e++ {
 			rates = append(rates, s.RunEpoch().SearchFailRate)

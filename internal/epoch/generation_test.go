@@ -59,7 +59,6 @@ func TestGenerationIndexesIndependentOfOrigin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	checkIndexes(t, "New", s.Generation())
 	for e := 1; e <= 3; e++ {
 		s.RunEpoch()
@@ -69,7 +68,6 @@ func TestGenerationIndexesIndependentOfOrigin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
 	checkIndexes(t, "Restore", restored.Generation())
 }
 
@@ -82,7 +80,6 @@ func TestCommitEpochIsAPointerSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if _, err := s.BuildEpochContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/engine"
@@ -65,7 +67,6 @@ func TestRunEpochWorkerCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
 		var stats []Stats
 		var prints [][32]byte
 		for e := 0; e < 2; e++ {
@@ -100,7 +101,6 @@ func TestRunEpochWorkerCountInvarianceSingleGraph(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
 		return s.RunEpoch()
 	}
 	ref := run(1)
@@ -123,7 +123,6 @@ func TestSearchOutcomeAllocFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.Close()
 		g, r := s.Generation().Graphs, s.Generation().Ring
 		var sc groups.SearchScratch
 		// Warm the scratch buffer.
@@ -156,7 +155,6 @@ func TestPerIDEpochStepAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	s.RunEpoch() // reach steady state (arenas sized, scratch warm)
 
 	// Stage the next epoch's inputs exactly as RunEpoch would.
@@ -187,3 +185,26 @@ func TestPerIDEpochStepAllocFree(t *testing.T) {
 
 // ring_ maps an int to a spread-out ring point for test key generation.
 func ring_(i int) ring.Point { return ring.Point(uint64(i) * 0x9e3779b97f4a7c15) }
+
+// TestSystemHoldsNoGoroutines pins that construction fans out per build and
+// leaves nothing behind: after New and two parallel RunEpochs, with no
+// Close, the goroutine count is back where it was before New.
+func TestSystemHoldsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := DefaultConfig(256)
+	cfg.Workers = 4
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunEpoch()
+	s.RunEpoch()
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after two builds, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	runtime.KeepAlive(s)
+}

@@ -19,7 +19,6 @@ func TestPersistRestoreContinuesIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer orig.Close()
 	for e := 0; e < 3; e++ {
 		orig.RunEpoch()
 	}
@@ -46,7 +45,6 @@ func TestPersistRestoreContinuesIdentically(t *testing.T) {
 		if got, want := restored.Persist(), orig.Persist(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers %d: epoch %d diverges after restore", workers, got.Epoch)
 		}
-		restored.Close()
 	}
 }
 
@@ -56,7 +54,6 @@ func TestRestoreRejectsStructuralMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	st := s.Persist()
 
 	bad := st
@@ -85,7 +82,6 @@ func TestRestoreRejectsCorruptBadList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	st := s.Persist()
 	if len(st.BadList) < 2 {
 		t.Fatalf("need two bad IDs, have %d", len(st.BadList))
@@ -106,9 +102,7 @@ func TestRestoreRejectsCorruptBadList(t *testing.T) {
 	if _, err := Restore(cfg, dup); err == nil {
 		t.Error("bad ID listed twice accepted")
 	}
-	if r, err := Restore(cfg, st); err != nil {
+	if _, err := Restore(cfg, st); err != nil {
 		t.Fatalf("intact image rejected: %v", err)
-	} else {
-		r.Close()
 	}
 }

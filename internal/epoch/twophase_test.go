@@ -24,12 +24,10 @@ func TestBuildCommitMatchesRunEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer one.Close()
 	two, err := New(twoPhaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer two.Close()
 
 	for e := 1; e <= 4; e++ {
 		stOne := one.RunEpoch()
@@ -67,7 +65,6 @@ func TestBuildIdempotentWhilePending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 
 	first, err := s.BuildEpochContext(context.Background())
 	if err != nil {
@@ -92,7 +89,6 @@ func TestCommitWithoutPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if _, ok := s.CommitEpoch(); ok {
 		t.Fatal("CommitEpoch reported ok with no pending build")
 	}
@@ -113,12 +109,10 @@ func TestAbortPendingReplaysIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plain.Close()
 	aborted, err := New(twoPhaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer aborted.Close()
 
 	stPlain := plain.RunEpoch()
 
@@ -179,12 +173,10 @@ func TestMidBuildAbortReplaysIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer plain.Close()
 	cancelled, err := New(twoPhaseConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cancelled.Close()
 
 	stPlain := plain.RunEpoch()
 

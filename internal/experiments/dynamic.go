@@ -34,7 +34,6 @@ func e4Dynamic(ctx context.Context, o Options, em Emitter) error {
 	if err != nil {
 		panic(err)
 	}
-	defer s.Close()
 	em.Header("epoch", "qfSingle", "qfDual", "redFrac1", "redFrac2", "searchFail")
 	for e := 0; e < epochs; e++ {
 		st, err := s.RunEpochContext(ctx)
@@ -83,13 +82,11 @@ func e5Ablation(ctx context.Context, o Options, em Emitter) error {
 		for e := 0; e < epochs; e++ {
 			st, err := s.RunEpochContext(ctx)
 			if err != nil {
-				s.Close()
 				return err
 			}
 			qfEff := st.QfDual // the corruption probability per construction step
 			em.Row(label, itoa(st.Epoch), f4(qfEff), f4(st.RedFraction[0]), f4(st.SearchFailRate))
 		}
-		s.Close()
 	}
 	em.Note("Expected shape: with 1 graph the per-step corruption qfEff equals qf and compounds — redFrac and")
 	em.Note("searchFail drift upward epoch over epoch; with 2 graphs qfEff ≈ qf² and the series stays flat.")
@@ -143,7 +140,6 @@ func e10Cuckoo(ctx context.Context, o Options, em Emitter) error {
 		if err != nil {
 			panic(err)
 		}
-		defer s.Close()
 		var worst float64
 		epochs := 3
 		for e := 0; e < epochs; e++ {
@@ -186,7 +182,6 @@ func e12State(ctx context.Context, o Options, em Emitter) error {
 		if err != nil {
 			panic(err)
 		}
-		defer s.Close()
 		st := s.RunEpoch()
 		nBad := int(cfg.Params.Beta * float64(n))
 		return []string{boolStr(verify), itoa(cfg.SpamFactor), itoa(nBad * cfg.SpamFactor),

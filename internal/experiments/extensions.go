@@ -112,7 +112,6 @@ func e15Departures(ctx context.Context, o Options, em Emitter) error {
 		if err != nil {
 			panic(err)
 		}
-		defer s.Close()
 		st := s.RunEpoch()
 		return []string{f3(frac), f3(cfg.Params.GoodDepartureBound()), itoa(st.DepartedMembers),
 			itoa(st.MajoritiesLost), f4(st.RedFraction[0]), f4(st.SearchFailRate)}
@@ -152,7 +151,6 @@ func e16Bootstrap(ctx context.Context, o Options, em Emitter) error {
 		if err != nil {
 			panic(err)
 		}
-		defer s.Close()
 		g := s.Generation().Graphs[0]
 		var out [][]string
 		for _, count := range []int{1, epoch.BootGroupCount(n), 2 * epoch.BootGroupCount(n)} {
@@ -336,7 +334,6 @@ func e20SizeDrift(ctx context.Context, o Options, em Emitter) error {
 		if err != nil {
 			panic(err)
 		}
-		defer s.Close()
 		var out [][]string
 		for e := 0; e < epochs; e++ {
 			st := s.RunEpoch()

@@ -87,7 +87,6 @@ func referenceCases(t *testing.T) []referenceCase {
 			t.Fatal(err)
 		}
 		sys.RunEpoch()
-		sys.Close()
 		gs := sys.Generation().Graphs
 		confused := 0
 		for rank := 0; rank < gs[0].N(); rank++ {

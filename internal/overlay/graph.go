@@ -31,7 +31,7 @@ import (
 //
 // Graphs are immutable once built: all methods are safe for concurrent
 // readers, which is what lets the epoch pipeline fan searches over a shared
-// old graph across a worker pool without locks.
+// old graph across workers without locks.
 type Graph interface {
 	// Name identifies the construction ("chord", "debruijn", "viceroy").
 	Name() string

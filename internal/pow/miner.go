@@ -3,10 +3,10 @@ package pow
 import (
 	"context"
 	"encoding/binary"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/engine"
 	"repro/internal/hashes"
 )
 
@@ -202,15 +202,7 @@ func SolveSharded(r []byte, p Params, seed int64, maxAttempts, workers int) (Sol
 // mint path, where a caller abandoning a request must release its solver
 // goroutines promptly.
 func SolveShardedContext(ctx context.Context, r []byte, p Params, seed int64, maxAttempts, workers int) (Solution, bool, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > maxAttempts {
-		workers = maxAttempts
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(min(engine.Workers(workers), maxAttempts), 1)
 	// bestIdx holds the smallest solving attempt index found so far;
 	// maxAttempts+1 means "none yet". Every index below the final value is
 	// scanned by some claim: claims are monotone off the cursor, a claim is

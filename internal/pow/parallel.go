@@ -1,9 +1,7 @@
 package pow
 
 import (
-	"runtime"
-	"sync"
-
+	"repro/internal/engine"
 	"repro/internal/ring"
 )
 
@@ -17,45 +15,24 @@ type Claim struct {
 	Sigma []byte
 }
 
-// VerifyBatch checks many claims against one epoch string on a worker pool
+// VerifyBatch checks many claims against one epoch string across workers
 // and returns the per-claim verdicts in input order. It serves the literal
 // PoW layer (E6's validation rows, tests, and the /v1/verify endpoint); the
 // epoch simulation itself stays on the statistical substitution of mint.go
 // and models verification as accept/reject probabilities rather than
 // literal hashing. Each claim's verdict is independent, so results never
 // depend on scheduling. workers ≤ 0 means GOMAXPROCS.
+//
+// A Verify costs well under a microsecond, so each worker claims one
+// contiguous range of claims rather than one claim at a time.
 func VerifyBatch(claims []Claim, r []byte, p Params, workers int) []bool {
 	out := make([]bool, len(claims))
-	if len(claims) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(claims) {
-		workers = len(claims)
-	}
-	if workers <= 1 {
-		for i, c := range claims {
-			out[i] = Verify(c.ID, c.Sigma, r, p)
+	n := len(claims)
+	w := min(engine.Workers(workers), n)
+	engine.ForEach(w, w, func(_, s int) {
+		for i := s * n / w; i < (s+1)*n/w; i++ {
+			out[i] = Verify(claims[i].ID, claims[i].Sigma, r, p)
 		}
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (len(claims) + workers - 1) / workers
-	for lo := 0; lo < len(claims); lo += chunk {
-		hi := lo + chunk
-		if hi > len(claims) {
-			hi = len(claims)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = Verify(claims[i].ID, claims[i].Sigma, r, p)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return out
 }

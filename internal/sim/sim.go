@@ -1,6 +1,6 @@
 // Package sim is the message-passing runtime the protocol simulations
 // execute on: a synchronous-round network of nodes whose per-round Step
-// functions run concurrently on a goroutine worker pool ("share memory by
+// functions run concurrently across goroutine workers ("share memory by
 // communicating" — nodes interact only through messages).
 //
 // The model matches the paper's notion of steps: a message sent in round r
@@ -9,19 +9,16 @@
 // knowledge is modeled by letting Byzantine node constructors share state
 // among themselves (the paper's single coordinating adversary).
 //
-// The runtime is allocation-free in steady state: the worker pool is
-// started once per Run (not once per round), inboxes are double-buffered
-// and reused round over round, and outbox routing is sharded by recipient
-// across the same workers. Each recipient's inbox is filled by exactly one
-// worker scanning senders in ascending order, so inboxes arrive sorted by
-// (sender, send order) — a total, schedule-independent order that needs no
-// post-hoc sort.
+// Inboxes are double-buffered and reused round over round, and outbox
+// routing is sharded by recipient across the same workers that step the
+// nodes, so a single-worker round allocates nothing in steady state. Each
+// recipient's inbox is filled by exactly one worker scanning senders in
+// ascending order, so inboxes arrive sorted by (sender, send order) — a
+// total, schedule-independent order that needs no post-hoc sort.
 package sim
 
 import (
-	"runtime"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/engine"
 )
@@ -57,7 +54,8 @@ type Network struct {
 	// overlay-topology communication (good nodes only talk to neighbors).
 	adj           [][]NodeID
 	adjRestricted int
-	// workers caps the Step worker pool; defaults to GOMAXPROCS.
+	// workers caps the Step and routing fan-out; 0 (the default) means
+	// GOMAXPROCS.
 	workers int
 
 	inbox    [][]Message // current-round inboxes, buffers reused across rounds
@@ -90,10 +88,9 @@ func (st *Stats) add(rc routeTally) {
 // New creates a network over the given nodes with unrestricted topology.
 func New(nodes []Node) *Network {
 	return &Network{
-		nodes:   nodes,
-		workers: runtime.GOMAXPROCS(0),
-		inbox:   make([][]Message, len(nodes)),
-		next:    make([][]Message, len(nodes)),
+		nodes: nodes,
+		inbox: make([][]Message, len(nodes)),
+		next:  make([][]Message, len(nodes)),
 	}
 }
 
@@ -173,19 +170,16 @@ func (nw *Network) Run(rounds int) Stats {
 	if nw.next == nil { // networks predating double-buffering (zero value)
 		nw.next = make([][]Message, n)
 	}
-	workers := nw.workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(engine.Workers(nw.workers), n)
 	if workers <= 1 {
 		return nw.runSerial(rounds)
 	}
-	return nw.runPool(rounds, workers)
+	return nw.runParallel(rounds, workers)
 }
 
 // runSerial is the single-worker fast path: no goroutines, no atomics, and
-// zero allocations per round in steady state. Kept out of runPool so its
-// locals are not forced to the heap by the pool's closures.
+// zero allocations per round in steady state. Kept out of runParallel so
+// its locals are not forced to the heap by the fan-out closures.
 func (nw *Network) runSerial(rounds int) Stats {
 	var rc routeTally
 	for r := 0; r < rounds; r++ {
@@ -201,44 +195,20 @@ func (nw *Network) runSerial(rounds int) Stats {
 	return nw.stats
 }
 
-// runPool executes rounds on an engine.Pool started once for the whole
-// Run (the pool extraction of the runtime's original bespoke worker loop).
-// Each round broadcasts two phases: Step (nodes claimed off a shared
-// cursor) and Route (recipient shards claimed the same way). The pool's
-// phase hand-off and wait order all cross-worker memory accesses.
-func (nw *Network) runPool(rounds, workers int) Stats {
-	n := len(nw.nodes)
-	var (
-		cursor  atomic.Int64
-		tallies = make([]routeTally, workers)
-	)
-	pool := engine.NewPool(workers)
-	defer pool.Close()
-	stepPhase := func(w int) {
-		round := nw.curRound
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= n {
-				break
-			}
-			nw.outboxes[i] = nw.nodes[i].Step(round, nw.inbox[i])
-		}
+// runParallel executes rounds on `workers` workers. Each round is two
+// engine.ForEach fan-outs: Step (one index per node) and Route (one index
+// per recipient shard). Each ForEach returns only when its workers are
+// done, which orders all cross-worker memory accesses between phases.
+func (nw *Network) runParallel(rounds, workers int) Stats {
+	tallies := make([]routeTally, workers)
+	step := func(_, i int) {
+		nw.outboxes[i] = nw.nodes[i].Step(nw.curRound, nw.inbox[i])
 	}
-	routePhase := func(w int) {
-		for {
-			s := int(cursor.Add(1)) - 1
-			if s >= workers {
-				break
-			}
-			nw.routeShard(s, workers, &tallies[w])
-		}
-	}
+	route := func(w, s int) { nw.routeShard(s, workers, &tallies[w]) }
 	for r := 0; r < rounds; r++ {
 		nw.curRound = nw.stats.Rounds
-		cursor.Store(0)
-		pool.Run(stepPhase)
-		cursor.Store(0)
-		pool.Run(routePhase)
+		engine.ForEach(workers, len(nw.nodes), step)
+		engine.ForEach(workers, workers, route)
 		nw.inbox, nw.next = nw.next, nw.inbox
 		nw.stats.Rounds++
 	}

@@ -289,7 +289,7 @@ func (tn *trafficNode) Step(round int, inbox []Message) []Message {
 }
 
 // TestWorkerCountNeverChangesResults runs one deterministic traffic pattern
-// at several pool sizes and demands identical per-node observation traces
+// at several worker counts and demands identical per-node observation traces
 // and stats — the sim-level version of the repo's -parallel 1 ≡ -parallel 8
 // contract.
 func TestWorkerCountNeverChangesResults(t *testing.T) {
@@ -332,7 +332,7 @@ func TestWorkerCountNeverChangesResults(t *testing.T) {
 }
 
 // TestSteadyStateRoundAllocationFree is the allocation-regression gate for
-// the persistent runtime: once inbox/outbox buffers have warmed up, a round
+// the serial runtime: once inbox/outbox buffers have warmed up, a round
 // on a fixed topology must not allocate at all (single-worker path, which
 // is what GOMAXPROCS=1 CI exercises).
 func TestSteadyStateRoundAllocationFree(t *testing.T) {

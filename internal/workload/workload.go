@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/tinygroups"
@@ -157,38 +156,28 @@ type Result struct {
 // when ctx cancels; the partial counts are still returned.
 func Run(ctx context.Context, do Do, gen Generator, seed int64, ops, workers int) (Result, error) {
 	var (
-		res  Result
-		mu   sync.Mutex
-		next atomic.Int64
-		wg   sync.WaitGroup
+		res Result
+		mu  sync.Mutex
 	)
-	for w := 0; w < max(workers, 1); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= ops {
-					return
-				}
-				out, err := do(ctx, gen.Op(seed, i))
-				mu.Lock()
-				res.Ops++
-				switch {
-				case err != nil:
-					res.Errors++
-				case out == OK:
-					res.OK++
-				case out == Unreachable:
-					res.Unreachable++
-				case out == NotFound:
-					res.NotFound++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
+	engine.ForEach(max(workers, 1), ops, func(_, i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		out, err := do(ctx, gen.Op(seed, i))
+		mu.Lock()
+		res.Ops++
+		switch {
+		case err != nil:
+			res.Errors++
+		case out == OK:
+			res.OK++
+		case out == Unreachable:
+			res.Unreachable++
+		case out == NotFound:
+			res.NotFound++
+		}
+		mu.Unlock()
+	})
 	if res.Ops > 0 {
 		res.SuccessRate = float64(res.OK+res.NotFound) / float64(res.Ops)
 	}

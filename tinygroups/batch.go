@@ -2,9 +2,9 @@ package tinygroups
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/engine"
+	"repro/internal/groups"
 )
 
 // KV is one key/value pair of a PutBatch.
@@ -42,45 +42,27 @@ func (s *System) searchBatch(ctx context.Context, op Op, keys []string) ([]Batch
 		return out, nil
 	}
 	snap := s.snap.Load()
-	workers := s.cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	// One search scratch per worker, borrowed on the worker's first key.
+	scratch := make([]*groups.SearchScratch, engine.Workers(s.cfg.workers))
+	defer func() {
+		for _, sc := range scratch {
+			if sc != nil {
+				s.putScratch(sc)
+			}
+		}
+	}()
 	for lo := 0; lo < len(keys); lo += batchChunk {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		hi := min(lo+batchChunk, len(keys))
-		w := min(workers, hi-lo)
-		if w == 1 {
-			sc := s.getScratch()
-			for idx := lo; idx < hi; idx++ {
-				info, err := snap.lookupAt(keys[idx], sc)
-				out[idx] = BatchResult{Info: info, Err: err}
+		engine.ForEach(s.cfg.workers, hi-lo, func(w, i int) {
+			if scratch[w] == nil {
+				scratch[w] = s.getScratch()
 			}
-			s.putScratch(sc)
-			continue
-		}
-		var next atomic.Int64
-		next.Store(int64(lo))
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc := s.getScratch()
-				defer s.putScratch(sc)
-				for {
-					idx := int(next.Add(1)) - 1
-					if idx >= hi {
-						return
-					}
-					info, err := snap.lookupAt(keys[idx], sc)
-					out[idx] = BatchResult{Info: info, Err: err}
-				}
-			}()
-		}
-		wg.Wait()
+			info, err := snap.lookupAt(keys[lo+i], scratch[w])
+			out[lo+i] = BatchResult{Info: info, Err: err}
+		})
 	}
 	if obs := s.cfg.observer; obs != nil {
 		for i, br := range out {

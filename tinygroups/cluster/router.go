@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/wire"
 	"repro/tinygroups"
 )
@@ -110,19 +111,33 @@ func (rt *Router) logf(format string, args ...any) {
 }
 
 func (rt *Router) routes() *http.ServeMux {
+	post, get := http.MethodPost, http.MethodGet
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/lookup", rt.keyedForward(keyOfBody))
-	mux.HandleFunc("/v1/put", rt.keyedForward(keyOfBody))
-	mux.HandleFunc("/v1/compute", rt.keyedForward(keyOfBody))
-	mux.HandleFunc("/v1/mint", rt.keyedForward(minerOfBody))
-	mux.HandleFunc("/v1/get", rt.handleGet)
-	mux.HandleFunc("/v1/verify", rt.handleVerify)
-	mux.HandleFunc("/v1/lookup/batch", rt.handleLookupBatch)
-	mux.HandleFunc("/v1/put/batch", rt.handlePutBatch)
-	mux.HandleFunc("/v1/epoch/advance", rt.handleAdvance)
-	mux.HandleFunc("/healthz", rt.handleHealth)
-	mux.HandleFunc("/metrics", rt.handleMetrics)
+	mux.HandleFunc("/v1/lookup", only(post, rt.keyedForward(keyOfBody)))
+	mux.HandleFunc("/v1/put", only(post, rt.keyedForward(keyOfBody)))
+	mux.HandleFunc("/v1/compute", only(post, rt.keyedForward(keyOfBody)))
+	mux.HandleFunc("/v1/mint", only(post, rt.keyedForward(minerOfBody)))
+	mux.HandleFunc("/v1/get", only(get, rt.handleGet))
+	mux.HandleFunc("/v1/verify", only(post, rt.handleVerify))
+	mux.HandleFunc("/v1/lookup/batch", only(post, rt.handleLookupBatch))
+	mux.HandleFunc("/v1/put/batch", only(post, rt.handlePutBatch))
+	mux.HandleFunc("/v1/epoch/advance", only(post, rt.handleAdvance))
+	mux.HandleFunc("/healthz", only(get, rt.handleHealth))
+	mux.HandleFunc("/metrics", only(get, rt.handleMetrics))
 	return mux
+}
+
+// only admits requests of one method and answers any other with the same
+// 405 a standalone daemon gives, byte for byte.
+func only(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			w.Header().Set("Allow", method)
+			writeJSON(w, http.StatusMethodNotAllowed, wire.Error{Error: "use " + method, Code: "method_not_allowed"})
+			return
+		}
+		h(w, r)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -286,15 +301,7 @@ func (rt *Router) postShard(ctx context.Context, shard int, path string, in, out
 // per-shard errors (nil entries for successes).
 func (rt *Router) eachShard(fn func(shard int) error) []error {
 	errs := make([]error, rt.Shards())
-	var wg sync.WaitGroup
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
+	engine.ForEach(len(errs), len(errs), func(_, i int) { errs[i] = fn(i) })
 	return errs
 }
 
@@ -361,11 +368,6 @@ func (rt *Router) Advance(ctx context.Context) (tinygroups.Stats, error) {
 // handleAdvance exposes the coordinated advance at the router, replacing
 // the shard-local /v1/epoch/advance for cluster clients.
 func (rt *Router) handleAdvance(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, wire.Error{Error: "use POST", Code: "method_not_allowed"})
-		return
-	}
 	st, err := rt.Advance(r.Context())
 	if err != nil {
 		code := "shard_unreachable"

@@ -250,6 +250,61 @@ func TestRouterRejectsOversizedBatch(t *testing.T) {
 	}
 }
 
+// send issues one request with a raw body and returns (status, Allow
+// header, raw body).
+func send(t *testing.T, method, url, body string) (int, string, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get("Allow"), b
+}
+
+// TestRouterWrongMethodMatchesDaemon sends every router route a wrong
+// method, with a body the right method would accept, and demands the
+// standalone daemon's exact 405 (status, Allow header, body) at K = 1 and
+// K = 2. A refused write must not be applied.
+func TestRouterWrongMethodMatchesDaemon(t *testing.T) {
+	_, ref := newShard(t, 0, 1)
+	routes := []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/lookup", `{"key":"k"}`},
+		{http.MethodPut, "/v1/put", `{"key":"k","value":"dg=="}`},
+		{http.MethodGet, "/v1/compute", `{"key":"k","input":1}`},
+		{http.MethodGet, "/v1/mint", `{"miner":"m","count":1}`},
+		{http.MethodPost, "/v1/get?key=k", ""},
+		{http.MethodGet, "/v1/verify", `{"claims":[]}`},
+		{http.MethodPut, "/v1/lookup/batch", `{"keys":["k"]}`},
+		{http.MethodPut, "/v1/put/batch", `{"pairs":[{"key":"k","value":"dg=="}]}`},
+		{http.MethodGet, "/v1/epoch/advance", ""},
+		{http.MethodPost, "/healthz", ""},
+		{http.MethodPost, "/metrics", ""},
+	}
+	for _, k := range []int{1, 2} {
+		_, rts := newCluster(t, k)
+		for _, c := range routes {
+			stR, allowR, bodyR := send(t, c.method, ref.URL+c.path, c.body)
+			stC, allowC, bodyC := send(t, c.method, rts.URL+c.path, c.body)
+			if stR != http.StatusMethodNotAllowed || stC != stR || allowC != allowR || !bytes.Equal(bodyC, bodyR) {
+				t.Errorf("K=%d %s %s: standalone %d (Allow %q) %s vs router %d (Allow %q) %s",
+					k, c.method, c.path, stR, allowR, bodyR, stC, allowC, bodyC)
+			}
+		}
+		if st, body := get(t, rts.URL+"/v1/get?key=k"); st != http.StatusNotFound {
+			t.Errorf("K=%d: a refused put was applied: GET /v1/get?key=k answered %d %s", k, st, body)
+		}
+	}
+}
+
 // TestRouterForwardsKeyedEndpoints pins that the router lands every keyed
 // request on the owning shard: no daemon ever answers 421 through the
 // router, and mint/verify round-trip.

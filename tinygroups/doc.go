@@ -33,8 +33,8 @@
 // Every operation takes a context. AdvanceEpoch polls it between per-ID
 // construction batches: on cancellation the epoch aborts cleanly (the
 // generation swap never happens) and the System keeps serving the old
-// generation. Close releases the construction worker pool; operations on
-// a closed System fail with ErrClosed, except reads through a Snapshot
+// generation. Close syncs a durable System's op log; operations on a
+// closed System fail with ErrClosed, except reads through a Snapshot
 // pinned before the close.
 //
 // # Concurrency

@@ -34,8 +34,8 @@ func ExampleNew() {
 	// n=4 rejected: true
 }
 
-// ExampleSystem_LookupBatch routes a batch of keys concurrently over the
-// system's worker pool; per-key outcomes come back in key order, and the
+// ExampleSystem_LookupBatch routes a batch of keys concurrently across
+// the system's readers; per-key outcomes come back in key order, and the
 // results are identical at every worker count.
 func ExampleSystem_LookupBatch() {
 	sys, err := tinygroups.New(256, tinygroups.WithSeed(1))

@@ -64,8 +64,8 @@ func WithStrategy(s Strategy) Option { return func(c *config) { c.strategy = s }
 // makes derives from this seed.
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
 
-// WithWorkers caps the construction worker pool used by AdvanceEpoch and
-// the reader fan-out width of the batch operations; 0 (the default) means
+// WithWorkers caps the construction fan-out of AdvanceEpoch and the
+// reader fan-out width of the batch operations; 0 (the default) means
 // GOMAXPROCS. It affects wall-clock only — results are identical at every
 // setting.
 func WithWorkers(workers int) Option { return func(c *config) { c.workers = workers } }

@@ -206,7 +206,6 @@ func New(n int, opts ...Option) (*System, error) {
 	}
 	if loaded != nil {
 		if err := s.finishRecovery(loaded); err != nil {
-			dyn.Close()
 			return nil, err
 		}
 		return s, nil
@@ -219,26 +218,24 @@ func New(n int, opts ...Option) (*System, error) {
 		err := s.persistLocked()
 		s.wmu.unlock()
 		if err != nil {
-			dyn.Close()
 			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
 	}
 	return s, nil
 }
 
-// Close releases the system's construction worker pool and, on a durable
-// System, syncs and closes the op log — the one fsync of the puts
-// acknowledged since the last snapshot, whose failure Close returns. It is
-// idempotent: a second Close returns nil. Every other operation on a
-// closed System fails with ErrClosed, except reads through a Snapshot
-// pinned before the close (immutable generation data needs no pool).
+// Close marks the system closed and, on a durable System, syncs and
+// closes the op log — the one fsync of the puts acknowledged since the
+// last snapshot, whose failure Close returns. It is idempotent: a second
+// Close returns nil. Every other operation on a closed System fails with
+// ErrClosed, except reads through a Snapshot pinned before the close
+// (immutable generation data outlives the System).
 func (s *System) Close() error {
 	s.wmu.lockWait()
 	defer s.wmu.unlock()
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.dyn.Close()
 	d := s.durable
 	if d == nil || d.oplog == nil {
 		return nil
