@@ -168,10 +168,13 @@ func goid() int {
 	return id
 }
 
-// TestForEachContract pins ForEach's contract: every index runs exactly
-// once, worker indices stay below the effective worker count, n = 0 calls
-// nothing, and one worker runs everything inline on the caller's goroutine.
-func TestForEachContract(t *testing.T) {
+// The four TestPool* tests check on ForEach what they once checked on the
+// long-lived worker pool it replaced: full index coverage, in-range worker
+// indices per phase, nothing left to shut down, and the GOMAXPROCS default.
+
+// TestPoolForEachCoversAllIndices: every index runs exactly once, n = 0
+// calls nothing, and worker indices stay below the effective worker count.
+func TestPoolForEachCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 4, 16} {
 		for _, n := range []int{0, 1, 3, 1000} {
 			t.Run(fmt.Sprintf("workers=%d/n=%d", workers, n), func(t *testing.T) {
@@ -195,22 +198,77 @@ func TestForEachContract(t *testing.T) {
 			})
 		}
 	}
-	t.Run("serial-inline", func(t *testing.T) {
-		caller := goid()
-		var order []int
-		ForEach(1, 50, func(w, i int) {
-			if w != 0 || goid() != caller {
-				t.Errorf("index %d ran on worker %d, goroutine %d; want worker 0 on the caller's %d", i, w, goid(), caller)
+}
+
+// TestPoolRunExecutesOncePerSlot: a phase that hands one item to each of 4
+// workers, run three times, executes exactly 12 calls, each with a worker
+// index in range.
+func TestPoolRunExecutesOncePerSlot(t *testing.T) {
+	var total atomic.Int32
+	for phase := 0; phase < 3; phase++ {
+		ForEach(4, 4, func(w, _ int) {
+			if w < 0 || w >= 4 {
+				t.Errorf("worker index %d out of range", w)
 			}
-			order = append(order, i)
+			total.Add(1)
 		})
-		for i, v := range order {
-			if v != i {
-				t.Fatalf("serial order broken at %d: %v", i, order)
-			}
+	}
+	if total.Load() != 12 {
+		t.Fatalf("ran %d slots, want 12", total.Load())
+	}
+}
+
+// TestPoolCloseIdempotentAndSerialNoop: one worker runs everything inline on
+// the caller's goroutine in index order, and a parallel call leaves no
+// goroutine behind, so there is nothing to close.
+func TestPoolCloseIdempotentAndSerialNoop(t *testing.T) {
+	caller := goid()
+	var order []int
+	ForEach(1, 50, func(w, i int) {
+		if w != 0 || goid() != caller {
+			t.Errorf("index %d ran on worker %d, goroutine %d; want worker 0 on the caller's %d", i, w, goid(), caller)
 		}
-		if len(order) != 50 {
-			t.Fatalf("ran %d of 50 indices", len(order))
-		}
+		order = append(order, i)
 	})
+	if len(order) != 50 {
+		t.Fatalf("ran %d of 50 indices", len(order))
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("serial order broken at %d: %v", i, order)
+		}
+	}
+
+	before := runtime.NumGoroutine()
+	ForEach(8, 64, func(_, _ int) {})
+	// A worker that has signalled done may still be unwinding; give it a
+	// moment before counting.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before ForEach, %d after", before, after)
+	}
+}
+
+// TestPoolDefaultsToGOMAXPROCS: workers <= 0 fans out over GOMAXPROCS
+// workers, no more.
+func TestPoolDefaultsToGOMAXPROCS(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, req := range []int{0, -3} {
+		var bad, calls atomic.Int32
+		ForEach(req, 10*procs, func(w, _ int) {
+			if w < 0 || w >= procs {
+				bad.Add(1)
+			}
+			calls.Add(1)
+		})
+		if bad.Load() != 0 {
+			t.Errorf("workers=%d: %d calls saw a worker index outside [0, %d)", req, bad.Load(), procs)
+		}
+		if calls.Load() != int32(10*procs) {
+			t.Errorf("workers=%d: ran %d of %d indices", req, calls.Load(), 10*procs)
+		}
+	}
 }
