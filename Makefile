@@ -102,11 +102,12 @@ chaos-smoke:
 	"$$tmp/chaos" -daemon "$$tmp/tinygroupsd" -addr $(CHAOS_ADDR) -n 512 -ops 300
 
 # cluster-smoke gates cluster mode end to end with the real binaries: two
-# shard daemons (-shard-index/-shard-count) and a tinygroupsrouter boot;
-# every curl below must answer 200 — router /healthz "ok" (the shards agree
-# on epoch and fingerprint), a coordinated two-phase advance, a batch put
-# and a batch lookup scatter-gathered across both shards, and /healthz "ok"
-# again after the advance — and all three processes drain cleanly on
+# replica daemons (-shard-index/-shard-count label them) and a
+# tinygroupsrouter boot; every curl below must answer 200 — router /healthz
+# "ok" (the replicas agree on epoch and fingerprint), a coordinated
+# two-phase advance, a batch put written to both replicas, a batch lookup
+# through the router, a GET of a put key sent to each replica directly,
+# and /healthz "ok" again — and all three processes drain cleanly on
 # SIGTERM (each exit status is an assertion).
 cluster-smoke:
 	@set -e; \
@@ -125,6 +126,8 @@ cluster-smoke:
 	curl -fsS -X POST $$router/v1/put/batch \
 		-d '{"pairs":[{"key":"a","value":"MQ=="},{"key":"b","value":"Mg=="},{"key":"c","value":"Mw=="},{"key":"d","value":"NA=="}]}' > /dev/null; \
 	curl -fsS -X POST $$router/v1/lookup/batch -d '{"keys":["a","b","c","d"]}' > /dev/null; \
+	curl -fsS "http://$(CLUSTER_SHARD0_ADDR)/v1/get?key=a" > /dev/null; \
+	curl -fsS "http://$(CLUSTER_SHARD1_ADDR)/v1/get?key=a" > /dev/null; \
 	curl -fsS $$router/healthz | grep -q '"status":"ok"'; \
 	kill -TERM $$rp $$s0 $$s1; \
 	wait $$rp; wait $$s0; wait $$s1; \

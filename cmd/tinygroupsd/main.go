@@ -20,12 +20,12 @@
 // against an existing data dir fails at startup; wipe the directory to
 // start over.
 //
-// In cluster mode (-shard-count K > 1) the daemon serves only the keys
-// whose ring point falls in shard I's contiguous range, answering a typed
-// 421 wrong_shard for the rest; a tinygroupsrouter in front maps keys to
-// shards. Every shard of a cluster must share -n and -seed — the
-// generations are deterministic replicas, only the serving plane is
-// partitioned.
+// In a cluster every daemon is a full replica: a tinygroupsrouter in front
+// sends each read to one of them and each write to all of them.
+// -shard-index I and -shard-count K only label the daemon (in /healthz and
+// the startup log line). Every replica of a cluster must share -n and
+// -seed, and the flags that shape the construction, so that its
+// generations are deterministic copies of the others'.
 //
 // Endpoints (all JSON):
 //
@@ -92,7 +92,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	dataDir := fs.String("data-dir", "", "durable state directory: snapshot each epoch boundary, op-log puts, restore on restart (empty = in-memory only)")
 	snapshotKeep := fs.Int("snapshot-keep", 3, "how many epoch snapshots to retain in -data-dir")
 	shardIndex := fs.Int("shard-index", 0, "this daemon's shard number in a cluster (0-based; requires -shard-count)")
-	shardCount := fs.Int("shard-count", 1, "cluster size; >1 serves only this shard's ring range and 421s the rest")
+	shardCount := fs.Int("shard-count", 1, "cluster size, reported in /healthz; every replica serves every key")
 	showVersion := fs.Bool("version", false, "print the build version and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2

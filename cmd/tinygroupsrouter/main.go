@@ -1,8 +1,8 @@
-// Command tinygroupsrouter fronts a cluster of tinygroupsd shards: it
-// maps each key's ring point to the shard owning that contiguous range,
-// forwards keyed requests, scatter-gathers batches, aggregates /healthz
-// and /metrics, and drives the coordinated two-phase epoch advance
-// (build everywhere, then flip everywhere — or abort everywhere).
+// Command tinygroupsrouter fronts a cluster of tinygroupsd replicas: it
+// sends each read to one replica, round-robin, writes each put to every
+// replica in one order, aggregates /healthz and /metrics, and drives the
+// coordinated two-phase epoch advance (build everywhere, then flip
+// everywhere — or abort everywhere).
 //
 // Usage:
 //
@@ -10,10 +10,12 @@
 //	                 [-epoch-interval D] [-request-timeout D]
 //	                 [-advance-timeout D] [-version]
 //
-// The i-th URL must be the daemon started with -shard-index i; the
-// cluster size is len(-shards). Run exactly one advance driver per
-// cluster: either this router's -epoch-interval ticker or explicit
-// POSTs to its /v1/epoch/advance — never the shards' own tickers.
+// Every replica answers every key, so the order of -shards only names
+// the members in /healthz and /metrics. The router is the cluster's write
+// sequencer: run exactly one per cluster, and let it drive the epochs,
+// either by its -epoch-interval ticker or by explicit POSTs to its
+// /v1/epoch/advance — never by the shards' own tickers. Writes through it
+// run one at a time, which is what one daemon's writer lock allows.
 //
 // SIGINT/SIGTERM drain in-flight requests and let a mid-flight
 // coordinated advance finish its phase before exiting. A clean drain

@@ -7,46 +7,29 @@ import (
 	"repro/tinygroups"
 )
 
-// This file is the serve-side cluster surface: the batch endpoints the
-// router scatter-gathers across shards, and the two-phase epoch endpoints
-// (build / flip / abort) its coordinated advance drives. Everything here
-// also works on a standalone daemon — the batch endpoints are just the
-// amortized form of /v1/lookup and /v1/put, and build+flip equals advance.
+// This file is the serve-side cluster surface: the batch endpoints and
+// the two-phase epoch endpoints (build / flip / abort) the router's
+// coordinated advance drives. Everything here also works on a standalone
+// daemon — the batch endpoints are just the amortized form of /v1/lookup
+// and /v1/put, and build+flip equals advance.
 
-// batchItemOf maps one BatchResult onto the wire shape.
-func batchItemOf(key string, br tinygroups.BatchResult) wire.BatchItem {
-	it := wire.BatchItem{Key: key}
-	if br.Err != nil {
-		_, it.Code = statusOf(br.Err)
-		it.Error = br.Err.Error()
-		return it
-	}
-	it.Code = "ok"
-	it.Owner = pointHex(br.Info.Owner)
-	it.Hops = br.Info.Hops
-	it.Messages = br.Info.Messages
-	return it
-}
-
-// splitOwned partitions keys into the owned subset (returned with its
-// original indexes) and pre-fills out with wrong_shard items for the rest.
-// On a standalone server every key is owned and out is untouched.
-func (s *Server) splitOwned(keys []string, out []wire.BatchItem) (owned []string, idx []int) {
-	if s.cfg.ShardCount <= 1 {
-		return keys, nil
-	}
-	owned = make([]string, 0, len(keys))
-	idx = make([]int, 0, len(keys))
-	for i, k := range keys {
-		if s.owns(tinygroups.KeyPoint(k)) {
-			owned = append(owned, k)
-			idx = append(idx, i)
-			continue
+// batchResponseOf maps per-key results, in request order, onto the wire
+// shape.
+func batchResponseOf(results []tinygroups.BatchResult, keyOf func(i int) string) wire.BatchResponse {
+	out := make([]wire.BatchItem, len(results))
+	for i, br := range results {
+		it := wire.BatchItem{Key: keyOf(i), Code: "ok"}
+		if br.Err != nil {
+			_, it.Code = statusOf(br.Err)
+			it.Error = br.Err.Error()
+		} else {
+			it.Owner = pointHex(br.Info.Owner)
+			it.Hops = br.Info.Hops
+			it.Messages = br.Info.Messages
 		}
-		s.m.wrongShard.Add(1)
-		out[i] = wire.BatchItem{Key: k, Code: "wrong_shard", Error: errWrongShard.Error()}
+		out[i] = it
 	}
-	return owned, idx
+	return wire.BatchResponse{Results: out}
 }
 
 func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
@@ -68,23 +51,14 @@ func (s *Server) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.lookupBatchedOps.Add(int64(len(req.Keys)))
-	out := make([]wire.BatchItem, len(req.Keys))
-	owned, idx := s.splitOwned(req.Keys, out)
 	// Like single lookups, the batch resolves lock-free on the handler
 	// goroutine against one pinned snapshot.
-	results, err := s.sys.LookupBatch(r.Context(), owned)
+	results, err := s.sys.LookupBatch(r.Context(), req.Keys)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	for j, br := range results {
-		i := j
-		if idx != nil {
-			i = idx[j]
-		}
-		out[i] = batchItemOf(owned[j], br)
-	}
-	writeJSON(w, http.StatusOK, wire.BatchResponse{Results: out})
+	writeJSON(w, http.StatusOK, batchResponseOf(results, func(i int) string { return req.Keys[i] }))
 }
 
 func (s *Server) handlePutBatch(w http.ResponseWriter, r *http.Request) {
@@ -105,33 +79,16 @@ func (s *Server) handlePutBatch(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, wire.OverBatchLimit("pairs"))
 		return
 	}
-	keys := make([]string, len(req.Pairs))
+	pairs := make([]tinygroups.KV, len(req.Pairs))
 	for i, kv := range req.Pairs {
-		keys[i] = kv.Key
-	}
-	out := make([]wire.BatchItem, len(req.Pairs))
-	owned, idx := s.splitOwned(keys, out)
-	pairs := make([]tinygroups.KV, len(owned))
-	for j := range owned {
-		i := j
-		if idx != nil {
-			i = idx[j]
-		}
-		pairs[j] = tinygroups.KV{Key: req.Pairs[i].Key, Value: req.Pairs[i].Value}
+		pairs[i] = tinygroups.KV(kv)
 	}
 	results, err := s.sys.PutBatch(r.Context(), pairs)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	for j, br := range results {
-		i := j
-		if idx != nil {
-			i = idx[j]
-		}
-		out[i] = batchItemOf(owned[j], br)
-	}
-	writeJSON(w, http.StatusOK, wire.BatchResponse{Results: out})
+	writeJSON(w, http.StatusOK, batchResponseOf(results, func(i int) string { return pairs[i].Key }))
 }
 
 // abortResponse is the /v1/epoch/abort body.

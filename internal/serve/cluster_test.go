@@ -3,14 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
 	"repro/internal/wire"
 	"repro/tinygroups"
-	"repro/tinygroups/cluster"
 )
 
 // postJSONAny posts v and decodes the response into out regardless of
@@ -30,86 +28,6 @@ func postJSONAny(t *testing.T, url string, v any, out any) int {
 		t.Fatalf("decode %s response: %v", url, err)
 	}
 	return resp.StatusCode
-}
-
-// shardKeys returns one key owned by each shard of a K-cluster, probing
-// the deterministic key space.
-func shardKeys(t *testing.T, shards int) []string {
-	t.Helper()
-	keys := make([]string, shards)
-	found := 0
-	for i := 0; found < shards && i < 10000; i++ {
-		k := fmt.Sprintf("k%08d", i)
-		s := cluster.OwnerOf(k, shards)
-		if keys[s] == "" {
-			keys[s] = k
-			found++
-		}
-	}
-	if found < shards {
-		t.Fatalf("could not find a key for every one of %d shards", shards)
-	}
-	return keys
-}
-
-// TestWrongShardRejections pins the 421 guard: a 2-shard server answers
-// only for its own ring range on every keyed endpoint.
-func TestWrongShardRejections(t *testing.T) {
-	s := newTestServer(t, Config{ShardIndex: 0, ShardCount: 2}, tinygroups.WithMintWork(64))
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	keys := shardKeys(t, 2)
-	owned, foreign := keys[0], keys[1]
-
-	var lr lookupResponse
-	if st := postJSON(t, ts.URL+"/v1/lookup", keyRequest{Key: owned}, &lr); st != http.StatusOK {
-		t.Fatalf("owned lookup status %d", st)
-	}
-	var er wire.Error
-	if st := postJSONAny(t, ts.URL+"/v1/lookup", keyRequest{Key: foreign}, &er); st != http.StatusMisdirectedRequest {
-		t.Fatalf("foreign lookup status %d, want 421", st)
-	}
-	if er.Code != "wrong_shard" {
-		t.Fatalf("foreign lookup code %q, want wrong_shard", er.Code)
-	}
-	if st := postJSONAny(t, ts.URL+"/v1/put", keyRequest{Key: foreign, Value: []byte("x")}, &er); st != http.StatusMisdirectedRequest || er.Code != "wrong_shard" {
-		t.Fatalf("foreign put = (%d, %q), want (421, wrong_shard)", st, er.Code)
-	}
-	resp, err := http.Get(ts.URL + "/v1/get?key=" + foreign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("foreign get status %d, want 421", resp.StatusCode)
-	}
-	if st := postJSONAny(t, ts.URL+"/v1/mint", mintRequest{Miner: foreign}, &er); st != http.StatusMisdirectedRequest || er.Code != "wrong_shard" {
-		t.Fatalf("foreign mint = (%d, %q), want (421, wrong_shard)", st, er.Code)
-	}
-
-	// The batch form rejects per item, not per request.
-	var br wire.BatchResponse
-	if st := postJSON(t, ts.URL+"/v1/lookup/batch", wire.LookupBatchRequest{Keys: []string{owned, foreign}}, &br); st != http.StatusOK {
-		t.Fatalf("mixed batch status %d", st)
-	}
-	if br.Results[0].Code != "ok" || br.Results[1].Code != "wrong_shard" {
-		t.Fatalf("mixed batch codes = %q, %q", br.Results[0].Code, br.Results[1].Code)
-	}
-
-	var ms MetricsSnapshot
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(mresp.Body).Decode(&ms); err != nil {
-		t.Fatal(err)
-	}
-	mresp.Body.Close()
-	// lookup + put + get + mint singles, plus the one foreign batch item.
-	if ms.WrongShard != 5 {
-		t.Fatalf("wrong_shard counter = %d, want 5", ms.WrongShard)
-	}
 }
 
 // TestBatchEndpointsMatchSingles pins that the batch forms return, key by

@@ -93,10 +93,10 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
-// statusOf maps the tinygroups error taxonomy (and the serve-layer shard
-// guard) onto HTTP statuses and stable machine-readable codes. A context
-// error means the client gave up before the operation ran: a write that
-// answers "canceled" was not applied.
+// statusOf maps the tinygroups error taxonomy onto HTTP statuses and
+// stable machine-readable codes. A context error means the client gave up
+// before the operation ran: a write that answers "canceled" was not
+// applied.
 func statusOf(err error) (status int, code string) {
 	switch {
 	case err == nil:
@@ -111,8 +111,6 @@ func statusOf(err error) (status int, code string) {
 		return http.StatusInternalServerError, "mint_failed"
 	case errors.Is(err, tinygroups.ErrClosed):
 		return http.StatusServiceUnavailable, "closed"
-	case errors.Is(err, errWrongShard):
-		return http.StatusMisdirectedRequest, "wrong_shard"
 	case errors.Is(err, tinygroups.ErrNoPending):
 		return http.StatusConflict, "no_pending"
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -186,11 +184,6 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, `missing "key"`)
 		return
 	}
-	if !s.owns(tinygroups.KeyPoint(req.Key)) {
-		s.m.wrongShard.Add(1)
-		s.writeError(w, errWrongShard)
-		return
-	}
 	info, err := s.sys.Lookup(r.Context(), req.Key)
 	if err != nil {
 		s.writeError(w, err)
@@ -216,11 +209,6 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, `missing "key"`)
 		return
 	}
-	if !s.owns(tinygroups.KeyPoint(req.Key)) {
-		s.m.wrongShard.Add(1)
-		s.writeError(w, errWrongShard)
-		return
-	}
 	info, err := s.sys.Put(r.Context(), req.Key, req.Value)
 	if err != nil {
 		s.writeError(w, err)
@@ -240,11 +228,6 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
 		s.badRequest(w, `missing "key" query parameter`)
-		return
-	}
-	if !s.owns(tinygroups.KeyPoint(key)) {
-		s.m.wrongShard.Add(1)
-		s.writeError(w, errWrongShard)
 		return
 	}
 	v, info, err := s.sys.Get(r.Context(), key)

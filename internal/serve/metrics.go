@@ -13,13 +13,11 @@ type counters struct {
 	errors4xx, errors5xx                            atomic.Int64
 	epochsAdvanced                                  atomic.Int64
 
-	// Cluster surface: batch endpoint calls (and the keys they carried),
-	// the two-phase epoch endpoints, and keyed requests rejected with 421
-	// because this shard does not own the key's ring range.
+	// Cluster surface: batch endpoint calls (and the keys they carried)
+	// and the two-phase epoch endpoints.
 	lookupBatches, lookupBatchedOps      atomic.Int64
 	putBatchCalls                        atomic.Int64
 	epochBuilds, epochFlips, epochAborts atomic.Int64
-	wrongShard                           atomic.Int64
 
 	// mintedIDs / verifiedClaims total the items behind the mint and verify
 	// calls (one call can carry a batch).
@@ -61,11 +59,6 @@ type MetricsSnapshot struct {
 		Server int64 `json:"server_5xx"`
 	} `json:"errors"`
 
-	// WrongShard counts keyed requests rejected with 421 because this
-	// shard does not own the key's ring range — nonzero only in cluster
-	// mode, and on a healthy cluster it stays zero (the router never
-	// misroutes).
-	WrongShard     int64 `json:"wrong_shard"`
 	EpochsAdvanced int64 `json:"epochs_advanced"`
 
 	// Durability mirrors System.Durability: the snapshot/op-log layer's
@@ -104,7 +97,6 @@ func (c *counters) snapshot() MetricsSnapshot {
 	s.Mint.VerifiedClaims = c.verifiedClaims.Load()
 	s.Errors.Client = c.errors4xx.Load()
 	s.Errors.Server = c.errors5xx.Load()
-	s.WrongShard = c.wrongShard.Load()
 	s.EpochsAdvanced = c.epochsAdvanced.Load()
 	return s
 }

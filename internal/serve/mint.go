@@ -87,13 +87,6 @@ func (s *Server) handleMint(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, `"count" outside [1, `+strconv.Itoa(maxMintCount)+`]`)
 		return
 	}
-	// Mint ownership follows the miner's ring point, so one miner's solve
-	// load always lands on one shard and the router has a pure routing rule.
-	if !s.owns(tinygroups.KeyPoint(req.Miner)) {
-		s.m.wrongShard.Add(1)
-		s.writeError(w, errWrongShard)
-		return
-	}
 	results, err := s.sys.MintBatch(r.Context(), req.Miner, req.Count)
 	if err != nil {
 		s.writeError(w, err)

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"repro/tinygroups"
-	"repro/tinygroups/cluster"
 )
 
 // Config tunes a Server. The zero value is usable.
@@ -46,12 +45,9 @@ type Config struct {
 	// epoch advance, shutdown). Requests are not logged.
 	Logf func(format string, args ...any)
 
-	// ShardIndex/ShardCount scope this server to one contiguous ring range
-	// of a cluster: with ShardCount > 1 the keyed endpoints answer only for
-	// keys whose ring point this shard owns (cluster.ShardOf) and reject
-	// the rest with a typed 421 ("wrong_shard") — the guard that catches a
-	// misrouted request before it silently serves from the wrong store.
-	// ShardCount <= 1 is the standalone daemon: every key is owned.
+	// ShardIndex/ShardCount label this server's place in a cluster, for
+	// /healthz and the startup log line only: every replica serves every
+	// key. ShardCount <= 1 is the standalone daemon.
 	ShardIndex int
 	ShardCount int
 	// Version, when non-empty, is the build identity reported by the
@@ -59,10 +55,6 @@ type Config struct {
 	// logs identify which binary answered.
 	Version string
 }
-
-// errWrongShard rejects a keyed request for a ring range this shard does
-// not own; statusOf maps it to 421.
-var errWrongShard = errors.New("serve: key not owned by this shard")
 
 // Server serves a tinygroups.System over HTTP/JSON. Create one with New,
 // run it with Serve or ListenAndServe (or mount Handler on any server),
@@ -137,12 +129,6 @@ func (s *Server) version() string {
 		return s.cfg.Version
 	}
 	return "dev"
-}
-
-// owns reports whether this server's shard owns ring point p. Standalone
-// servers (ShardCount <= 1) own every point.
-func (s *Server) owns(p tinygroups.Point) bool {
-	return s.cfg.ShardCount <= 1 || cluster.ShardOf(p, s.cfg.ShardCount) == s.cfg.ShardIndex
 }
 
 // Shutdown drains and stops the server: the epoch ticker is cancelled (an

@@ -1,22 +1,21 @@
-// Package wire defines the JSON shapes the shard daemons (internal/serve)
-// and the router (tinygroups/cluster) exchange, so the two ends of the
-// scatter-gather plane share one definition. Field order and tags are the
-// wire format: the cluster determinism gate byte-compares routed replies
+// Package wire defines the JSON shapes the daemons (internal/serve) and
+// the router (tinygroups/cluster) share: the batch bodies, the error
+// envelope and the request caps. Field order and tags are the wire
+// format: the cluster determinism gate byte-compares routed replies
 // against a standalone daemon's.
 package wire
 
 import "strconv"
 
-// MaxBodyBytes caps a request body. A shard daemon and the router both
-// refuse a larger body with 400 bad_request; the API carries keys and small
-// values, so 1 MiB is generous. The router also bounds the shard replies it
-// reads by it.
+// MaxBodyBytes caps a request body. A daemon refuses a larger body with
+// 400 bad_request; the API carries keys and small values, so 1 MiB is
+// generous. The router forwards at most MaxBodyBytes+1 bytes of a body,
+// enough for the replica's refusal, which it relays.
 const MaxBodyBytes = 1 << 20
 
-// MaxBatchItems caps the keys or pairs of one batch call. A shard daemon
-// and the router both refuse a larger batch with the same 400 bad_request
-// (message OverBatchLimit) before doing any work, so a router splitting a
-// valid batch across shards sends each at most this many.
+// MaxBatchItems caps the keys or pairs of one batch call. A daemon refuses
+// a larger batch with 400 bad_request (message OverBatchLimit) before
+// doing any work; through the router, that refusal comes back verbatim.
 const MaxBatchItems = 4096
 
 // OverBatchLimit is the bad_request message for a batch of more than
@@ -50,8 +49,8 @@ type PutBatchRequest struct {
 
 // BatchItem is one key's outcome in a batch response, in request order.
 // Code follows the daemons' status taxonomy ("ok", "unreachable",
-// "wrong_shard", ...) plus the router's "shard_unreachable";
-// Owner/Hops/Messages carry the routing result when Code is "ok".
+// "closed", ...); Owner/Hops/Messages carry the routing result when Code
+// is "ok".
 type BatchItem struct {
 	Key      string `json:"key"`
 	Code     string `json:"code"`

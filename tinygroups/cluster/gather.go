@@ -2,117 +2,11 @@ package cluster
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"time"
-
-	"repro/internal/wire"
 )
 
-// This file is the router's scatter-gather plane: batches split per
-// owning shard and merge back in request order; health and metrics
-// aggregate across every member.
-
-// scatter fans per-shard sub-batches out concurrently and merges the
-// per-key results back into request order. keys[i] decides the owning
-// shard of item i; send(shard, indexes) posts that shard's sub-batch and
-// returns its items in sub-batch order. A failed shard marks its items
-// shard_unreachable instead of failing the whole batch — per-key degraded
-// results, matching the daemons' own per-item error model.
-func (rt *Router) scatter(keys []string, send func(shard int, idx []int) ([]wire.BatchItem, error)) []wire.BatchItem {
-	byShard := make([][]int, rt.Shards())
-	for i, k := range keys {
-		s := OwnerOf(k, rt.Shards())
-		byShard[s] = append(byShard[s], i)
-	}
-	out := make([]wire.BatchItem, len(keys))
-	rt.eachShard(func(s int) error {
-		idx := byShard[s]
-		if len(idx) == 0 {
-			return nil
-		}
-		items, err := send(s, idx)
-		if err != nil || len(items) != len(idx) {
-			for _, i := range idx {
-				msg := "sub-batch size mismatch"
-				if err != nil {
-					msg = err.Error()
-				}
-				out[i] = wire.BatchItem{Key: keys[i], Code: "shard_unreachable", Error: msg}
-			}
-			return nil
-		}
-		for j, i := range idx {
-			out[i] = items[j]
-		}
-		return nil
-	})
-	return out
-}
-
-func (rt *Router) handleLookupBatch(w http.ResponseWriter, r *http.Request) {
-	var req wire.LookupBatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON body: " + err.Error(), Code: "bad_request"})
-		return
-	}
-	if len(req.Keys) == 0 {
-		writeJSON(w, http.StatusBadRequest, wire.Error{Error: `missing "keys"`, Code: "bad_request"})
-		return
-	}
-	if len(req.Keys) > wire.MaxBatchItems {
-		writeJSON(w, http.StatusBadRequest, wire.Error{Error: wire.OverBatchLimit("keys"), Code: "bad_request"})
-		return
-	}
-	ctx := r.Context()
-	out := rt.scatter(req.Keys, func(shard int, idx []int) ([]wire.BatchItem, error) {
-		sub := make([]string, len(idx))
-		for j, i := range idx {
-			sub[j] = req.Keys[i]
-		}
-		var resp wire.BatchResponse
-		if err := rt.postShard(ctx, shard, "/v1/lookup/batch",
-			wire.LookupBatchRequest{Keys: sub}, &resp); err != nil {
-			return nil, err
-		}
-		return resp.Results, nil
-	})
-	writeJSON(w, http.StatusOK, wire.BatchResponse{Results: out})
-}
-
-func (rt *Router) handlePutBatch(w http.ResponseWriter, r *http.Request) {
-	var req wire.PutBatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON body: " + err.Error(), Code: "bad_request"})
-		return
-	}
-	if len(req.Pairs) == 0 {
-		writeJSON(w, http.StatusBadRequest, wire.Error{Error: `missing "pairs"`, Code: "bad_request"})
-		return
-	}
-	if len(req.Pairs) > wire.MaxBatchItems {
-		writeJSON(w, http.StatusBadRequest, wire.Error{Error: wire.OverBatchLimit("pairs"), Code: "bad_request"})
-		return
-	}
-	keys := make([]string, len(req.Pairs))
-	for i, kv := range req.Pairs {
-		keys[i] = kv.Key
-	}
-	ctx := r.Context()
-	out := rt.scatter(keys, func(shard int, idx []int) ([]wire.BatchItem, error) {
-		sub := make([]wire.KV, len(idx))
-		for j, i := range idx {
-			sub[j] = req.Pairs[i]
-		}
-		var resp wire.BatchResponse
-		if err := rt.postShard(ctx, shard, "/v1/put/batch",
-			wire.PutBatchRequest{Pairs: sub}, &resp); err != nil {
-			return nil, err
-		}
-		return resp.Results, nil
-	})
-	writeJSON(w, http.StatusOK, wire.BatchResponse{Results: out})
-}
+// This file aggregates health and metrics across every member.
 
 // memberHealth is one shard's health as seen by the aggregator.
 type memberHealth struct {
@@ -150,14 +44,9 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 			Fingerprint  string `json:"fingerprint"`
 			PendingEpoch bool   `json:"pending_epoch"`
 		}
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rt.cfg.Shards[i]+"/healthz", nil)
+		rp, err := rt.call(r.Context(), rt.cfg.RequestTimeout, i, http.MethodGet, "/healthz", nil)
 		if err == nil {
-			var resp *http.Response
-			resp, err = rt.client.Do(req)
-			if err == nil {
-				err = json.NewDecoder(io.LimitReader(resp.Body, wire.MaxBodyBytes)).Decode(&h)
-				resp.Body.Close()
-			}
+			err = json.Unmarshal(rp.body, &h)
 		}
 		if err != nil {
 			members[i].Status = "unreachable"
@@ -202,8 +91,7 @@ type memberMetrics struct {
 
 // clusterMetrics is the router's aggregated /metrics body: the per-shard
 // raw documents plus totals summed over every numeric leaf of the shard
-// documents (epoch and uptime_s take the max instead — they are levels,
-// not counters).
+// documents (the levels take the max instead).
 type clusterMetrics struct {
 	Shards  int             `json:"shards"`
 	Totals  map[string]any  `json:"totals"`
@@ -215,26 +103,17 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	docs := make([]map[string]any, rt.Shards())
 	rt.eachShard(func(i int) error {
 		members[i].Shard = i
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, rt.cfg.Shards[i]+"/metrics", nil)
-		var raw []byte
-		if err == nil {
-			var resp *http.Response
-			resp, err = rt.client.Do(req)
-			if err == nil {
-				raw, err = io.ReadAll(io.LimitReader(resp.Body, wire.MaxBodyBytes))
-				resp.Body.Close()
-			}
-		}
+		rp, err := rt.call(r.Context(), rt.cfg.RequestTimeout, i, http.MethodGet, "/metrics", nil)
 		if err != nil {
 			members[i].Error = err.Error()
 			return nil
 		}
 		var doc map[string]any
-		if err := json.Unmarshal(raw, &doc); err != nil {
+		if err := json.Unmarshal(rp.body, &doc); err != nil {
 			members[i].Error = "bad metrics document: " + err.Error()
 			return nil
 		}
-		members[i].Metrics = raw
+		members[i].Metrics = rp.body
 		docs[i] = doc
 		return nil
 	})
@@ -252,9 +131,12 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// mergeNumeric folds src into dst, summing numeric leaves and recursing
-// into nested objects. The level-style fields epoch and uptime_s take the
-// max across shards instead of a meaningless sum; non-numeric leaves keep
+// levels are the /metrics leaves that hold a level, not a count: their
+// total is the max across shards, not a meaningless sum.
+var levels = map[string]bool{"epoch": true, "uptime_s": true, "mint.work": true, "durability.snapshot_epoch": true}
+
+// mergeNumeric folds src into dst, summing numeric leaves (taking the max
+// of levels) and recursing into nested objects; non-numeric leaves keep
 // the first value seen.
 func mergeNumeric(dst, src map[string]any, path string) {
 	for k, v := range src {
@@ -273,7 +155,7 @@ func mergeNumeric(dst, src map[string]any, path string) {
 				dst[k] = sv
 				continue
 			}
-			if p == "epoch" || p == "uptime_s" {
+			if levels[p] {
 				dst[k] = max(prev, sv)
 			} else {
 				dst[k] = prev + sv

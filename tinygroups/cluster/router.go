@@ -1,3 +1,23 @@
+// Package cluster fronts a set of tinygroupsd replicas with one router.
+//
+// # Replicas
+//
+// Every daemon of a cluster runs the full deterministic construction on
+// the same (n, seed): the epoch generations are byte-identical replicas,
+// and a read — lookup, get, compute, mint, verify — is a pure function of
+// (seed, epoch, key) that any replica answers with the same bytes. So the
+// router sends each read to one replica, round-robin, and each write to
+// every replica. It sequences writes and coordinated epoch advances under
+// one mutex, so every replica applies the same writes, in the same order,
+// at the same epoch, and every replica's store is complete.
+//
+// # Epochs
+//
+// The coordinated two-phase epoch advance (Router.Advance) keeps the
+// replicas in lockstep: all of them build the upcoming generation first,
+// and flip together only once every build succeeded — an abort leaves the
+// old generation live everywhere, and the epoch layer's rng rewind makes
+// the retried build byte-identical on every replica.
 package cluster
 
 import (
@@ -7,8 +27,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -37,12 +59,13 @@ var (
 
 // Config tunes a Router. Shards is required; everything else defaults.
 type Config struct {
-	// Shards lists the member daemons' base URLs in shard order:
-	// Shards[i] must be the daemon started with -shard-index i. The ring
-	// partition is derived from len(Shards).
+	// Shards lists the replica daemons' base URLs. The index of a URL
+	// names its replica in /healthz, /metrics and error messages; every
+	// replica answers every request.
 	Shards []string
-	// Client is the HTTP client for shard calls; defaults to a client
-	// with RequestTimeout as its overall timeout.
+	// Client is the HTTP client for shard calls; defaults to
+	// http.DefaultClient. RequestTimeout and AdvanceTimeout bound each
+	// call, so a client with an overall Timeout of its own caps both.
 	Client *http.Client
 	// RequestTimeout bounds each forwarded shard call. Default 10s.
 	RequestTimeout time.Duration
@@ -58,25 +81,27 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Router fans a tinygroups HTTP API across a cluster of shard daemons: it
-// forwards each keyed request to the shard owning the key's ring range,
-// scatter-gathers batches, aggregates health and metrics, and drives the
-// coordinated two-phase epoch advance. Create one with NewRouter and
-// mount Handler on an http.Server.
+// Router fronts a cluster of replica daemons: it sends each read to one
+// replica, fans each write out to every replica, aggregates health and
+// metrics, and drives the coordinated two-phase epoch advance. Create one
+// with NewRouter and mount Handler on an http.Server.
 //
-// A Router is stateless apart from telemetry: placement is the pure
-// ShardOf function, so any number of router instances can front the same
-// shards — but concurrent coordinated advances serialize per Router only,
-// so run exactly one advance driver (one router's ticker, or explicit
-// /v1/epoch/advance calls against one router) per cluster.
+// The Router is the cluster's write sequencer, so run exactly one per
+// cluster: two routers could deliver their writes to different replicas
+// in different orders. Routed write capacity is one write in flight per
+// cluster, which is what one daemon's writer lock already allows.
 type Router struct {
 	cfg    Config
 	client *http.Client
 	mux    *http.ServeMux
 	start  time.Time
 
-	// advMu serializes coordinated advances through this router.
-	advMu sync.Mutex
+	// next is the read path's round-robin cursor.
+	next atomic.Uint64
+	// seq is held across each write's fan-out and each coordinated
+	// advance, so every replica applies the same writes, in the same
+	// order, at the same epoch.
+	seq sync.Mutex
 }
 
 // NewRouter validates cfg and builds a Router.
@@ -92,7 +117,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	r := &Router{cfg: cfg, client: cfg.Client, start: time.Now()}
 	if r.client == nil {
-		r.client = &http.Client{Timeout: cfg.RequestTimeout}
+		r.client = http.DefaultClient
 	}
 	r.mux = r.routes()
 	return r, nil
@@ -113,14 +138,12 @@ func (rt *Router) logf(format string, args ...any) {
 func (rt *Router) routes() *http.ServeMux {
 	post, get := http.MethodPost, http.MethodGet
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/lookup", only(post, rt.keyedForward(keyOfBody)))
-	mux.HandleFunc("/v1/put", only(post, rt.keyedForward(keyOfBody)))
-	mux.HandleFunc("/v1/compute", only(post, rt.keyedForward(keyOfBody)))
-	mux.HandleFunc("/v1/mint", only(post, rt.keyedForward(minerOfBody)))
-	mux.HandleFunc("/v1/get", only(get, rt.handleGet))
-	mux.HandleFunc("/v1/verify", only(post, rt.handleVerify))
-	mux.HandleFunc("/v1/lookup/batch", only(post, rt.handleLookupBatch))
-	mux.HandleFunc("/v1/put/batch", only(post, rt.handlePutBatch))
+	for _, path := range []string{"/v1/lookup", "/v1/compute", "/v1/mint", "/v1/verify", "/v1/lookup/batch"} {
+		mux.HandleFunc(path, only(post, rt.read))
+	}
+	mux.HandleFunc("/v1/get", only(get, rt.read))
+	mux.HandleFunc("/v1/put", only(post, rt.write))
+	mux.HandleFunc("/v1/put/batch", only(post, rt.write))
 	mux.HandleFunc("/v1/epoch/advance", only(post, rt.handleAdvance))
 	mux.HandleFunc("/healthz", only(get, rt.handleHealth))
 	mux.HandleFunc("/metrics", only(get, rt.handleMetrics))
@@ -146,151 +169,138 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func (rt *Router) writeUnreachable(w http.ResponseWriter, shard int, err error) {
-	writeJSON(w, http.StatusBadGateway, wire.Error{
-		Error: fmt.Sprintf("shard %d: %v", shard, err),
-		Code:  "shard_unreachable",
-	})
-}
-
-// keyOfBody extracts the routing key of a {"key": ...} body.
-func keyOfBody(body []byte) (string, error) {
-	var v struct {
-		Key string `json:"key"`
-	}
-	if err := json.Unmarshal(body, &v); err != nil {
-		return "", err
-	}
-	return v.Key, nil
-}
-
-// minerOfBody extracts the routing key of a {"miner": ...} body: mint
-// load follows the miner's ring point, matching the shard-side guard.
-func minerOfBody(body []byte) (string, error) {
-	var v struct {
-		Miner string `json:"miner"`
-	}
-	if err := json.Unmarshal(body, &v); err != nil {
-		return "", err
-	}
-	return v.Miner, nil
-}
-
-// keyedForward builds a handler that reads the request body, extracts the
-// routing key with extract, and proxies the request to the owning shard.
-// An empty key is forwarded to shard 0, which answers with the daemon's
-// own validation error.
-func (rt *Router) keyedForward(extract func([]byte) (string, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, wire.Error{Error: "read body: " + err.Error(), Code: "bad_request"})
-			return
-		}
-		key, err := extract(body)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, wire.Error{Error: "bad JSON body: " + err.Error(), Code: "bad_request"})
-			return
-		}
-		shard := 0
-		if key != "" {
-			shard = OwnerOf(key, rt.Shards())
-		}
-		rt.proxy(w, r, shard, body)
-	}
-}
-
-// handleGet routes /v1/get by its key query parameter.
-func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
-	shard := 0
-	if key := r.URL.Query().Get("key"); key != "" {
-		shard = OwnerOf(key, rt.Shards())
-	}
-	rt.proxy(w, r, shard, nil)
-}
-
-// handleVerify forwards claim verification to shard 0: verification is a
-// pure function of the shared epoch state, so every shard answers
-// identically and no split is needed.
-func (rt *Router) handleVerify(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBodyBytes))
+// readBody reads at most wire.MaxBodyBytes+1 bytes of the request body:
+// one byte past the cap is enough for a replica to refuse an oversized
+// body with its own 400, which the router relays byte for byte.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, wire.MaxBodyBytes+1))
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, wire.Error{Error: "read body: " + err.Error(), Code: "bad_request"})
-		return
+		return nil, false
 	}
-	rt.proxy(w, r, 0, body)
+	return body, true
 }
 
-// proxy forwards r (with body, when non-nil) to the given shard and
-// copies the shard's response verbatim — status, content type, body — so
-// the client sees exactly what the owning daemon answered. Transport
-// failures map to the typed 502 shard_unreachable.
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard int, body []byte) {
-	url := rt.cfg.Shards[shard] + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, rd)
-	if err != nil {
-		rt.writeUnreachable(w, shard, err)
-		return
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		rt.writeUnreachable(w, shard, err)
-		return
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+// reply is one replica's whole answer to a call.
+type reply struct {
+	status int
+	ct     string
+	body   []byte
 }
 
-// postShard POSTs a JSON body to one shard and decodes the response into
-// out. Non-2xx answers decode the shard's error envelope and surface as
-// an error wrapping errShardUnreachable (transport) or carrying the
-// shard's code (typed refusal).
-func (rt *Router) postShard(ctx context.Context, shard int, path string, in, out any) error {
-	var rd io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return err
+// relay copies a replica's answer — status, content type, body — to w.
+func (rp reply) relay(w http.ResponseWriter) {
+	if rp.ct != "" {
+		w.Header().Set("Content-Type", rp.ct)
+	}
+	w.WriteHeader(rp.status)
+	_, _ = w.Write(rp.body)
+}
+
+// call sends one request to a shard, bounded by timeout, and reads its
+// whole answer. An error wraps errShardUnreachable: the shard could not be
+// reached, or its answer could not be read.
+func (rt *Router) call(ctx context.Context, timeout time.Duration, shard int, method, target string, body []byte) (reply, error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, rt.cfg.Shards[shard]+target, bytes.NewReader(body))
+	if err == nil {
+		if len(body) > 0 {
+			req.Header.Set("Content-Type", "application/json")
 		}
-		rd = bytes.NewReader(b)
+		var resp *http.Response
+		if resp, err = rt.client.Do(req); err == nil {
+			defer resp.Body.Close()
+			var data []byte
+			if data, err = io.ReadAll(resp.Body); err == nil {
+				return reply{status: resp.StatusCode, ct: resp.Header.Get("Content-Type"), body: data}, nil
+			}
+		}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rt.cfg.Shards[shard]+path, rd)
+	return reply{}, fmt.Errorf("%w: shard %d: %v", errShardUnreachable, shard, err)
+}
+
+// read forwards a read verbatim to one replica, picked round-robin, and
+// relays its answer. Only a replica that cannot be reached hands the read
+// on to the next; 502 shard_unreachable means no replica answered.
+func (rt *Router) read(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	k := uint64(rt.Shards())
+	first := rt.next.Add(1)
+	var err error
+	for i := uint64(0); i < k; i++ {
+		var rp reply
+		if rp, err = rt.call(r.Context(), rt.cfg.RequestTimeout, int((first+i)%k), r.Method, r.URL.RequestURI(), body); err == nil {
+			rp.relay(w)
+			return
+		}
+	}
+	writeJSON(w, http.StatusBadGateway, wire.Error{Error: err.Error(), Code: "shard_unreachable"})
+}
+
+// write forwards a write verbatim to every replica under seq, and relays
+// the answer when every replica gave the same status and bytes. Otherwise
+// it answers 502: shard_unreachable when a replica could not be reached,
+// replicas_diverged when the answers differ. Either way the write may
+// already be applied on the replicas that answered; a put is an
+// idempotent overwrite, so retrying it converges them.
+//
+// The fan-out does not follow the client's cancellation, so a client that
+// gives up mid-write cannot leave it applied on some replicas only. A
+// client that gives up while its write waits for seq gets 504 canceled,
+// and the write is applied nowhere.
+func (rt *Router) write(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	rt.seq.Lock()
+	defer rt.seq.Unlock()
+	if err := r.Context().Err(); err != nil {
+		writeJSON(w, http.StatusGatewayTimeout, wire.Error{Error: err.Error(), Code: "canceled"})
+		return
+	}
+	ctx := context.WithoutCancel(r.Context())
+	replies := make([]reply, rt.Shards())
+	if err := anyErr(rt.eachShard(func(i int) (err error) {
+		replies[i], err = rt.call(ctx, rt.cfg.RequestTimeout, i, r.Method, r.URL.RequestURI(), body)
+		return err
+	})); err != nil {
+		writeJSON(w, http.StatusBadGateway, wire.Error{Error: err.Error(), Code: "shard_unreachable"})
+		return
+	}
+	for i, rp := range replies {
+		if rp.status != replies[0].status || !bytes.Equal(rp.body, replies[0].body) {
+			writeJSON(w, http.StatusBadGateway, wire.Error{
+				Error: fmt.Sprintf("cluster: shard %d answered %d, shard 0 answered %d; the write may be applied on some replicas", i, rp.status, replies[0].status),
+				Code:  "replicas_diverged",
+			})
+			return
+		}
+	}
+	replies[0].relay(w)
+}
+
+// phase posts one step of the coordinated advance to a shard, bounded by
+// AdvanceTimeout, and decodes its 200 answer into out when out is non-nil.
+// A shard's typed refusal comes back as an error carrying its code.
+func (rt *Router) phase(ctx context.Context, shard int, path string, out any) error {
+	rp, err := rt.call(ctx, rt.cfg.AdvanceTimeout, shard, http.MethodPost, path, nil)
 	if err != nil {
-		return fmt.Errorf("%w: shard %d: %v", errShardUnreachable, shard, err)
+		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("%w: shard %d: %v", errShardUnreachable, shard, err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, wire.MaxBodyBytes))
-	if err != nil {
-		return fmt.Errorf("%w: shard %d: %v", errShardUnreachable, shard, err)
-	}
-	if resp.StatusCode != http.StatusOK {
+	if rp.status != http.StatusOK {
 		var e wire.Error
-		if json.Unmarshal(data, &e) == nil && e.Code != "" {
+		if json.Unmarshal(rp.body, &e) == nil && e.Code != "" {
 			return fmt.Errorf("shard %d: %s (%s)", shard, e.Error, e.Code)
 		}
-		return fmt.Errorf("%w: shard %d: status %d", errShardUnreachable, shard, resp.StatusCode)
+		return fmt.Errorf("%w: shard %d: status %d", errShardUnreachable, shard, rp.status)
 	}
 	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
+		if err := json.Unmarshal(rp.body, out); err != nil {
 			return fmt.Errorf("%w: shard %d: bad response: %v", errShardUnreachable, shard, err)
 		}
 	}
@@ -313,53 +323,34 @@ func (rt *Router) eachShard(fn func(shard int) error) []error {
 // randomness, so the retried round replays identically) and Advance
 // returns an epoch_build_failed error: no shard flipped, the old
 // generation is live everywhere. Each per-shard phase call is bounded by
-// Config.AdvanceTimeout.
+// Config.AdvanceTimeout. Advance holds the write sequencer, so no routed
+// write lands between the phases.
 //
 // The returned Stats are the committed epoch's construction statistics
 // (identical on every shard — the generations are replicas).
 func (rt *Router) Advance(ctx context.Context) (tinygroups.Stats, error) {
-	rt.advMu.Lock()
-	defer rt.advMu.Unlock()
-
-	phase := func(path string, outs []tinygroups.Stats) []error {
-		return rt.eachShard(func(i int) error {
-			pctx, cancel := context.WithTimeout(ctx, rt.cfg.AdvanceTimeout)
-			defer cancel()
-			// out must stay an untyped nil when no stats are wanted — a
-			// typed-nil *Stats inside the any parameter would make postShard
-			// try to unmarshal into it.
-			var out any
-			if outs != nil {
-				out = &outs[i]
-			}
-			return rt.postShard(pctx, i, path, struct{}{}, out)
-		})
-	}
+	rt.seq.Lock()
+	defer rt.seq.Unlock()
 
 	// Phase 1: build everywhere.
-	if errs := phase("/v1/epoch/build", nil); anyErr(errs) != nil {
-		first := anyErr(errs)
-		rt.logf("cluster: epoch build failed (%v); aborting all shards", first)
+	if err := anyErr(rt.eachShard(func(i int) error { return rt.phase(ctx, i, "/v1/epoch/build", nil) })); err != nil {
+		rt.logf("cluster: epoch build failed (%v); aborting all shards", err)
 		// Best-effort coordinated abort: every shard discards its parked
 		// build (a no-op on shards whose build already failed), so the next
 		// round replays identically everywhere.
-		abortErrs := rt.eachShard(func(i int) error {
-			pctx, cancel := context.WithTimeout(context.Background(), rt.cfg.AdvanceTimeout)
-			defer cancel()
-			return rt.postShard(pctx, i, "/v1/epoch/abort", struct{}{}, nil)
-		})
-		if aerr := anyErr(abortErrs); aerr != nil {
+		if aerr := anyErr(rt.eachShard(func(i int) error {
+			return rt.phase(context.Background(), i, "/v1/epoch/abort", nil)
+		})); aerr != nil {
 			rt.logf("cluster: abort incomplete: %v", aerr)
 		}
-		return tinygroups.Stats{}, fmt.Errorf("%w: %v", errBuildFailed, first)
+		return tinygroups.Stats{}, fmt.Errorf("%w: %v", errBuildFailed, err)
 	}
 
 	// Phase 2: flip everywhere.
 	stats := make([]tinygroups.Stats, rt.Shards())
-	if errs := phase("/v1/epoch/flip", stats); anyErr(errs) != nil {
-		first := anyErr(errs)
-		rt.logf("cluster: epoch flip failed: %v", first)
-		return tinygroups.Stats{}, fmt.Errorf("%w: %v", errFlipFailed, first)
+	if err := anyErr(rt.eachShard(func(i int) error { return rt.phase(ctx, i, "/v1/epoch/flip", &stats[i]) })); err != nil {
+		rt.logf("cluster: epoch flip failed: %v", err)
+		return tinygroups.Stats{}, fmt.Errorf("%w: %v", errFlipFailed, err)
 	}
 	rt.logf("cluster: epoch %d flipped on %d shards (n=%d)", stats[0].Epoch, rt.Shards(), stats[0].N)
 	return stats[0], nil
@@ -401,4 +392,17 @@ func anyErr(errs []error) error {
 		return fmt.Errorf("%d shards failed; first: %w", failed, first)
 	}
 	return first
+}
+
+// OwnerOf returns floor(KeyPoint(key)·shards / 2^64): the index of the
+// shard whose contiguous, equal-width range of the ring holds key's point.
+// Nothing in the cluster routes by it, since every replica answers every
+// key; the benchmark times it as the cost of a ring-range routing rule.
+// shards must be positive; a one-shard cluster owns everything.
+func OwnerOf(key string, shards int) int {
+	if shards <= 1 {
+		return 0
+	}
+	hi, _ := bits.Mul64(uint64(tinygroups.KeyPoint(key)), uint64(shards))
+	return int(hi)
 }

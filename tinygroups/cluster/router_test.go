@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -305,9 +307,9 @@ func TestRouterWrongMethodMatchesDaemon(t *testing.T) {
 	}
 }
 
-// TestRouterForwardsKeyedEndpoints pins that the router lands every keyed
-// request on the owning shard: no daemon ever answers 421 through the
-// router, and mint/verify round-trip.
+// TestRouterForwardsKeyedEndpoints pins that mint and verify round-trip
+// through the router — a claim minted on one replica verifies on the
+// other — and that the aggregated /metrics sums counters but not levels.
 func TestRouterForwardsKeyedEndpoints(t *testing.T) {
 	const k = 2
 	urls := make([]string, k)
@@ -315,24 +317,10 @@ func TestRouterForwardsKeyedEndpoints(t *testing.T) {
 		_, ts := newShard(t, i, k)
 		urls[i] = ts.URL
 	}
-	rt, err := cluster.NewRouter(cluster.Config{Shards: urls})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rts := httptest.NewServer(rt.Handler())
-	defer rts.Close()
+	rts := routerOver(t, cluster.Config{Shards: urls})
 
-	// One miner per shard: both mints must reach their owning shard.
-	miners := make([]string, k)
-	found := 0
-	for i := 0; found < k; i++ {
-		m := fmt.Sprintf("miner-%04d", i)
-		if s := cluster.OwnerOf(m, k); miners[s] == "" {
-			miners[s] = m
-			found++
-		}
-	}
-	for _, m := range miners {
+	// Reads go round-robin, so the two mints land on different replicas.
+	for _, m := range []string{"miner-a", "miner-b"} {
 		st, body := post(t, rts.URL+"/v1/mint", map[string]any{"miner": m, "count": 1})
 		if st != http.StatusOK {
 			t.Fatalf("mint %q via router: %d %s", m, st, body)
@@ -346,8 +334,9 @@ func TestRouterForwardsKeyedEndpoints(t *testing.T) {
 		if err := json.Unmarshal(body, &mr); err != nil || len(mr.Results) != 1 {
 			t.Fatalf("mint %q response %s", m, body)
 		}
-		// The claim verifies through the router (forwarded to shard 0 —
-		// verification is a pure function of the shared epoch state).
+		// The claim verifies through the router on whichever replica the
+		// verify lands on: verification is a pure function of the shared
+		// epoch state.
 		st, body = post(t, rts.URL+"/v1/verify", map[string]any{"claims": []any{mr.Results[0]}})
 		var vr struct {
 			Verdicts []bool `json:"verdicts"`
@@ -361,29 +350,34 @@ func TestRouterForwardsKeyedEndpoints(t *testing.T) {
 		}
 	}
 
-	// Shard-side wrong_shard counters must stay zero: the router never
-	// misroutes.
-	for i, u := range urls {
-		_, body := get(t, u+"/metrics")
-		var ms struct {
-			WrongShard int64 `json:"wrong_shard"`
-		}
-		if err := json.Unmarshal(body, &ms); err != nil {
-			t.Fatal(err)
-		}
-		if ms.WrongShard != 0 {
-			t.Fatalf("shard %d wrong_shard = %d after routed traffic", i, ms.WrongShard)
-		}
+	// Aggregated metrics: totals sum the per-shard mint counters, but a
+	// level such as the mint difficulty is every shard's value, not K times
+	// it.
+	_, body := get(t, urls[0]+"/metrics")
+	var one struct {
+		Mint struct {
+			Work float64 `json:"work"`
+		} `json:"mint"`
+		Durability struct {
+			SnapshotEpoch float64 `json:"snapshot_epoch"`
+		} `json:"durability"`
 	}
-
-	// Aggregated metrics: totals sum the per-shard mint counters.
-	_, body := get(t, rts.URL+"/metrics")
+	if err := json.Unmarshal(body, &one); err != nil {
+		t.Fatal(err)
+	}
+	_, body = get(t, rts.URL+"/metrics")
 	var agg struct {
 		Shards int `json:"shards"`
 		Totals struct {
 			Requests struct {
 				Mint float64 `json:"mint"`
 			} `json:"requests"`
+			Mint struct {
+				Work float64 `json:"work"`
+			} `json:"mint"`
+			Durability struct {
+				SnapshotEpoch float64 `json:"snapshot_epoch"`
+			} `json:"durability"`
 		} `json:"totals"`
 		Members []struct {
 			Shard int `json:"shard"`
@@ -395,11 +389,38 @@ func TestRouterForwardsKeyedEndpoints(t *testing.T) {
 	if agg.Shards != k || len(agg.Members) != k || agg.Totals.Requests.Mint != float64(k) {
 		t.Fatalf("aggregated metrics = %s", body)
 	}
+	if one.Mint.Work <= 0 || agg.Totals.Mint.Work != one.Mint.Work ||
+		agg.Totals.Durability.SnapshotEpoch != one.Durability.SnapshotEpoch {
+		t.Fatalf("aggregated levels: mint.work %v, durability.snapshot_epoch %v; one shard has %v, %v",
+			agg.Totals.Mint.Work, agg.Totals.Durability.SnapshotEpoch, one.Mint.Work, one.Durability.SnapshotEpoch)
+	}
 }
 
-// TestShardDownTyped502 pins the failure path: with the owning shard
-// down, keyed requests answer a typed 502 shard_unreachable, batch items
-// degrade per key, and the aggregated health reports degraded.
+// routerOver boots a router with cfg and returns its test server.
+func routerOver(t *testing.T, cfg cluster.Config) *httptest.Server {
+	t.Helper()
+	rt, err := cluster.NewRouter(cfg)
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// codeOf decodes the code of an error envelope.
+func codeOf(t *testing.T, body []byte) string {
+	t.Helper()
+	var e wire.Error
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("decode error envelope %s: %v", body, err)
+	}
+	return e.Code
+}
+
+// TestShardDownTyped502 pins the failure path: with shard 1 down, every
+// read still answers through the live replica, a write answers a typed
+// 502 shard_unreachable, and the aggregated health reports degraded.
 func TestShardDownTyped502(t *testing.T) {
 	const k = 2
 	servers := make([]*httptest.Server, k)
@@ -409,58 +430,33 @@ func TestShardDownTyped502(t *testing.T) {
 		servers[i] = ts
 		urls[i] = ts.URL
 	}
-	rt, err := cluster.NewRouter(cluster.Config{Shards: urls})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rts := httptest.NewServer(rt.Handler())
-	defer rts.Close()
+	rts := routerOver(t, cluster.Config{Shards: urls})
 
-	// One key per shard, then kill shard 1.
-	keys := make([]string, k)
-	found := 0
-	for i := 0; found < k; i++ {
-		key := fmt.Sprintf("key-%04d", i)
-		if s := cluster.OwnerOf(key, k); keys[s] == "" {
-			keys[s] = key
-			found++
+	keys := []string{"key-a", "key-b", "key-c", "key-d"}
+	for _, key := range keys {
+		if st, body := post(t, rts.URL+"/v1/put", map[string]any{"key": key, "value": []byte(key)}); st != http.StatusOK {
+			t.Fatalf("put %q = %d %s", key, st, body)
 		}
 	}
 	servers[1].Close()
 
-	st, body := post(t, rts.URL+"/v1/lookup", map[string]any{"key": keys[1]})
-	var er struct {
-		Code string `json:"code"`
-	}
-	if err := json.Unmarshal(body, &er); err != nil {
-		t.Fatal(err)
-	}
-	if st != http.StatusBadGateway || er.Code != "shard_unreachable" {
-		t.Fatalf("lookup on dead shard = (%d, %q), want (502, shard_unreachable)", st, er.Code)
-	}
-
-	// The surviving shard still answers through the router.
-	if st, body := post(t, rts.URL+"/v1/lookup", map[string]any{"key": keys[0]}); st != http.StatusOK {
-		t.Fatalf("lookup on live shard = %d %s", st, body)
+	// Reads go round-robin, so half of these try the dead replica first.
+	for _, key := range keys {
+		if st, body := post(t, rts.URL+"/v1/lookup", map[string]any{"key": key}); st != http.StatusOK {
+			t.Fatalf("lookup %q with shard 1 down = %d %s", key, st, body)
+		}
+		if st, body := get(t, rts.URL+"/v1/get?key="+key); st != http.StatusOK {
+			t.Fatalf("get %q with shard 1 down = %d %s", key, st, body)
+		}
+		if st, body := post(t, rts.URL+"/v1/lookup/batch", map[string]any{"keys": keys}); st != http.StatusOK {
+			t.Fatalf("lookup/batch with shard 1 down = %d %s", st, body)
+		}
 	}
 
-	// Batches degrade per item: live keys resolve, dead-shard keys carry
-	// the typed code.
-	st, body = post(t, rts.URL+"/v1/lookup/batch", map[string]any{"keys": keys})
-	if st != http.StatusOK {
-		t.Fatalf("mixed batch status %d", st)
-	}
-	var br struct {
-		Results []struct {
-			Key  string `json:"key"`
-			Code string `json:"code"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if br.Results[0].Code != "ok" || br.Results[1].Code != "shard_unreachable" {
-		t.Fatalf("mixed batch codes = %q, %q", br.Results[0].Code, br.Results[1].Code)
+	// A write must reach every replica, so it cannot succeed.
+	st, body := post(t, rts.URL+"/v1/put", map[string]any{"key": "key-e", "value": []byte("e")})
+	if st != http.StatusBadGateway || codeOf(t, body) != "shard_unreachable" {
+		t.Fatalf("put with shard 1 down = (%d) %s, want 502 shard_unreachable", st, body)
 	}
 
 	// Aggregated health: degraded, with the dead member called out.
@@ -477,6 +473,192 @@ func TestShardDownTyped502(t *testing.T) {
 	if st != http.StatusServiceUnavailable || h.Status != "degraded" ||
 		h.Members[0].Status != "ok" || h.Members[1].Status != "unreachable" {
 		t.Fatalf("health with dead shard = (%d) %s", st, body)
+	}
+}
+
+// TestWritesReachEveryReplica pins the write fan-out: at K = 2 and 4,
+// puts through the router, single and batched, land on every replica, so
+// a GET sent straight to any shard answers byte for byte what the
+// standalone daemon answers.
+func TestWritesReachEveryReplica(t *testing.T) {
+	pairs := make([]wire.KV, 16)
+	for i := range pairs {
+		key := fmt.Sprintf("rep-%02d", i)
+		pairs[i] = wire.KV{Key: key, Value: []byte("v-" + key)}
+	}
+	half := len(pairs) / 2
+	for _, k := range []int{2, 4} {
+		_, ref := newShard(t, 0, 1)
+		urls := make([]string, k)
+		for i := range urls {
+			_, ts := newShard(t, i, k)
+			urls[i] = ts.URL
+		}
+		rts := routerOver(t, cluster.Config{Shards: urls})
+		for _, p := range pairs[:half] {
+			stR, bodyR := post(t, ref.URL+"/v1/put", p)
+			stC, bodyC := post(t, rts.URL+"/v1/put", p)
+			if stR != stC || !bytes.Equal(bodyR, bodyC) {
+				t.Fatalf("K=%d put %q: standalone (%d) %s vs cluster (%d) %s", k, p.Key, stR, bodyR, stC, bodyC)
+			}
+		}
+		batch := wire.PutBatchRequest{Pairs: pairs[half:]}
+		stR, bodyR := post(t, ref.URL+"/v1/put/batch", batch)
+		stC, bodyC := post(t, rts.URL+"/v1/put/batch", batch)
+		if stR != http.StatusOK || stC != stR || !bytes.Equal(bodyR, bodyC) {
+			t.Fatalf("K=%d put/batch: standalone (%d) %s vs cluster (%d) %s", k, stR, bodyR, stC, bodyC)
+		}
+		for _, p := range pairs {
+			stR, bodyR := get(t, ref.URL+"/v1/get?key="+p.Key)
+			for i, u := range urls {
+				if st, body := get(t, u+"/v1/get?key="+p.Key); st != stR || !bytes.Equal(body, bodyR) {
+					t.Fatalf("K=%d get %q on shard %d: (%d) %s, standalone (%d) %s", k, p.Key, i, st, body, stR, bodyR)
+				}
+			}
+		}
+	}
+}
+
+// TestConcurrentPutsConverge races puts of distinct values to one key
+// through the router. The router delivers them to every replica in one
+// order, so afterwards every replica holds the same value.
+func TestConcurrentPutsConverge(t *testing.T) {
+	const k, writers = 4, 32
+	urls := make([]string, k)
+	for i := range urls {
+		_, ts := newShard(t, i, k)
+		urls[i] = ts.URL
+	}
+	rts := routerOver(t, cluster.Config{Shards: urls})
+	var wg sync.WaitGroup
+	for i := 0; i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b, err := json.Marshal(wire.KV{Key: "hot", Value: fmt.Appendf(nil, "v%02d", i)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.Post(rts.URL+"/v1/put", "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("put %d: status %d", i, resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	st0, want := get(t, urls[0]+"/v1/get?key=hot")
+	if st0 != http.StatusOK {
+		t.Fatalf("shard 0 get = %d %s", st0, want)
+	}
+	for i, u := range urls[1:] {
+		if st, body := get(t, u+"/v1/get?key=hot"); st != st0 || !bytes.Equal(body, want) {
+			t.Fatalf("shard %d holds (%d) %s, shard 0 holds %s", i+1, st, body, want)
+		}
+	}
+}
+
+// TestRouterTimeouts pins which bound applies to which call: a phase call
+// of the coordinated advance is bounded by AdvanceTimeout alone, so a
+// 300 ms build under a 50 ms RequestTimeout still advances, while a
+// forwarded read that takes as long answers 502 shard_unreachable. A put
+// whose client gives up while it waits behind the advance is applied
+// nowhere.
+func TestRouterTimeouts(t *testing.T) {
+	shard, _ := newShard(t, 0, 1)
+	building := make(chan struct{}, 1)
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/epoch/build":
+			building <- struct{}{}
+			time.Sleep(300 * time.Millisecond)
+		case "/v1/lookup":
+			time.Sleep(300 * time.Millisecond)
+		}
+		shard.Handler().ServeHTTP(w, r)
+	}))
+	defer slow.Close()
+	rts := routerOver(t, cluster.Config{
+		Shards:         []string{slow.URL},
+		RequestTimeout: 50 * time.Millisecond,
+		AdvanceTimeout: 5 * time.Second,
+	})
+
+	advanced := make(chan struct{})
+	go func() {
+		defer close(advanced)
+		resp, err := http.Post(rts.URL+"/v1/epoch/advance", "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("advance with a 300 ms build = %d %s", resp.StatusCode, body)
+		}
+	}()
+	<-building
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rts.URL+"/v1/put", strings.NewReader(`{"key":"late","value":"dg=="}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("put behind a 300 ms advance answered %d within its client's 50 ms", resp.StatusCode)
+	}
+	<-advanced
+	// A write after the advance queues behind the abandoned one, if that
+	// is still waiting.
+	if st, body := post(t, rts.URL+"/v1/put", map[string]any{"key": "after", "value": []byte("a")}); st != http.StatusOK {
+		t.Fatalf("put after the advance = %d %s", st, body)
+	}
+	if st, body := get(t, slow.URL+"/v1/get?key=late"); st != http.StatusNotFound {
+		t.Fatalf("a put whose client gave up was applied: get = %d %s", st, body)
+	}
+
+	if st, body := post(t, rts.URL+"/v1/lookup", map[string]any{"key": "k"}); st != http.StatusBadGateway || codeOf(t, body) != "shard_unreachable" {
+		t.Fatalf("lookup past RequestTimeout = (%d) %s, want 502 shard_unreachable", st, body)
+	}
+}
+
+// rangeLo returns the smallest point shard s owns among k shards,
+// ceil(s·2^64 / k), derived from the partition's definition rather than
+// from OwnerOf. rangeLo(k, k) is 2^64, which wraps to 0.
+func rangeLo(s, k int) uint64 {
+	if s == k {
+		return 0
+	}
+	q, r := bits.Div64(uint64(s), 0, uint64(k))
+	if r > 0 {
+		q++
+	}
+	return q
+}
+
+// TestOwnerOfMatchesKeyPoint pins OwnerOf to the equal split of the ring:
+// among k shards, shard s owns the key points in [rangeLo(s, k),
+// rangeLo(s+1, k)).
+func TestOwnerOfMatchesKeyPoint(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 4, 7, 16} {
+		for i := -1; i < 512; i++ {
+			key := ""
+			if i >= 0 {
+				key = fmt.Sprintf("k%08d", i)
+			}
+			p, s := uint64(tinygroups.KeyPoint(key)), cluster.OwnerOf(key, k)
+			if s < 0 || s >= k || p < rangeLo(s, k) || (s+1 < k && p >= rangeLo(s+1, k)) {
+				t.Fatalf("OwnerOf(%q, %d) = %d, but its point %#x lies outside [%#x, %#x)",
+					key, k, s, p, rangeLo(s, k), rangeLo(s+1, k))
+			}
+		}
 	}
 }
 
