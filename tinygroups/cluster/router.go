@@ -400,9 +400,14 @@ func anyErr(errs []error) error {
 // key; the benchmark times it as the cost of a ring-range routing rule.
 // shards must be positive; a one-shard cluster owns everything.
 func OwnerOf(key string, shards int) int {
+	return shardOf(tinygroups.KeyPoint(key), shards)
+}
+
+// shardOf returns floor(p·shards / 2^64), the shard whose range holds p.
+func shardOf(p tinygroups.Point, shards int) int {
 	if shards <= 1 {
 		return 0
 	}
-	hi, _ := bits.Mul64(uint64(tinygroups.KeyPoint(key)), uint64(shards))
+	hi, _ := bits.Mul64(uint64(p), uint64(shards))
 	return int(hi)
 }

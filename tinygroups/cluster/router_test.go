@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -626,39 +625,6 @@ func TestRouterTimeouts(t *testing.T) {
 
 	if st, body := post(t, rts.URL+"/v1/lookup", map[string]any{"key": "k"}); st != http.StatusBadGateway || codeOf(t, body) != "shard_unreachable" {
 		t.Fatalf("lookup past RequestTimeout = (%d) %s, want 502 shard_unreachable", st, body)
-	}
-}
-
-// rangeLo returns the smallest point shard s owns among k shards,
-// ceil(s·2^64 / k), derived from the partition's definition rather than
-// from OwnerOf. rangeLo(k, k) is 2^64, which wraps to 0.
-func rangeLo(s, k int) uint64 {
-	if s == k {
-		return 0
-	}
-	q, r := bits.Div64(uint64(s), 0, uint64(k))
-	if r > 0 {
-		q++
-	}
-	return q
-}
-
-// TestOwnerOfMatchesKeyPoint pins OwnerOf to the equal split of the ring:
-// among k shards, shard s owns the key points in [rangeLo(s, k),
-// rangeLo(s+1, k)).
-func TestOwnerOfMatchesKeyPoint(t *testing.T) {
-	for _, k := range []int{1, 2, 3, 4, 7, 16} {
-		for i := -1; i < 512; i++ {
-			key := ""
-			if i >= 0 {
-				key = fmt.Sprintf("k%08d", i)
-			}
-			p, s := uint64(tinygroups.KeyPoint(key)), cluster.OwnerOf(key, k)
-			if s < 0 || s >= k || p < rangeLo(s, k) || (s+1 < k && p >= rangeLo(s+1, k)) {
-				t.Fatalf("OwnerOf(%q, %d) = %d, but its point %#x lies outside [%#x, %#x)",
-					key, k, s, p, rangeLo(s, k), rangeLo(s+1, k))
-			}
-		}
 	}
 }
 
